@@ -20,7 +20,8 @@ import time
 
 import numpy as np
 
-from irmlab import chebyshev, diagrams, edgestats, ensembles, markov, profiles
+from irmlab import (chebyshev, diagrams, edgestats, ensembles, markov,
+                    nonbacktracking, profiles)
 
 EXIT_PASS = 0
 EXIT_FAIL = 2
@@ -135,7 +136,7 @@ def _range_check(scenario, p):
 
 
 # ---------------------------------------------------------------------------
-# scenario runners
+# scenario runners: each takes (params, seed) and returns (exit code, payload)
 # ---------------------------------------------------------------------------
 
 def _edge_scenario(test_spec, baseline_spec, p, seed, expect_rejection=False):
@@ -154,143 +155,173 @@ def _edge_scenario(test_spec, baseline_spec, p, seed, expect_rejection=False):
                # out of the deterministic report body
                "_samples": {"test": rep.rescaled_test,
                             "baseline": rep.rescaled_baseline}}
-    return code, payload, rep
+    return code, payload
+
+
+def _against_goe(build):
+    """Edge runner comparing the spec build(p, seed) with same-size GOE."""
+    def runner(p, seed):
+        test = build(p, seed)
+        return _edge_scenario(test, ensembles.goe_reference_spec(test.N), p, seed)
+    return runner
+
+
+def _run_goe_baseline(p, seed):
+    base = ensembles.goe_reference_spec(p["N"], beta=p["beta"])
+    return _edge_scenario(base, base, p, seed)
+
+
+def _run_wishart(p, seed):
+    test = ensembles.EnsembleSpec(
+        model="wishart", entry_law="theta_goe", theta=p["theta"],
+        profile=profiles.wishart_profile(p["M"], p["N"], builder=p["builder"]))
+    base = ensembles.EnsembleSpec(
+        model="wishart", profile=profiles.wishart_profile(p["M"], p["N"], builder="uniform"))
+    return _edge_scenario(test, base, p, seed)
+
+
+def _run_blockdiag(p, seed):
+    N = p["N"]
+    if N % 2:
+        raise ConfigError("blockdiag control needs even N")
+    test = ensembles.EnsembleSpec(profile=profiles.block_wegner_profile(2, N // 2, 0.0))
+    code, payload = _edge_scenario(
+        test, ensembles.goe_reference_spec(N), p, seed, expect_rejection=True)
+    payload["criteria"]["p_threshold"] = p["level"]
+    if code == EXIT_PASS and payload["edge_report"]["p_values"][0] >= p["level"]:
+        code = EXIT_FAIL
+    return code, payload
+
+
+def _run_lift2(p, seed):
+    rng = np.random.default_rng(seed)
+    results = []
+    worst = 0.0
+    for t in range(p["trials"]):
+        g_seed, s_seed = int(rng.integers(2 ** 31)), int(rng.integers(2 ** 31))
+        G = profiles.random_regular_adjacency(p["N"], p["d"], seed=g_seed)
+        S = edgestats.random_edge_signs(G, seed=s_seed)
+        res = edgestats.lift_spectrum_check(G, S, tol=p["tol"])
+        worst = max(worst, res["defect"])
+        results.append(res["pass"])
+    ok = all(results)
+    return (EXIT_PASS if ok else EXIT_FAIL), {
+        "trials": p["trials"], "worst_defect": worst, "all_pass": ok,
+        "criteria": {"tol": p["tol"]}}
+
+
+def _spike(N, value):
+    """Coordinate deformation value * e_0 e_0^T, or None for value 0."""
+    if not value:
+        return None
+    A = np.zeros((N, N))
+    A[0, 0] = value
+    return A
+
+
+def _run_diagrams_exact(p, seed):
+    prof = profiles.uniform_profile(p["N"])
+    rng = np.random.default_rng(seed)
+    M0 = rng.uniform(0.5, 1.5, (p["N"], p["N"]))
+    prof2 = profiles.VarianceProfile(
+        profiles.sinkhorn_symmetric(0.5 * (M0 + M0.T)), kind="square").validate()
+    A = _spike(p["N"], p["spike"])
+    checks = []
+    for beta in p["betas"]:
+        for pr in (prof, prof2):
+            for m in range(1, p["max_m"] + 1):
+                checks.append(diagrams.verify_expansions([m], pr, A, beta, tol=p["tol"]))
+            checks.append(diagrams.verify_expansions([2, 2], pr, A, beta, tol=p["tol"]))
+    ok = all(c["pass"] for c in checks)
+    return (EXIT_PASS if ok else EXIT_FAIL), {
+        "n_checks": len(checks), "all_pass": ok,
+        "failures": [c for c in checks if not c["pass"]],
+        "criteria": {"tol": p["tol"]}}
+
+
+def _wigner_residual(N, n, seeds, seed, deformations):
+    """Worst Wigner path-expansion residual over GOE draws seed .. seed+seeds-1
+    on the uniform profile, each checked with every deformation listed."""
+    prof = profiles.uniform_profile(N)
+    worst = 0.0
+    for s in range(seeds):
+        H = np.sqrt(prof.variances) * ensembles.sample_wigner(N, 1, seed + s)
+        for A in deformations:
+            worst = max(worst, nonbacktracking.verify_wigner_path_expansion(H, prof, n, A))
+    return worst
+
+
+def _wishart_residual(M, N, n, seeds, seed):
+    """Worst Wishart path-expansion residual over Gaussian M x N draws on the
+    uniform bipartite profile, draw s from stream rng_for(seed, s, 3)."""
+    prof = profiles.wishart_profile(M, N)
+    worst = 0.0
+    for s in range(seeds):
+        rng = ensembles.rng_for(seed, s, 3)
+        H = np.sqrt(prof.variances) * rng.standard_normal((M, N))
+        worst = max(worst, nonbacktracking.verify_wishart_path_expansion(H, prof, n))
+    return worst
+
+
+def _run_nbpath_exact(p, seed):
+    worst_w = _wigner_residual(p["N"], p["n"], p["seeds"], seed,
+                               [None, _spike(p["N"], 0.8)])
+    worst_q = _wishart_residual(p["wishart_M"], p["wishart_N"], p["wishart_n"],
+                                p["seeds"], seed)
+    ok = worst_w <= p["tol"] and worst_q <= p["tol"]
+    return (EXIT_PASS if ok else EXIT_FAIL), {
+        "worst_wigner_residual": worst_w, "worst_wishart_residual": worst_q,
+        "criteria": {"tol": p["tol"]}, "seeds": p["seeds"]}
+
+
+def _mixing(prof, p):
+    """Certify the profile's chain (the bipartite chain for a bipartite
+    profile) with p's t, gamma, delta and horizon; return (exit code, report)."""
+    check = markov.bipartite_check_mixing if prof.kind == "bipartite" else markov.check_mixing
+    report = check(prof, p["t"], p["gamma"], p["delta"], p["horizon"])
+    if report.refuted:
+        code = EXIT_FAIL
+    elif report.horizon_limited:
+        code = EXIT_INCONCLUSIVE
+    else:
+        code = EXIT_PASS if report.passed else EXIT_FAIL
+    return code, report
+
+
+def _run_mixing_audit(p, seed):
+    code, report = _mixing(_profile_preset(p["preset"], p["N"], seed), p)
+    return code, {"mixing_report": report.to_json(),
+                  "criteria": {"gamma": p["gamma"], "delta": p["delta"]}}
+
+
+RUNNERS = {
+    "goe-baseline": _run_goe_baseline,
+    "gw": _against_goe(lambda p, seed: ensembles.EnsembleSpec(
+        profile=profiles.generalized_wigner_profile(p["N"], p["c"], p["C"], seed=seed))),
+    "band": _against_goe(lambda p, seed: ensembles.EnsembleSpec(
+        profile=profiles.band_profile(1, p["N"], p["W"] or int(math.ceil(p["N"] ** 0.8)),
+                                      p["density"]))),
+    "sparse": _against_goe(lambda p, seed: ensembles.EnsembleSpec(
+        entry_law=p["entry_law"], theta=p["theta"],
+        profile=profiles.uniform_profile(p["N"]))),
+    "block": _against_goe(lambda p, seed: ensembles.EnsembleSpec(
+        profile=profiles.block_wegner_profile(p["D"], p["M"], p["lam"]))),
+    "heavy": _against_goe(lambda p, seed: ensembles.EnsembleSpec(
+        entry_law="heavy_tailed", tail_df=p["df"], zeta=p["zeta"],
+        profile=profiles.uniform_profile(p["N"]))),
+    "lift2": _run_lift2,
+    "wishart": _run_wishart,
+    "counterexample-blockdiag": _run_blockdiag,
+    "diagrams-exact": _run_diagrams_exact,
+    "nbpath-exact": _run_nbpath_exact,
+    "mixing-audit": _run_mixing_audit,
+}
 
 
 def run_scenario(scenario, params, seed):
-    p = params
-    if scenario == "goe-baseline":
-        base = ensembles.goe_reference_spec(p["N"], beta=p["beta"])
-        return _edge_scenario(base, base, p, seed)[:2]
-
-    if scenario == "gw":
-        prof = profiles.generalized_wigner_profile(p["N"], p["c"], p["C"], seed=seed)
-        test = ensembles.EnsembleSpec(profile=prof)
-        return _edge_scenario(test, ensembles.goe_reference_spec(p["N"]), p, seed)[:2]
-
-    if scenario == "band":
-        N = p["N"]
-        W = p["W"] or int(math.ceil(N ** 0.8))
-        prof = profiles.band_profile(1, N, W, p["density"])
-        test = ensembles.EnsembleSpec(profile=prof)
-        return _edge_scenario(test, ensembles.goe_reference_spec(N), p, seed)[:2]
-
-    if scenario == "sparse":
-        prof = profiles.uniform_profile(p["N"])
-        test = ensembles.EnsembleSpec(entry_law=p["entry_law"], theta=p["theta"],
-                                      profile=prof)
-        return _edge_scenario(test, ensembles.goe_reference_spec(p["N"]), p, seed)[:2]
-
-    if scenario == "block":
-        prof = profiles.block_wegner_profile(p["D"], p["M"], p["lam"])
-        test = ensembles.EnsembleSpec(profile=prof)
-        N = p["D"] * p["M"]
-        return _edge_scenario(test, ensembles.goe_reference_spec(N), p, seed)[:2]
-
-    if scenario == "heavy":
-        prof = profiles.uniform_profile(p["N"])
-        test = ensembles.EnsembleSpec(entry_law="heavy_tailed", tail_df=p["df"],
-                                      zeta=p["zeta"], profile=prof)
-        return _edge_scenario(test, ensembles.goe_reference_spec(p["N"]), p, seed)[:2]
-
-    if scenario == "counterexample-blockdiag":
-        N = p["N"]
-        if N % 2:
-            raise ConfigError("blockdiag control needs even N")
-        prof = profiles.block_wegner_profile(2, N // 2, 0.0)
-        test = ensembles.EnsembleSpec(profile=prof)
-        code, payload, rep = _edge_scenario(
-            test, ensembles.goe_reference_spec(N), p, seed, expect_rejection=True)
-        payload["criteria"]["p_threshold"] = p["level"]
-        if code == EXIT_PASS and rep.p_values[0] >= p["level"]:
-            code = EXIT_FAIL
-        return code, payload
-
-    if scenario == "lift2":
-        rng = np.random.default_rng(seed)
-        results = []
-        worst = 0.0
-        for t in range(p["trials"]):
-            g_seed, s_seed = int(rng.integers(2 ** 31)), int(rng.integers(2 ** 31))
-            G = profiles.random_regular_adjacency(p["N"], p["d"], seed=g_seed)
-            S = edgestats.random_edge_signs(G, seed=s_seed)
-            res = edgestats.lift_spectrum_check(G, S, tol=p["tol"])
-            worst = max(worst, res["defect"])
-            results.append(res["pass"])
-        ok = all(results)
-        return (EXIT_PASS if ok else EXIT_FAIL), {
-            "trials": p["trials"], "worst_defect": worst, "all_pass": ok,
-            "criteria": {"tol": p["tol"]}}
-
-    if scenario == "wishart":
-        prof_t = profiles.wishart_profile(p["M"], p["N"], builder=p["builder"])
-        prof_b = profiles.wishart_profile(p["M"], p["N"], builder="uniform")
-        test = ensembles.EnsembleSpec(model="wishart", profile=prof_t,
-                                      entry_law="theta_goe", theta=p["theta"])
-        base = ensembles.EnsembleSpec(model="wishart", profile=prof_b)
-        return _edge_scenario(test, base, p, seed)[:2]
-
-    if scenario == "diagrams-exact":
-        prof = profiles.uniform_profile(p["N"])
-        rng = np.random.default_rng(seed)
-        M0 = rng.uniform(0.5, 1.5, (p["N"], p["N"]))
-        prof2 = profiles.VarianceProfile(
-            profiles.sinkhorn_symmetric(0.5 * (M0 + M0.T)), kind="square").validate()
-        A = None
-        if p["spike"]:
-            A = np.zeros((p["N"], p["N"]))
-            A[0, 0] = p["spike"]
-        checks = []
-        for beta in p["betas"]:
-            for pr in (prof, prof2):
-                for m in range(1, p["max_m"] + 1):
-                    checks.append(diagrams.verify_expansions([m], pr, A, beta, tol=p["tol"]))
-                checks.append(diagrams.verify_expansions([2, 2], pr, A, beta, tol=p["tol"]))
-        ok = all(c["pass"] for c in checks)
-        return (EXIT_PASS if ok else EXIT_FAIL), {
-            "n_checks": len(checks), "all_pass": ok,
-            "failures": [c for c in checks if not c["pass"]],
-            "criteria": {"tol": p["tol"]}}
-
-    if scenario == "nbpath-exact":
-        prof = profiles.uniform_profile(p["N"])
-        worst_w = 0.0
-        for s in range(p["seeds"]):
-            W = ensembles.sample_wigner(p["N"], 1, seed + s)
-            H = np.sqrt(prof.variances) * W
-            u = np.zeros(p["N"]); u[0] = 1.0
-            A = 0.8 * np.outer(u, u)
-            from irmlab import nonbacktracking as nb
-            worst_w = max(worst_w,
-                          nb.verify_wigner_path_expansion(H, prof, p["n"]),
-                          nb.verify_wigner_path_expansion(H, prof, p["n"], A))
-        wprof = profiles.wishart_profile(p["wishart_M"], p["wishart_N"])
-        worst_q = 0.0
-        from irmlab import nonbacktracking as nb
-        for s in range(p["seeds"]):
-            rng = ensembles.rng_for(seed, s, 3)
-            Hb = np.sqrt(wprof.variances) * rng.standard_normal(
-                (p["wishart_M"], p["wishart_N"]))
-            worst_q = max(worst_q, nb.verify_wishart_path_expansion(
-                Hb, wprof, p["wishart_n"]))
-        ok = worst_w <= p["tol"] and worst_q <= p["tol"]
-        return (EXIT_PASS if ok else EXIT_FAIL), {
-            "worst_wigner_residual": worst_w, "worst_wishart_residual": worst_q,
-            "criteria": {"tol": p["tol"]}, "seeds": p["seeds"]}
-
-    if scenario == "mixing-audit":
-        prof = _profile_preset(p["preset"], p["N"], seed)
-        report = markov.check_mixing(prof, p["t"], p["gamma"], p["delta"], p["horizon"])
-        if report.refuted:
-            code = EXIT_FAIL
-        elif report.horizon_limited:
-            code = EXIT_INCONCLUSIVE
-        else:
-            code = EXIT_PASS if report.passed else EXIT_FAIL
-        return code, {"mixing_report": report.to_json(),
-                      "criteria": {"gamma": p["gamma"], "delta": p["delta"]}}
-
-    raise ConfigError(f"unhandled scenario {scenario}")
+    if scenario not in RUNNERS:
+        raise ConfigError(f"unhandled scenario {scenario}")
+    return RUNNERS[scenario](params, seed)
 
 
 def _profile_preset(name, N, seed):
@@ -364,6 +395,24 @@ def emit_svg(sample_sets, bins, path):
     return path
 
 
+def _write_samples_csv(path, samples):
+    with open(path, "w") as fh:
+        fh.write("which,coordinate,value\n")
+        for which in ("test", "baseline"):
+            for row in samples[which]:
+                for i, v in enumerate(row):
+                    fh.write(f"{which},{i},{float(v)!r}\n")
+
+
+# malformed input: reported on stderr with exit code 64, never a traceback
+INVALID_INPUT = (ConfigError, profiles.ProfileError, ensembles.EnsembleError)
+
+
+def _invalid(exc):
+    sys.stderr.write(f"invalid configuration: {exc}\n")
+    return EXIT_USAGE
+
+
 def run(config):
     """Execute a parsed config; write report.json (+ sidecar); return exit code."""
     scenario = config["scenario"]
@@ -373,10 +422,9 @@ def run(config):
     t0 = time.time()
     try:
         code, payload = run_scenario(scenario, config["params"], seed)
-    except (ConfigError, profiles.ProfileError, ensembles.EnsembleError) as exc:
-        sys.stderr.write(f"invalid configuration: {exc}\n")
-        return EXIT_USAGE
-    samples = payload.pop("_samples", None) if isinstance(payload, dict) else None
+    except INVALID_INPUT as exc:
+        return _invalid(exc)
+    samples = payload.pop("_samples", None)
     report = {
         "scenario": scenario,
         "seed": seed,
@@ -391,17 +439,11 @@ def run(config):
     with open(os.path.join(outdir, "report.meta.json"), "w") as fh:
         json.dump({"elapsed_seconds": time.time() - t0,
                    "written_at": time.strftime("%Y-%m-%dT%H:%M:%S")}, fh)
-    if samples and samples.get("test") is not None:
-        rt = np.asarray(samples["test"])
-        rb = np.asarray(samples["baseline"])
+    if samples:
         if config.get("csv"):
-            with open(os.path.join(outdir, "samples.csv"), "w") as fh:
-                fh.write("which,coordinate,value\n")
-                for which, rows in (("test", rt), ("baseline", rb)):
-                    for row in rows:
-                        for i, v in enumerate(row):
-                            fh.write(f"{which},{i},{float(v)!r}\n")
+            _write_samples_csv(os.path.join(outdir, "samples.csv"), samples)
         if config.get("svg"):
+            rt, rb = np.asarray(samples["test"]), np.asarray(samples["baseline"])
             for i in range(rt.shape[1]):
                 emit_svg({"test": rt[:, i], "baseline": rb[:, i]}, 40,
                          os.path.join(outdir, f"hist_coord{i}.svg"))
@@ -409,8 +451,114 @@ def run(config):
 
 
 # ---------------------------------------------------------------------------
-# argparse front end
+# argparse front end: each subcommand parses its arguments and calls the
+# pieces its scenario uses
 # ---------------------------------------------------------------------------
+
+def _cmd_run(args):
+    config = load_config(args.config)
+    if args.seed is not None:
+        config["seed"] = args.seed
+    if args.out is not None:
+        config["out"] = args.out
+    return run(config)
+
+
+def _cmd_presets(args):
+    print(json.dumps(list_presets(), sort_keys=True, indent=1))
+    return EXIT_PASS
+
+
+def _cmd_sample(args):
+    with open(args.spec) as fh:
+        spec = ensembles.EnsembleSpec.from_json(json.load(fh))
+    spec.seed = args.seed
+    os.makedirs(args.out, exist_ok=True)
+    for r in range(args.replicas):
+        X = ensembles.sample(spec, replica=r)
+        if args.eigs_only:
+            np.savetxt(os.path.join(args.out, f"eigs_{r:05d}.csv"),
+                       np.sort(np.linalg.eigvalsh(X))[::-1], delimiter=",")
+        else:
+            np.savetxt(os.path.join(args.out, f"matrix_{r:05d}.csv"),
+                       np.asarray(X, dtype=float), delimiter=",")
+    return EXIT_PASS
+
+
+def _cmd_mixing(args):
+    p = {"N": args.N, "t": args.t, "gamma": args.gamma, "delta": args.delta,
+         "horizon": args.horizon}
+    _range_check("mixing-audit", p)
+    if args.profile:
+        prof = profiles.VarianceProfile.load(args.profile)
+    elif args.preset:
+        prof = _profile_preset(args.preset, args.N, args.seed)
+    else:
+        raise ConfigError("need --profile or --profile-preset")
+    code, report = _mixing(prof, p)
+    print(report.dumps())
+    return code
+
+
+def _cmd_cheb(args):
+    if args.suite == "orthogonality":
+        rep = chebyshev.orthogonality_check(args.max)
+    elif args.suite == "product":
+        rng = np.random.default_rng(args.seed)
+        worst = None
+        ok = True
+        for _ in range(200):
+            ms = rng.integers(1, 16, size=int(rng.integers(1, 5)))
+            good, lhs, rhs = chebyshev.product_coeff_identity(list(ms))
+            if not good:
+                ok = False
+                worst = {"m_list": ms.tolist(), "lhs": lhs, "rhs": rhs}
+                break
+        rep = {"passed": ok, "worst": worst}
+    else:
+        worst = 0.0
+        for alpha in (0.25, 0.5, 1.0):
+            for n in range(1, args.max + 1):
+                worst = max(worst, chebyshev.q_vs_chebyshev_grid(n, alpha))
+        exact = all(chebyshev.un_pn_identity_exact(n, 0.5) for n in range(1, min(args.max, 12) + 1))
+        rep = {"passed": bool(worst <= 1e-10 and exact), "worst_rel_error": worst,
+               "exact_un_pn": exact}
+    print(json.dumps(rep, sort_keys=True))
+    return EXIT_PASS if rep["passed"] else EXIT_FAIL
+
+
+def _cmd_diagrams(args):
+    rep = diagrams.verify_expansions([args.n] * args.s, profiles.uniform_profile(args.N),
+                                     _spike(args.N, args.spike), args.beta)
+    print(json.dumps(rep, sort_keys=True))
+    return EXIT_PASS if rep["pass"] else EXIT_FAIL
+
+
+def _cmd_nbpath(args):
+    if args.model == "wigner":
+        worst = _wigner_residual(args.N, args.n, args.seeds, 0, [None])
+    else:
+        worst = _wishart_residual(max(2, args.N - 2), args.N, args.n, args.seeds, 0)
+    print(json.dumps({"worst_residual": worst, "passed": worst <= 1e-8},
+                     sort_keys=True))
+    return EXIT_PASS if worst <= 1e-8 else EXIT_FAIL
+
+
+def _cmd_edge(args):
+    specs = []
+    for path in (args.test, args.baseline):
+        with open(path) as fh:
+            specs.append(ensembles.EnsembleSpec.from_json(json.load(fh)))
+    p = {"k": args.k, "replicas": args.replicas, "level": 0.01}
+    code, payload = _edge_scenario(*specs, p, args.seed)
+    with open(args.out, "w") as fh:
+        json.dump(payload["edge_report"], fh, sort_keys=True)
+    samples = payload["_samples"]
+    _write_samples_csv(os.path.splitext(args.out)[0] + "_samples.csv", samples)
+    if args.svg:
+        emit_svg({which: np.asarray(samples[which])[:, 0] for which in samples}, 40, args.svg)
+    return code
+
 
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="irmlab")
@@ -421,13 +569,16 @@ def main(argv=None):
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario from a config file")
+    p_run.set_defaults(func=_cmd_run)
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default=None)
 
-    p_presets = sub.add_parser("presets", help="list scenarios and defaults")
+    sub.add_parser("presets", help="list scenarios and defaults").set_defaults(
+        func=_cmd_presets)
 
     p_sample = sub.add_parser("sample", help="draw ensemble replicas")
+    p_sample.set_defaults(func=_cmd_sample)
     p_sample.add_argument("--spec", required=True, help="EnsembleSpec JSON file")
     p_sample.add_argument("--replicas", type=int, default=1)
     p_sample.add_argument("--seed", type=int, default=0)
@@ -435,6 +586,7 @@ def main(argv=None):
     p_sample.add_argument("--eigs-only", action="store_true")
 
     p_mix = sub.add_parser("mixing", help="mixing certificates")
+    p_mix.set_defaults(func=_cmd_mixing)
     p_mix.add_argument("action", choices=["check"])
     p_mix.add_argument("--profile", help="profile JSON file")
     p_mix.add_argument("--profile-preset", dest="preset")
@@ -443,10 +595,10 @@ def main(argv=None):
     p_mix.add_argument("--gamma", type=float, required=True)
     p_mix.add_argument("--delta", type=float, required=True)
     p_mix.add_argument("--horizon", type=int, required=True)
-    p_mix.add_argument("--fourier", action="store_true")
     p_mix.add_argument("--seed", type=int, default=0)
 
     p_cheb = sub.add_parser("cheb", help="exact polynomial verification suites")
+    p_cheb.set_defaults(func=_cmd_cheb)
     p_cheb.add_argument("action", choices=["verify"])
     p_cheb.add_argument("--suite", choices=["orthogonality", "product", "wishart-poly"],
                         required=True)
@@ -454,6 +606,7 @@ def main(argv=None):
     p_cheb.add_argument("--seed", type=int, default=0)
 
     p_diag = sub.add_parser("diagrams", help="exact diagram-identity verification")
+    p_diag.set_defaults(func=_cmd_diagrams)
     p_diag.add_argument("action", choices=["verify"])
     p_diag.add_argument("--s", type=int, default=1)
     p_diag.add_argument("--n", type=int, default=4)
@@ -462,6 +615,7 @@ def main(argv=None):
     p_diag.add_argument("--spike", type=float, default=0.0)
 
     p_nb = sub.add_parser("nbpath", help="path-expansion verification")
+    p_nb.set_defaults(func=_cmd_nbpath)
     p_nb.add_argument("action", choices=["verify"])
     p_nb.add_argument("--model", choices=["wigner", "wishart"], default="wigner")
     p_nb.add_argument("--n", type=int, default=6)
@@ -469,6 +623,7 @@ def main(argv=None):
     p_nb.add_argument("--seeds", type=int, default=10)
 
     p_edge = sub.add_parser("edge", help="edge-statistics comparison")
+    p_edge.set_defaults(func=_cmd_edge)
     p_edge.add_argument("action", choices=["compare"])
     p_edge.add_argument("--test", required=True, help="EnsembleSpec JSON")
     p_edge.add_argument("--baseline", required=True, help="EnsembleSpec JSON")
@@ -479,140 +634,10 @@ def main(argv=None):
     p_edge.add_argument("--svg", default=None)
 
     args = ap.parse_args(argv)
-
-    if args.command == "run":
-        try:
-            config = load_config(args.config)
-        except (ConfigError, json.JSONDecodeError, OSError) as exc:
-            sys.stderr.write(f"invalid configuration: {exc}\n")
-            return EXIT_USAGE
-        if args.seed is not None:
-            config["seed"] = args.seed
-        if args.out is not None:
-            config["out"] = args.out
-        return run(config)
-
-    if args.command == "presets":
-        print(json.dumps(list_presets(), sort_keys=True, indent=1))
-        return EXIT_PASS
-
-    if args.command == "sample":
-        with open(args.spec) as fh:
-            spec = ensembles.EnsembleSpec.from_json(json.load(fh))
-        spec.seed = args.seed
-        os.makedirs(args.out, exist_ok=True)
-        for r in range(args.replicas):
-            X = ensembles.sample(spec, replica=r)
-            if args.eigs_only:
-                np.savetxt(os.path.join(args.out, f"eigs_{r:05d}.csv"),
-                           np.sort(np.linalg.eigvalsh(X))[::-1], delimiter=",")
-            else:
-                np.savetxt(os.path.join(args.out, f"matrix_{r:05d}.csv"),
-                           np.asarray(X, dtype=float), delimiter=",")
-        return EXIT_PASS
-
-    if args.command == "mixing":
-        if args.profile:
-            prof = profiles.VarianceProfile.load(args.profile)
-        elif args.preset:
-            prof = _profile_preset(args.preset, args.N, args.seed)
-        else:
-            sys.stderr.write("need --profile or --profile-preset\n")
-            return EXIT_USAGE
-        if prof.kind == "bipartite":
-            rep = markov.bipartite_check_mixing(prof, args.t, args.gamma,
-                                                args.delta, args.horizon)
-        else:
-            rep = markov.check_mixing(prof, args.t, args.gamma, args.delta,
-                                      args.horizon)
-        print(rep.dumps())
-        if rep.refuted:
-            return EXIT_FAIL
-        if rep.horizon_limited:
-            return EXIT_INCONCLUSIVE
-        return EXIT_PASS if rep.passed else EXIT_FAIL
-
-    if args.command == "cheb":
-        if args.suite == "orthogonality":
-            rep = chebyshev.orthogonality_check(args.max)
-        elif args.suite == "product":
-            rng = np.random.default_rng(args.seed)
-            worst = None
-            ok = True
-            for _ in range(200):
-                ms = rng.integers(1, 16, size=int(rng.integers(1, 5)))
-                good, lhs, rhs = chebyshev.product_coeff_identity(list(ms))
-                if not good:
-                    ok = False
-                    worst = {"m_list": ms.tolist(), "lhs": lhs, "rhs": rhs}
-                    break
-            rep = {"passed": ok, "worst": worst}
-        else:
-            worst = 0.0
-            for alpha in (0.25, 0.5, 1.0):
-                for n in range(1, args.max + 1):
-                    worst = max(worst, chebyshev.q_vs_chebyshev_grid(n, alpha))
-            exact = all(chebyshev.un_pn_identity_exact(n, 0.5) for n in range(1, min(args.max, 12) + 1))
-            rep = {"passed": bool(worst <= 1e-10 and exact), "worst_rel_error": worst,
-                   "exact_un_pn": exact}
-        print(json.dumps(rep, sort_keys=True))
-        return EXIT_PASS if rep["passed"] else EXIT_FAIL
-
-    if args.command == "diagrams":
-        prof = profiles.uniform_profile(args.N)
-        A = None
-        if args.spike:
-            A = np.zeros((args.N, args.N))
-            A[0, 0] = args.spike
-        ms = [args.n] * args.s
-        rep = diagrams.verify_expansions(ms, prof, A, args.beta)
-        print(json.dumps(rep, sort_keys=True))
-        return EXIT_PASS if rep["pass"] else EXIT_FAIL
-
-    if args.command == "nbpath":
-        from irmlab import nonbacktracking as nb
-        worst = 0.0
-        if args.model == "wigner":
-            prof = profiles.uniform_profile(args.N)
-            for s in range(args.seeds):
-                W = ensembles.sample_wigner(args.N, 1, s)
-                H = np.sqrt(prof.variances) * W
-                worst = max(worst, nb.verify_wigner_path_expansion(H, prof, args.n))
-        else:
-            M = max(2, args.N - 2)
-            prof = profiles.wishart_profile(M, args.N)
-            for s in range(args.seeds):
-                rng = ensembles.rng_for(s, 0, 0)
-                H = np.sqrt(prof.variances) * rng.standard_normal((M, args.N))
-                worst = max(worst, nb.verify_wishart_path_expansion(H, prof, args.n))
-        print(json.dumps({"worst_residual": worst, "passed": worst <= 1e-8},
-                         sort_keys=True))
-        return EXIT_PASS if worst <= 1e-8 else EXIT_FAIL
-
-    if args.command == "edge":
-        with open(args.test) as fh:
-            t_spec = ensembles.EnsembleSpec.from_json(json.load(fh))
-        with open(args.baseline) as fh:
-            b_spec = ensembles.EnsembleSpec.from_json(json.load(fh))
-        rep = edgestats.universality_test(t_spec, b_spec, k=args.k,
-                                          replicas=args.replicas, seed=args.seed,
-                                          keep_samples=True)
-        with open(args.out, "w") as fh:
-            json.dump(rep.to_json(), fh, sort_keys=True)
-        rt = np.asarray(rep.rescaled_test)
-        rb = np.asarray(rep.rescaled_baseline)
-        csv_path = os.path.splitext(args.out)[0] + "_samples.csv"
-        with open(csv_path, "w") as fh:
-            fh.write("which,coordinate,value\n")
-            for which, arr in (("test", rt), ("baseline", rb)):
-                for row in arr:
-                    for i, v in enumerate(row):
-                        fh.write(f"{which},{i},{float(v)!r}\n")
-        if args.svg:
-            emit_svg({"test": rt[:, 0], "baseline": rb[:, 0]}, 40, args.svg)
-        return EXIT_FAIL if rep.rejected else EXIT_PASS
-
-    return EXIT_USAGE
+    try:
+        return args.func(args)
+    except INVALID_INPUT + (json.JSONDecodeError, OSError) as exc:
+        return _invalid(exc)
 
 
 if __name__ == "__main__":

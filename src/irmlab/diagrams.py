@@ -33,6 +33,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from irmlab.ensembles import double_factorial
+
 
 class BudgetError(RuntimeError):
     """Requested enumeration exceeds the configured cost budget."""
@@ -100,14 +102,6 @@ def _matchings(items):
             yield ((a, items[i]),) + m
 
 
-def _double_fact(n):
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
 def gluing_count(perimeters, beta, allow_open):
     """Exact number of gluings the enumerator will produce."""
     k = sum(perimeters)
@@ -117,7 +111,7 @@ def gluing_count(perimeters, beta, allow_open):
         g = k - o
         if g % 2:
             continue
-        pairs = _double_fact(g - 1) if g else 1
+        pairs = double_factorial(g - 1)
         orient = 2 ** (g // 2) if beta == 1 else 1
         total += math.comb(k, o) * pairs * orient
     return total
@@ -257,14 +251,6 @@ class Diagram:
     trivial_faces: tuple
     beta: int
 
-    @property
-    def interior_edges(self):
-        return tuple(e for e in self.edges if e[0] == "p")
-
-    @property
-    def open_edges(self):
-        return tuple(e for e in self.edges if e[0] == "a")
-
     def degrees(self):
         deg = [0] * self.n_vertices
         for _, u, v, _w in self.edges:
@@ -294,21 +280,6 @@ class Diagram:
         ed = tuple((k, lab(u), lab(v), w) for k, u, v, w in self.edges)
         mk = tuple(lab(m) if m >= 0 else -1 for m in self.marks)
         return (ed, fb, mk, self.beta)
-
-    def canonical_key(self):
-        """Lexicographically minimal encoding over vertex relabelings."""
-        n = self.n_vertices
-        if n > 8:
-            return self.structure_key()
-        best = None
-        for perm in itertools.permutations(range(n)):
-            ed = sorted((k, min(perm[u], perm[v]), max(perm[u], perm[v]), w)
-                        for k, u, v, w in self.edges)
-            mk = tuple(sorted(perm[m] if m >= 0 else -1 for m in self.marks))
-            enc = (tuple(ed), mk)
-            if best is None or enc < best:
-                best = enc
-        return (best, self.beta)
 
 
 @dataclasses.dataclass
@@ -721,14 +692,6 @@ def skeleton_sum(l_vector, powers, beta, allow_open, connected_only=False,
 # Wick oracle
 # ---------------------------------------------------------------------------
 
-def _dfact(t):
-    out = 1
-    while t > 1:
-        out *= t - 1
-        t -= 2
-    return out
-
-
 class _EntryMoments:
     """Per unordered entry pair (x, y): exact moments of the (H + A) factors."""
 
@@ -749,7 +712,7 @@ class _EntryMoments:
             cc = c if isinstance(c, int) else c[0] + c[1]
             val = 0.0
             for t in range(0, cc + 1, 2):
-                val += math.comb(cc, t) * a ** (cc - t) * _dfact(t) * var ** (t / 2.0)
+                val += math.comb(cc, t) * a ** (cc - t) * double_factorial(t - 1) * var ** (t / 2.0)
         else:
             u, v = c
             var = P[x, y]
@@ -839,31 +802,32 @@ def wick_moment(m_list, profile, A=None, beta=1):
 # the three verified identities
 # ---------------------------------------------------------------------------
 
-def ribbon_moment_lhs(m_list, profile, A=None, beta=1, _cache=None):
-    """E[prod_j (Tr X^{m_j} + b_{m_j} N)] through the Wick oracle."""
+def _expand_traces(factors, profile, A, beta, cache):
+    """E[prod_j sum_k c_jk Tr X^k] for factors given as (k, c_jk) term lists.
+
+    Tr X^0 = N; every mixed moment of positive powers is looked up in `cache`
+    by its sorted powers and filled from the Wick oracle on a miss.
+    """
     N = profile.n_rows
-    s = len(m_list)
-    cache = {} if _cache is None else _cache
-
-    def wm(rest):
-        key = tuple(sorted(rest))
-        if key not in cache:
-            cache[key] = wick_moment(list(key), profile, A, beta)
-        return cache[key]
-
+    cache = {} if cache is None else cache
     total = 0.0
-    for flags in itertools.product((0, 1), repeat=s):
+    for terms in itertools.product(*factors):
         coef = 1.0
-        rest = []
-        for m, f in zip(m_list, flags):
-            if f:
-                coef *= float(catalan_corrections(m)) * N
-            else:
-                rest.append(m)
+        for _, c in terms:
+            coef *= c
         if coef == 0.0:
             continue
-        total += coef * (wm(rest) if rest else 1.0)
+        key = tuple(sorted(k for k, _ in terms if k > 0))
+        if key and key not in cache:
+            cache[key] = wick_moment(list(key), profile, A, beta)
+        total += coef * (N ** (len(terms) - len(key))) * (cache[key] if key else 1.0)
     return total
+
+
+def ribbon_moment_lhs(m_list, profile, A=None, beta=1, _cache=None):
+    """E[prod_j (Tr X^{m_j} + b_{m_j} N)] through the Wick oracle."""
+    factors = [[(m, 1.0), (0, float(catalan_corrections(m)))] for m in m_list]
+    return _expand_traces(factors, profile, A, beta, _cache)
 
 
 def ribbon_moment_rhs(m_list, profile, A=None, beta=1, _skel_cache=None):
@@ -893,27 +857,8 @@ def ribbon_moment_rhs(m_list, profile, A=None, beta=1, _skel_cache=None):
 def chebyshev_moment_lhs(n_list, profile, A=None, beta=1, _cache=None):
     """E[prod_j Tr U_{n_j}(X/2)] by expanding U in powers and calling the oracle."""
     from irmlab.chebyshev import u_poly_half_coeffs
-    N = profile.n_rows
-    cache = {} if _cache is None else _cache
-
-    def wm(rest):
-        key = tuple(sorted(rest))
-        if key not in cache:
-            cache[key] = wick_moment(list(key), profile, A, beta)
-        return cache[key]
-
-    coeff_lists = [u_poly_half_coeffs(n) for n in n_list]
-    total = 0.0
-    for mv in itertools.product(*[range(len(c)) for c in coeff_lists]):
-        coef = 1.0
-        for cl, m in zip(coeff_lists, mv):
-            coef *= cl[m]
-        if coef == 0.0:
-            continue
-        rest = [m for m in mv if m > 0]
-        zeros = sum(1 for m in mv if m == 0)
-        total += coef * (N ** zeros) * (wm(rest) if rest else 1.0)
-    return total
+    factors = [list(enumerate(u_poly_half_coeffs(n))) for n in n_list]
+    return _expand_traces(factors, profile, A, beta, _cache)
 
 
 def chebyshev_moment_rhs(n_list, profile, A=None, beta=1, connected_only=False,
@@ -952,7 +897,7 @@ def _partitions(items):
         yield [[first]] + part
 
 
-def cumulant_lhs(n_list, profile, A=None, beta=1):
+def cumulant_lhs(n_list, profile, A=None, beta=1, _cache=None):
     """kappa_X(n_1..n_s) from the mixed-moment recursion over partitions."""
     cache = {}
 
@@ -960,7 +905,7 @@ def cumulant_lhs(n_list, profile, A=None, beta=1):
         key = tuple(sorted(sub))
         if key in cache:
             return cache[key]
-        mom = chebyshev_moment_lhs(list(key), profile, A, beta)
+        mom = chebyshev_moment_lhs(list(key), profile, A, beta, _cache)
         corr = 0.0
         for part in _partitions(list(key)):
             if len(part) <= 1:
@@ -990,12 +935,13 @@ def verify_expansions(m_list, profile, A=None, beta=1, tol=1e-9):
     """
     report = {"perimeters": list(m_list), "beta": beta,
               "deformed": A is not None, "checks": {}}
-    lhs1 = ribbon_moment_lhs(m_list, profile, A, beta)
+    wick = {}
+    lhs1 = ribbon_moment_lhs(m_list, profile, A, beta, wick)
     rhs1 = ribbon_moment_rhs(m_list, profile, A, beta)
     report["checks"]["ribbon"] = {
         "lhs": lhs1, "rhs": rhs1, "abs_err": abs(lhs1 - rhs1),
         "pass": bool(abs(lhs1 - rhs1) <= tol * max(1.0, abs(lhs1)))}
-    lhs2 = chebyshev_moment_lhs(m_list, profile, A, beta)
+    lhs2 = chebyshev_moment_lhs(m_list, profile, A, beta, wick)
     contributions = {}
     rhs2 = chebyshev_moment_rhs(m_list, profile, A, beta, per_diagram=contributions)
     report["checks"]["chebyshev"] = {
@@ -1006,7 +952,7 @@ def verify_expansions(m_list, profile, A=None, beta=1, tol=1e-9):
         report["checks"]["chebyshev"]["per_diagram"] = [
             {"diagram": repr(k), "value": v} for k, v in top]
     if len(m_list) >= 2:
-        lhs3 = cumulant_lhs(m_list, profile, A, beta)
+        lhs3 = cumulant_lhs(m_list, profile, A, beta, wick)
         rhs3 = cumulant_rhs(m_list, profile, A, beta)
         report["checks"]["cumulant"] = {
             "lhs": lhs3, "rhs": rhs3, "abs_err": abs(lhs3 - rhs3),

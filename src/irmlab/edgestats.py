@@ -26,7 +26,6 @@ import math
 import numpy as np
 
 from irmlab import ensembles
-from irmlab.profiles import random_regular_adjacency  # noqa: F401 (re-export)
 
 
 class EdgeStatError(ValueError):
@@ -191,7 +190,7 @@ def universality_test(test_spec, baseline_spec, k=2, replicas=1000, seed=0,
         rejects.append(bool(p < level / k))
     gd, gp = ks_2sample(rt[:, 0] - rt[:, 1], rb[:, 0] - rb[:, 1], jitter_seed=seed + 101)
     return EdgeReport(
-        test_digest=t_spec.digest(), baseline_digest=b_spec.digest(),
+        test_digest=t_spec.dumps(), baseline_digest=b_spec.dumps(),
         replicas=replicas, k=k, level=level,
         ks_stats=stats, p_values=pvals, reject=rejects, rejected=any(rejects),
         gap_p_value=gp,

@@ -305,9 +305,6 @@ class EnsembleSpec:
                    profile=prof, deformation=Deformation.from_json(d.get("deformation")),
                    model=d.get("model", "wigner"), seed=d.get("seed", 0))
 
-    def digest(self):
-        return json.dumps(self.to_json(), sort_keys=True)
-
 
 def sample(spec, replica=0):
     """Draw one realization of the ensemble described by spec."""

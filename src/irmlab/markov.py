@@ -73,7 +73,7 @@ class MixingReport:
 # transition powers
 # ---------------------------------------------------------------------------
 
-def transition_powers(profile, n_max, dtype=None):
+def transition_powers(profile, n_max):
     """Yield (n, P^n) for n = 1..n_max with row-sum drift monitoring.
 
     For N >= 512 the products accumulate in extended precision to keep the
@@ -81,9 +81,7 @@ def transition_powers(profile, n_max, dtype=None):
     """
     P = profile.transition_matrix() if isinstance(profile, VarianceProfile) else np.asarray(profile, float)
     N = P.shape[0]
-    if dtype is None:
-        dtype = np.longdouble if N >= 512 else np.float64
-    P = P.astype(dtype)
+    P = P.astype(np.longdouble if N >= 512 else np.float64)
     Pn = P.copy()
     for n in range(1, n_max + 1):
         if n > 1:

@@ -146,12 +146,11 @@ def _cheb_half_matrix(Y, n):
     return cur
 
 
-def path_expansion_rhs(H, profile, n, A=None):
-    """Right side of the Chebyshev path expansion, assembled with a suffix sum
-    memoized over remaining length."""
-    H = np.asarray(H)
+def _compose(H, phi2, phi3, n, A):
+    """Sum over compositions of n of V_{l0} times insertion blocks
+    (Phi_2 V_{l-2}, the Phi_3-seeded chain, A V_{l-1}), assembled with a
+    suffix sum memoized over remaining length."""
     N = H.shape[0]
-    phi2, phi3 = phi_ops(H, profile)
     Vs = nb_powers(H, n)
     R3 = seeded_family(phi3, H, n)
     blocks = {}
@@ -162,7 +161,7 @@ def path_expansion_rhs(H, profile, n, A=None):
         if l >= 3:
             bl.append(R3[l])
         if A is not None:
-            bl.append(np.asarray(A) @ Vs[l - 1])
+            bl.append(A @ Vs[l - 1])
         blocks[l] = bl
     suffix = [np.eye(N, dtype=complex)]
     for m in range(1, n + 1):
@@ -175,6 +174,13 @@ def path_expansion_rhs(H, profile, n, A=None):
     for l0 in range(0, n + 1):
         rhs = rhs + Vs[l0] @ suffix[n - l0]
     return rhs
+
+
+def path_expansion_rhs(H, profile, n, A=None):
+    """Right side of the Chebyshev path expansion."""
+    H = np.asarray(H)
+    phi2, phi3 = phi_ops(H, profile)
+    return _compose(H, phi2, phi3, n, None if A is None else np.asarray(A))
 
 
 def verify_wigner_path_expansion(H, profile, n, A=None):
@@ -210,7 +216,6 @@ def hat_matrices(H, A=None):
 def bipartite_row_variances(profile):
     """Expected squared row sums of the hat matrix: 1 on [M], alpha on [N]."""
     V = profile.variances
-    M, N = V.shape
     return np.concatenate([V.sum(axis=1), V.sum(axis=0)])
 
 
@@ -234,33 +239,10 @@ def verify_wishart_path_expansion(H, profile, n, A=None):
     M, N = H.shape
     alpha = M / N
     Hh, Ah = hat_matrices(H, A)
-    S = M + N
     rowvar = bipartite_row_variances(profile)
     phi2 = np.diag((np.abs(Hh) ** 2).sum(axis=1) - rowvar).astype(complex)
     phi3 = -(np.abs(Hh) ** 2) * Hh
-    L = 2 * n
-    Vs = nb_powers(Hh, max(L, 1))
-    R3 = seeded_family(phi3, Hh, max(L, 3)) if L >= 3 else None
-    blocks = {}
-    for l in range(1, L + 1):
-        bl = []
-        if l >= 2:
-            bl.append(phi2 @ Vs[l - 2])
-        if l >= 3:
-            bl.append(R3[l])
-        if Ah is not None:
-            bl.append(Ah @ Vs[l - 1])
-        blocks[l] = bl
-    suffix = [np.eye(S, dtype=complex)]
-    for m in range(1, L + 1):
-        acc = np.zeros((S, S), dtype=complex)
-        for l in range(1, m + 1):
-            for B in blocks[l]:
-                acc = acc + B @ suffix[m - l]
-        suffix.append(acc)
-    rhs = np.zeros((S, S), dtype=complex)
-    for l0 in range(0, L + 1):
-        rhs = rhs + Vs[l0] @ suffix[L - l0]
+    rhs = _compose(Hh, phi2, phi3, 2 * n, Ah)
     HA = H if A is None else H + np.asarray(A)
     X = HA @ HA.conj().T
     lhs = q_poly_matrix(X, n, alpha)

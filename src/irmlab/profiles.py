@@ -14,6 +14,7 @@ Profiles are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -384,7 +385,6 @@ def band_profile(d, L, W, density):
              "decay_T": density.decay_T, "decay_K": density.decay_K}
     prof = VarianceProfile(circulant_row=row, kind="square", structure="circulant",
                            torus=torus, metadata={"family": "band"})
-    prof._band_density = density
     return prof
 
 
@@ -404,18 +404,8 @@ def _shell_points(d, s):
                     ranges.append(tuple(range(-s + 1, s)))
                 else:
                     ranges.append(tuple(range(-s, s + 1)))
-            for p in _iter_product(ranges):
-                pts.add(p)
+            pts.update(itertools.product(*ranges))
     return sorted(pts)
-
-
-def _iter_product(ranges):
-    if not ranges:
-        yield ()
-        return
-    for head in ranges[0]:
-        for tail in _iter_product(ranges[1:]):
-            yield (head,) + tail
 
 
 def sinkhorn_symmetric(M, tol=1e-12, max_iter=10000):

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from irmlab import cli
+from irmlab import cli, ensembles
 from irmlab.cli import (
     ConfigError,
     EXIT_FAIL,
@@ -79,6 +79,16 @@ class TestScenarios:
                                        "t": 2, "gamma": 2.0, "delta": 0.05,
                                        "horizon": 32}})
         assert run(cfg) == EXIT_FAIL
+
+    def test_mixing_audit_wishart_preset(self, tmp_path):
+        cfg = parse_config({"scenario": "mixing-audit", "seed": 0,
+                            "out": str(tmp_path),
+                            "params": {"preset": "wishart", "N": 16,
+                                       "t": 4, "gamma": 2.0, "delta": 0.09,
+                                       "horizon": 64}})
+        assert run(cfg) == EXIT_PASS
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["payload"]["mixing_report"]["bipartite"] is True
 
     def test_diagrams_exact_small(self, tmp_path):
         cfg = parse_config({"scenario": "diagrams-exact", "seed": 1,
@@ -195,6 +205,34 @@ class TestCliEntry:
                          "--delta", "0.05", "--horizon", "32"])
         assert code == EXIT_PASS
 
+    def test_mixing_command_prints_audit_report(self, tmp_path, capsys):
+        params = {"preset": "band", "N": 32, "t": 32, "gamma": 2.0,
+                  "delta": 0.05, "horizon": 160}
+        cfg = parse_config({"scenario": "mixing-audit", "seed": 7,
+                            "out": str(tmp_path), "params": params})
+        audit_code = run(cfg)
+        report = json.loads((tmp_path / "report.json").read_text())
+        code = cli.main(["mixing", "check", "--profile-preset", "band",
+                         "--N", "32", "--t", "32", "--gamma", "2.0",
+                         "--delta", "0.05", "--horizon", "160", "--seed", "7"])
+        assert code == audit_code
+        assert json.loads(capsys.readouterr().out) == report["payload"]["mixing_report"]
+
+    @pytest.mark.parametrize("args, message", [
+        (["--profile-preset", "uniform", "--t", "1", "--horizon", "10",
+          "--delta", "0.5"], "delta must lie in (0, 0.1)"),
+        (["--profile-preset", "uniform", "--t", "20", "--horizon", "10",
+          "--delta", "0.05"], "need 1 <= t <= horizon"),
+        (["--profile-preset", "nope", "--t", "1", "--horizon", "10",
+          "--delta", "0.05"], "unknown profile preset 'nope'"),
+    ])
+    def test_mixing_malformed_input_exit_64(self, args, message, capsys):
+        code = cli.main(["mixing", "check", "--N", "16", "--gamma", "1.0"] + args)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:") and message in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("preset", ["sparse", "regular", "gw"])
     def test_mixing_presets(self, preset, capsys):
         code = cli.main(["mixing", "check", "--profile-preset", preset,
@@ -241,3 +279,7 @@ class TestCliEntry:
                          "--svg", str(tmp_path / "h.svg")])
         assert code == EXIT_PASS
         assert out.exists() and (tmp_path / "h.svg").exists()
+        spec_obj = ensembles.EnsembleSpec.from_json(spec)
+        _, payload = cli._edge_scenario(spec_obj, spec_obj,
+                                        {"k": 1, "replicas": 100, "level": 0.01}, 2)
+        assert out.read_text() == json.dumps(payload["edge_report"], sort_keys=True)

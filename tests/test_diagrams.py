@@ -344,3 +344,16 @@ class TestVerifyReport:
         rep = verify_expansions([4], uniform_profile(2), spike(2, 0.5), 2)
         assert rep["pass"]
         assert "cumulant" not in rep["checks"]
+
+    def test_one_wick_call_per_key(self, monkeypatch):
+        # ribbon, Chebyshev and cumulant sides share one cache of mixed moments
+        keys = []
+
+        def counting(m_list, *args, **kwargs):
+            keys.append(tuple(m_list))
+            return wick_moment(m_list, *args, **kwargs)
+
+        monkeypatch.setattr(dg, "wick_moment", counting)
+        rep = verify_expansions([2, 2], uniform_profile(3), None, 1)
+        assert rep["pass"]
+        assert sorted(keys) == sorted(set(keys)) == [(2,), (2, 2)]
