@@ -132,6 +132,7 @@ def _range_check(scenario, p):
         need(p["M"] <= p["N"], "need M <= N")
     if scenario == "mixing-audit":
         need(0 < p["delta"] < 0.1, "delta must lie in (0, 0.1)")
+        need(0 < p["gamma"] < math.inf, "gamma must be finite and positive")
         need(1 <= p["t"] <= p["horizon"], "need 1 <= t <= horizon")
 
 
@@ -405,7 +406,8 @@ def _write_samples_csv(path, samples):
 
 
 # malformed input: reported on stderr with exit code 64, never a traceback
-INVALID_INPUT = (ConfigError, profiles.ProfileError, ensembles.EnsembleError)
+INVALID_INPUT = (ConfigError, profiles.ProfileError, ensembles.EnsembleError,
+                 markov.MixingDomainError)
 
 
 def _invalid(exc):

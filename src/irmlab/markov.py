@@ -2,18 +2,23 @@
 
 The short-to-long mixing check has two parts: an averaged short-time bound
 (max over (x,y) of (1/t) sum_{n<=t} p_n(x,y) <= gamma/N) and a long-time
-uniform bound (|p_n(x,y) - 1/N| <= delta/N for all n >= t).  The long-time
-condition quantifies over all n; exhaustive scanning covers n up to a finite
-horizon and a spectral-gap certificate closes the tail for symmetric kernels:
-|p_n(x,y) - 1/N| <= (N-1) |lambda_2|^n.  For circulant (band) profiles the
-same role is played by the Fourier symbol, and p_n rows are available in
-O(N log N) without dense powers.
+uniform bound (|p_n(x,y) - 1/N| <= delta/N for all n >= t).  Square and
+bipartite chains share one float64 engine: binary doubling forms the
+short-time sum and P^t in O(log t) products, and single steps cover only the
+scan window [t, horizon].  A spectral certificate closes the tail beyond the
+horizon: |p_n(x,y) - 1/N| <= (1 - 1/N) lambda_*^n for a symmetric doubly
+stochastic kernel (Cauchy-Schwarz on the eigenvector expansion), with
+lambda_* read off the Fourier symbol for circulant (band) profiles, whose
+p_n rows are also available in O(N log N) without dense powers.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import math
+import numbers
 
 import numpy as np
 
@@ -29,7 +34,6 @@ class NumericalDegradationError(RuntimeError):
 
 
 ROW_DRIFT_TOL = 1e-6
-ROW_STOCHASTIC_TOL = 1e-9
 
 
 @dataclasses.dataclass
@@ -73,23 +77,44 @@ class MixingReport:
 # transition powers
 # ---------------------------------------------------------------------------
 
-def transition_powers(profile, n_max):
-    """Yield (n, P^n) for n = 1..n_max with row-sum drift monitoring.
+def _check_drift(Pn, n):
+    drift = float(np.max(np.abs(Pn.sum(axis=1) - 1.0)))
+    if not drift <= ROW_DRIFT_TOL:
+        raise NumericalDegradationError(f"row-sum drift {drift:.3e} at power {n}")
 
-    For N >= 512 the products accumulate in extended precision to keep the
-    drift within tolerance over long horizons.
-    """
+
+def _mixing_powers(P, t_N, stop):
+    """(S, powers) for a row-stochastic P: S = sum_{n<=t_N} P^n by binary
+    doubling (S_2k = S_k + P^k S_k, P^2k = P^k P^k, one step per set bit of
+    t_N), powers yielding (n, P^n) for t_N <= n <= stop.  Powers are products,
+    not Q Lambda^n Q^T, so a uniform kernel of size 2^k stays exact."""
+    _check_drift(P, 1)
+    S = Pk = P
+    k = 1
+    for bit in bin(t_N)[3:]:
+        S = S + Pk @ S
+        Pk = Pk @ Pk
+        k *= 2
+        _check_drift(Pk, k)
+        if bit == "1":
+            Pk = Pk @ P
+            k += 1
+            _check_drift(Pk, k)
+            S = S + Pk
+
+    def scan(Pn):
+        for n in range(t_N, stop + 1):
+            if n > t_N:
+                Pn = Pn @ P
+                _check_drift(Pn, n)
+            yield n, Pn
+    return S, scan(Pk)
+
+
+def transition_powers(profile, n_max):
+    """Yield (n, P^n) for n = 1..n_max in float64 with row-sum drift monitoring."""
     P = profile.transition_matrix() if isinstance(profile, VarianceProfile) else np.asarray(profile, float)
-    N = P.shape[0]
-    P = P.astype(np.longdouble if N >= 512 else np.float64)
-    Pn = P.copy()
-    for n in range(1, n_max + 1):
-        if n > 1:
-            Pn = Pn @ P
-        drift = float(np.max(np.abs(Pn.sum(axis=1) - 1.0)))
-        if drift > ROW_DRIFT_TOL:
-            raise NumericalDegradationError(f"row-sum drift {drift:.3e} at power {n}")
-        yield n, np.asarray(Pn, dtype=np.float64)
+    yield from _mixing_powers(P, 1, n_max)[1]
 
 
 def dense_power(profile, n):
@@ -104,68 +129,81 @@ def dense_power(profile, n):
 # mixing checks
 # ---------------------------------------------------------------------------
 
-def _spectral_tail_bound(P):
-    """Return |lambda_2| for a symmetric doubly stochastic kernel, or None."""
-    P = np.asarray(P, dtype=float)
-    if np.max(np.abs(P - P.T)) > 1e-9:
+def _check_domain(t_N, gamma, delta, horizon):
+    if not (0.0 < delta < 0.1):
+        raise MixingDomainError("delta must lie in (0, 0.1)")
+    if not (0.0 < gamma < math.inf):
+        raise MixingDomainError("gamma must be finite and positive")
+    if not (isinstance(t_N, numbers.Integral) and isinstance(horizon, numbers.Integral)
+            and 1 <= t_N <= horizon):
+        raise MixingDomainError("need integers 1 <= t_N <= horizon")
+
+
+def _mixing_scan(P, side, t_N, gamma, delta, horizon, lazy=False):
+    """Short- and long-time bounds of the chain P with target 1/side[y] at y.
+
+    The short-time average is held against gamma/side, the long-time p_n
+    (lazy: p_n + p_{n+1}, t_N <= n <= horizon) against 1/side +- delta/side.
+    Returns the MixingReport fields these determine.
+    """
+    S, powers = _mixing_powers(P, t_N, horizon + lazy)
+    if lazy:
+        powers = ((n, Pn + Pm) for (n, Pn), (_, Pm) in itertools.pairwise(powers))
+    avg = S / t_N
+    ratio = avg / (gamma / side)
+    x, y = np.unravel_index(np.argmax(ratio), ratio.shape)
+    worst_b1 = (int(x), int(y), float(avg[x, y]))
+    b1_ratio = float(ratio[x, y])
+    worst_b2 = (t_N, 0, 0, 0.0)
+    b2_ratio = 0.0
+    target, bound, ratio = 1.0 / side, delta / side, np.empty_like(P)
+    for n, Pn in powers:
+        np.abs(np.subtract(Pn, target, out=ratio), out=ratio)
+        ratio /= bound
+        m = float(ratio.max())
+        if m > b2_ratio:
+            x, y = np.unravel_index(np.argmax(ratio), ratio.shape)
+            b2_ratio = m
+            worst_b2 = (n, int(x), int(y), float(abs(Pn[x, y] - target[y])))
+    return dict(worst_b1=worst_b1, worst_b2=worst_b2,
+                b1_pass=b1_ratio <= 1 + 1e-12, b2_examined=b2_ratio <= 1 + 1e-12,
+                gamma_observed=worst_b1[2] * float(side[worst_b1[1]]),
+                delta_observed=worst_b2[3] * float(side[worst_b2[2]]))
+
+
+def _lambda_star(P, drop=1, symbol=None):
+    """Largest |eigenvalue| of P after its `drop` largest, read off the
+    Fourier symbol when one is given; None when P is not symmetric."""
+    if symbol is not None:
+        ev = np.abs(symbol).ravel()
+    elif np.max(np.abs(P - P.T)) > 1e-9:
         return None
-    ev = np.linalg.eigvalsh(P)
-    ev = np.sort(np.abs(ev))[::-1]
-    return float(ev[1]) if len(ev) > 1 else 0.0
+    else:
+        ev = np.abs(np.linalg.eigvalsh(P))
+    return float(np.sort(ev)[-1 - drop]) if ev.size > drop else 0.0
 
 
 def check_mixing(profile, t_N, gamma, delta, horizon):
     """Certify or refute the short/long mixing pair for a square profile."""
-    if not (0.0 < delta < 0.1):
-        raise MixingDomainError("delta must lie in (0, 0.1)")
-    if t_N < 1 or horizon < t_N:
-        raise MixingDomainError("need 1 <= t_N <= horizon")
+    _check_domain(t_N, gamma, delta, horizon)
     P = profile.transition_matrix()
     N = P.shape[0]
+    scan = _mixing_scan(P, np.full(N, float(N)), t_N, gamma, delta, horizon)
 
-    avg = np.zeros_like(P)
-    worst_b1 = (0, 0, 0.0)
-    worst_b2 = (t_N, 0, 0, 0.0)
-    max_dev = 0.0
-    for n, Pn in transition_powers(profile, horizon):
-        if n <= t_N:
-            avg += Pn
-            if n == t_N:
-                avg /= t_N
-                x, y = np.unravel_index(np.argmax(avg), avg.shape)
-                worst_b1 = (int(x), int(y), float(avg[x, y]))
-        if n >= t_N:
-            dev = np.abs(Pn - 1.0 / N)
-            m = float(dev.max())
-            if m > max_dev:
-                x, y = np.unravel_index(np.argmax(dev), dev.shape)
-                max_dev = m
-                worst_b2 = (n, int(x), int(y), m)
-
-    gamma_obs = worst_b1[2] * N
-    delta_obs = max_dev * N
-    b1_pass = bool(worst_b1[2] <= gamma / N * (1 + 1e-12))
-    b2_examined = bool(max_dev <= delta / N * (1 + 1e-12))
-
-    lam2 = _spectral_tail_bound(P)
+    circulant = profile.structure == "circulant"
+    lam = _lambda_star(P, symbol=_circulant_symbol(profile)[0] if circulant else None)
     certificate = "exhaustive"
     horizon_limited = True
-    if lam2 is not None:
-        certificate = "spectral-gap"
-        if profile.structure == "circulant":
-            certificate = "fourier"
-        if lam2 < 1.0 and (N - 1) * lam2 ** (horizon + 1) <= delta / N:
+    if lam is not None:
+        certificate = "fourier" if circulant else "spectral-gap"
+        if lam < 1.0 and (1.0 - 1.0 / N) * lam ** (horizon + 1) <= delta / N:
             horizon_limited = False
 
-    t1 = int(profile.n_rows ** (1.0 / 3.0))
     return MixingReport(
         t_N=t_N, gamma=gamma, delta=delta, horizon=horizon,
-        b1_pass=b1_pass, b2_pass=b2_examined and not horizon_limited,
-        worst_b1=worst_b1, worst_b2=worst_b2,
+        b2_pass=scan["b2_examined"] and not horizon_limited,
         certificate=certificate, horizon_limited=horizon_limited,
-        gamma_observed=gamma_obs, delta_observed=delta_obs,
-        b2_examined=b2_examined,
-        thouless_flag=bool(t_N <= max(1, t1)),
+        thouless_flag=bool(t_N <= max(1, int(N ** (1.0 / 3.0)))), **scan,
     )
 
 
@@ -178,70 +216,28 @@ def bipartite_check_mixing(profile, t_N, gamma, delta, horizon):
     closed through the symmetrized kernel: the period-2 eigenvalue cancels
     in p_n + p_{n+1} and the remainder decays like |lambda_*|^n.
     """
-    if not (0.0 < delta < 0.1):
-        raise MixingDomainError("delta must lie in (0, 0.1)")
-    if profile.kind != "bipartite":
-        raise ProfileError("bipartite check needs a bipartite profile")
-    PS = profile.bipartite_transition()
+    _check_domain(t_N, gamma, delta, horizon)
+    PS = profile.bipartite_transition()   # raises ProfileError for a square profile
     M = profile.n_rows
     N = profile.n_cols
-    S = M + N
-    target = np.concatenate([np.full(M, 1.0 / M), np.full(N, 1.0 / N)])
-    bound_b1 = np.concatenate([np.full(M, gamma / M), np.full(N, gamma / N)])
-    bound_b2 = np.concatenate([np.full(M, delta / M), np.full(N, delta / N)])
-
-    powers = {}
-    avg = np.zeros_like(PS)
-    worst_b1 = (0, 0, 0.0)
-    worst_b2 = (t_N, 0, 0, 0.0)
-    b1_pass = True
-    b2_examined = True
-    max_ratio2 = 0.0
-    Pn = None
-    for n, Pcur in transition_powers(PS, horizon + 1):
-        if n <= t_N:
-            avg += Pcur
-            if n == t_N:
-                avg /= t_N
-                ratio = avg / bound_b1[None, :]
-                x, y = np.unravel_index(np.argmax(ratio), ratio.shape)
-                worst_b1 = (int(x), int(y), float(avg[x, y]))
-                b1_pass = bool(ratio.max() <= 1 + 1e-12)
-        if Pn is not None and n - 1 >= t_N:
-            lazy = Pn + Pcur
-            dev = np.abs(lazy - target[None, :])
-            ratio = dev / bound_b2[None, :]
-            m = float(ratio.max())
-            if m > max_ratio2:
-                x, y = np.unravel_index(np.argmax(ratio), ratio.shape)
-                max_ratio2 = m
-                worst_b2 = (n - 1, int(x), int(y), float(dev[x, y]))
-        Pn = Pcur
-    b2_examined = bool(max_ratio2 <= 1 + 1e-12)
+    side = np.concatenate([np.full(M, float(M)), np.full(N, float(N))])
+    scan = _mixing_scan(PS, side, t_N, gamma, delta, horizon, lazy=True)
 
     # tail certificate via the reversible symmetrization D PS D^{-1}
-    pi = 0.5 * target
-    dvec = np.sqrt(pi)
-    Sym = dvec[:, None] * PS / dvec[None, :]
-    if np.max(np.abs(Sym - Sym.T)) < 1e-9:
-        ev = np.sort(np.abs(np.linalg.eigvalsh(Sym)))
-        lam_star = float(ev[-3]) if S >= 3 else 0.0  # drop the +-1 pair
+    dvec = np.sqrt(0.5 / side)
+    lam_star = _lambda_star(dvec[:, None] * PS / dvec[None, :], drop=2)  # the +-1 pair
+    certificate = "exhaustive"
+    horizon_limited = True
+    if lam_star is not None:
+        certificate = "spectral-gap"
         amp = (1.0 + lam_star) * float(np.max(dvec) / np.min(dvec))
         horizon_limited = not (lam_star < 1.0 and
-                               amp * lam_star ** (horizon + 1) <= delta / max(M, N) * 1.0)
-        certificate = "spectral-gap"
-    else:
-        horizon_limited = True
-        certificate = "exhaustive"
+                               amp * lam_star ** (horizon + 1) <= delta / max(M, N))
 
-    delta_obs = max_ratio2 * delta
     return MixingReport(
         t_N=t_N, gamma=gamma, delta=delta, horizon=horizon,
-        b1_pass=b1_pass, b2_pass=b2_examined and not horizon_limited,
-        worst_b1=worst_b1, worst_b2=worst_b2,
-        certificate=certificate, horizon_limited=horizon_limited,
-        gamma_observed=worst_b1[2] * (M if worst_b1[1] < M else N),
-        delta_observed=delta_obs, b2_examined=b2_examined, bipartite=True,
+        b2_pass=scan["b2_examined"] and not horizon_limited,
+        certificate=certificate, horizon_limited=horizon_limited, bipartite=True, **scan,
     )
 
 

@@ -244,8 +244,8 @@ class VarianceProfile:
     # -- validation --------------------------------------------------------
     def validate(self, symmetric=True):
         V = np.array(self.variances, dtype=float)
-        if np.min(V) < 0:
-            raise ProfileError("negative variance entry")
+        if not (np.isfinite(V).all() and np.min(V) >= 0):
+            raise ProfileError("variance entries must be finite and non-negative")
         if self.kind == "square":
             if V.shape[0] != V.shape[1]:
                 raise ProfileError("square profile must be square")

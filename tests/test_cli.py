@@ -225,6 +225,14 @@ class TestCliEntry:
           "--delta", "0.05"], "need 1 <= t <= horizon"),
         (["--profile-preset", "nope", "--t", "1", "--horizon", "10",
           "--delta", "0.05"], "unknown profile preset 'nope'"),
+        (["--profile-preset", "uniform", "--t", "1", "--horizon", "10",
+          "--delta", "0.05", "--gamma", "nan"], "gamma must be finite and positive"),
+        (["--profile-preset", "uniform", "--t", "1", "--horizon", "10",
+          "--delta", "0.05", "--gamma", "inf"], "gamma must be finite and positive"),
+        (["--profile-preset", "uniform", "--t", "1", "--horizon", "10",
+          "--delta", "0.05", "--gamma", "-1"], "gamma must be finite and positive"),
+        (["--profile-preset", "uniform", "--t", "1", "--horizon", "10",
+          "--delta", "0.05", "--gamma", "0"], "gamma must be finite and positive"),
     ])
     def test_mixing_malformed_input_exit_64(self, args, message, capsys):
         code = cli.main(["mixing", "check", "--N", "16", "--gamma", "1.0"] + args)
@@ -232,6 +240,19 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration:") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("params, message", [
+        ({"gamma": float("nan")}, "gamma must be finite and positive"),
+        ({"t": 2.5, "horizon": 8}, "need integers 1 <= t_N <= horizon"),
+        ({"t": 2, "horizon": 8.0}, "need integers 1 <= t_N <= horizon"),
+    ])
+    def test_mixing_config_malformed_exit_64(self, params, message, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "mixing-audit", "params": params}))
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:") and message in err
 
     @pytest.mark.parametrize("preset", ["sparse", "regular", "gw"])
     def test_mixing_presets(self, preset, capsys):

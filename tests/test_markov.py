@@ -4,6 +4,7 @@ import pytest
 from irmlab import markov, profiles
 from irmlab.markov import (
     MixingDomainError,
+    NumericalDegradationError,
     band_decay_slope,
     band_mixing_envelope,
     band_transition_fourier,
@@ -18,6 +19,9 @@ from irmlab.profiles import (
     band_profile,
     block_wegner_profile,
     generalized_wigner_profile,
+    random_regular_adjacency,
+    regular_graph_profile,
+    sinkhorn_symmetric,
     uniform_profile,
     wishart_profile,
 )
@@ -53,6 +57,11 @@ class TestPowers:
             assert np.max(np.abs(Pn.sum(axis=1) - 1.0)) < 1e-9
             assert np.max(np.abs(Pn - Pn.T)) < 1e-9
 
+    def test_nan_drift_raises(self):
+        # a NaN row sum compares False with the tolerance either way round
+        with pytest.raises(NumericalDegradationError):
+            list(transition_powers(np.full((3, 3), np.nan), 2))
+
 
 class TestCheckMixing:
     def test_uniform_passes_trivially(self):
@@ -73,6 +82,18 @@ class TestCheckMixing:
         with pytest.raises(MixingDomainError):
             check_mixing(uniform_profile(4), 1, 1.0, 0.0, 8)
 
+    @pytest.mark.parametrize("check, profile", [
+        (check_mixing, uniform_profile(4)),
+        (bipartite_check_mixing, wishart_profile(2, 4)),
+    ])
+    @pytest.mark.parametrize("args", [
+        (1, np.nan, 0.05, 8), (1, np.inf, 0.05, 8), (1, -1.0, 0.05, 8), (1, 0.0, 0.05, 8),
+        (2.5, 1.0, 0.05, 8), (2, 1.0, 0.05, 8.0), (0, 1.0, 0.05, 8), (9, 1.0, 0.05, 8),
+    ])
+    def test_gamma_and_time_domain(self, check, profile, args):
+        with pytest.raises(MixingDomainError):
+            check(profile, *args)
+
     def test_monotone_in_gamma_delta(self):
         p = band_profile(1, 16, 8, "gaussian")
         base = check_mixing(p, 4, 1.5, 0.05, 64)
@@ -89,6 +110,89 @@ class TestCheckMixing:
     def test_thouless_diagnostic_present(self):
         rep = check_mixing(uniform_profile(27), 1, 1.0, 0.05, 8)
         assert rep.thouless_flag is True
+
+
+T_VALUES = [1, 2, 3, 5, 8, 13]
+
+
+def sequential_powers(P, n_max):
+    """[P, P^2, ..., P^n_max] by plain step-by-step products."""
+    out = [P]
+    for _ in range(n_max - 1):
+        out.append(out[-1] @ P)
+    return out
+
+
+class TestEngineOracle:
+    """The doubled short-time sum against a sequential product loop."""
+
+    @staticmethod
+    def assert_agrees(rep, gamma_obs, delta_obs, gamma, delta):
+        b1 = gamma_obs <= gamma * (1 + 1e-12)
+        b2 = delta_obs <= delta * (1 + 1e-12)
+        assert abs(rep.gamma_observed - gamma_obs) <= 1e-12
+        assert abs(rep.delta_observed - delta_obs) <= 1e-12
+        assert (rep.b1_pass, rep.b2_examined) == (b1, b2)
+        assert rep.refuted == (not b1 or not b2)
+        assert rep.passed == (b1 and b2 and not rep.horizon_limited)
+
+    @pytest.mark.parametrize("t_N", T_VALUES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_square_sinkhorn(self, seed, t_N):
+        rng = np.random.default_rng(seed)
+        N = 5 + 3 * seed
+        A = rng.uniform(0.5, 1.5, (N, N))
+        p = profiles.VarianceProfile(sinkhorn_symmetric(A + A.T), kind="square").validate()
+        gamma, delta, horizon = 1.2, 0.05, t_N + 12
+        rep = check_mixing(p, t_N, gamma, delta, horizon)
+        Pn = sequential_powers(p.transition_matrix(), horizon)
+        gamma_obs = (sum(Pn[:t_N]) / t_N).max() * N
+        delta_obs = max(np.abs(Q - 1.0 / N).max() for Q in Pn[t_N - 1:]) * N
+        self.assert_agrees(rep, gamma_obs, delta_obs, gamma, delta)
+
+    @pytest.mark.parametrize("t_N", T_VALUES)
+    @pytest.mark.parametrize("M, N, builder", [
+        (3, 6, "uniform"), (4, 8, "banded"), (5, 5, "banded"), (3, 9, "banded")])
+    def test_bipartite_wishart(self, M, N, builder, t_N):
+        p = wishart_profile(M, N, builder=builder)
+        gamma, delta, horizon = 1.5, 0.05, t_N + 12
+        rep = bipartite_check_mixing(p, t_N, gamma, delta, horizon)
+        Pn = sequential_powers(p.bipartite_transition(), horizon + 1)
+        side = np.concatenate([np.full(M, M), np.full(N, N)])
+        gamma_obs = (sum(Pn[:t_N]) / t_N * side).max()
+        delta_obs = max((np.abs(Pn[n - 1] + Pn[n] - 1.0 / side) * side).max()
+                        for n in range(t_N, horizon + 1))
+        self.assert_agrees(rep, gamma_obs, delta_obs, gamma, delta)
+
+
+class TestSharpTailBound:
+    @pytest.mark.parametrize("name", ["gw", "band", "block", "regular"])
+    def test_bound_dominates_dense_powers(self, name):
+        N = 64
+        p = {"gw": lambda: generalized_wigner_profile(N, 0.5, 2.0, seed=1),
+             "band": lambda: band_profile(1, N, 8, "gaussian"),
+             "block": lambda: block_wegner_profile(4, 16, 0.2),
+             "regular": lambda: regular_graph_profile(random_regular_adjacency(N, 4, seed=1), 4),
+             }[name]()
+        P = p.transition_matrix()
+        lam = markov._lambda_star(P)
+        assert lam < 1.0
+        # the bound holds for an exactly doubly stochastic kernel; the built
+        # kernel carries its row-sum defect (Sinkhorn tolerance for gw) and the
+        # float64 powers their rounding, so that much is added as a floor
+        defect = float(np.max(np.abs(P.sum(axis=1) - 1.0)))
+        for n, Pn in enumerate(sequential_powers(P, 100), start=1):
+            dev = float(np.max(np.abs(Pn - 1.0 / N)))
+            floor = defect + n * np.finfo(float).eps
+            assert dev <= lam ** n * (1 - 1.0 / N) * (1 + 1e-9) + floor, n
+
+    @pytest.mark.parametrize("d, L, W", [(1, 64, 8), (1, 512, 64), (2, 12, 3), (2, 16, 2)])
+    def test_fourier_lambda_star_matches_eigvalsh(self, d, L, W):
+        p = band_profile(d, L, W, "gaussian")
+        P = p.transition_matrix()
+        ev = np.sort(np.abs(np.linalg.eigvalsh(P)))
+        lam = markov._lambda_star(P, symbol=markov._circulant_symbol(p)[0])
+        assert abs(lam - ev[-2]) <= 1e-12
 
 
 class TestBipartite:

@@ -262,6 +262,14 @@ class TestValidation:
         with pytest.raises(ProfileError):
             VarianceProfile(V, kind="square").validate()
 
+    @pytest.mark.parametrize("kind, shape", [("square", (3, 3)), ("bipartite", (2, 4))])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, kind, shape, bad):
+        # every comparison with NaN is False, so the sum and sign checks alone
+        # let an all-NaN profile through
+        with pytest.raises(ProfileError, match="finite"):
+            VarianceProfile(np.full(shape, bad), kind=kind).validate()
+
     @pytest.mark.parametrize("builder", ["uniform", "gw", "band", "block"])
     def test_symmetry_and_sums_invariant(self, builder):
         if builder == "uniform":
