@@ -407,7 +407,7 @@ def _write_samples_csv(path, samples):
 
 # malformed input: reported on stderr with exit code 64, never a traceback
 INVALID_INPUT = (ConfigError, profiles.ProfileError, ensembles.EnsembleError,
-                 markov.MixingDomainError)
+                 edgestats.EdgeStatError, markov.MixingDomainError)
 
 
 def _invalid(exc):

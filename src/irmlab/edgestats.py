@@ -58,23 +58,23 @@ def spectrum(X, check_residual=False):
     return np.linalg.eigvalsh(X)[::-1].copy()
 
 
-def top_eigenvalues(spec, k, replicas, base_replica=0):
+def top_eigenvalues(spec, k, replicas):
     """k largest eigenvalues per replica, shape (replicas, k)."""
     out = np.empty((replicas, k))
     for r in range(replicas):
-        X = ensembles.sample(spec, replica=base_replica + r)
+        X = ensembles.sample(spec, replica=r)
         lam = spectrum(X)
         out[r] = lam[:k]
     return out
 
 
-def rescale_edge(samples, N, model="wigner", alpha=1.0, edge="upper"):
-    """N^(2/3) (lambda - edge); edge = 2 for Wigner-type, (1 +- sqrt(alpha))^2
+def rescale_edge(samples, N, model="wigner", alpha=1.0):
+    """N^(2/3) (lambda - edge); edge = 2 for Wigner-type, (1 + sqrt(alpha))^2
     for Wishart.  Affine and order preserving."""
     if model == "wigner":
         loc = 2.0
     elif model == "wishart":
-        loc = (1.0 + math.sqrt(alpha)) ** 2 if edge == "upper" else (1.0 - math.sqrt(alpha)) ** 2
+        loc = (1.0 + math.sqrt(alpha)) ** 2
     else:
         raise EdgeStatError(f"unknown model {model!r}")
     return N ** (2.0 / 3.0) * (np.asarray(samples) - loc)
@@ -145,8 +145,8 @@ class EdgeReport:
     rescaled_test: list | None = None
     rescaled_baseline: list | None = None
 
-    def to_json(self, include_samples=False):
-        d = {
+    def to_json(self):
+        return {
             "test_digest": self.test_digest,
             "baseline_digest": self.baseline_digest,
             "replicas": self.replicas, "k": self.k, "level": self.level,
@@ -154,10 +154,6 @@ class EdgeReport:
             "reject": self.reject, "rejected": self.rejected,
             "gap_p_value": self.gap_p_value,
         }
-        if include_samples:
-            d["rescaled_test"] = self.rescaled_test
-            d["rescaled_baseline"] = self.rescaled_baseline
-        return d
 
     def dumps(self):
         return json.dumps(self.to_json(), sort_keys=True)
@@ -169,19 +165,22 @@ def universality_test(test_spec, baseline_spec, k=2, replicas=1000, seed=0,
 
     Bonferroni across the k coordinates at the given level; an extra KS on
     the gap lambda_1 - lambda_2 is reported as a diagnostic (not gated).
+    The baseline must share the test's model and profile shape, since both
+    are rescaled at the test's edge.
     """
     if replicas < 100:
         raise EdgeStatError("refusing to run with fewer than 100 replicas (power)")
-    if test_spec.N != baseline_spec.N:
-        raise EdgeStatError("test and baseline must share N")
+    shapes = [(s.model, s.profile.n_rows, s.profile.n_cols) for s in (test_spec, baseline_spec)]
+    if shapes[0] != shapes[1]:
+        raise EdgeStatError(f"test {shapes[0]} and baseline {shapes[1]} must share "
+                            "the model and the profile shape")
     t_spec = dataclasses.replace(test_spec, seed=seed)
     b_spec = dataclasses.replace(baseline_spec, seed=seed + 7919)
-    Nt = t_spec.profile.n_rows if t_spec.model == "wigner" else t_spec.profile.n_cols
+    alpha = t_spec.profile.alpha if t_spec.model == "wishart" else 1.0
     lam_t = top_eigenvalues(t_spec, max(k, 2), replicas)
     lam_b = top_eigenvalues(b_spec, max(k, 2), replicas)
-    alpha_t = t_spec.profile.n_rows / t_spec.profile.n_cols if t_spec.model == "wishart" else 1.0
-    rt = rescale_edge(lam_t, Nt, model=t_spec.model, alpha=alpha_t)
-    rb = rescale_edge(lam_b, Nt, model=b_spec.model, alpha=alpha_t)
+    rt = rescale_edge(lam_t, t_spec.N, model=t_spec.model, alpha=alpha)
+    rb = rescale_edge(lam_b, t_spec.N, model=t_spec.model, alpha=alpha)
     stats, pvals, rejects = [], [], []
     for i in range(k):
         d, p = ks_2sample(rt[:, i], rb[:, i], jitter_seed=seed + i)

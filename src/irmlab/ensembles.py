@@ -35,6 +35,18 @@ def rng_for(seed, replica=0, block=0):
     return np.random.default_rng(ss)
 
 
+def _require(ok, message):
+    if not ok:
+        raise EnsembleError(message)
+
+
+def _closed(doc, keys, what):
+    """Reject a JSON document that is not an object or has keys outside keys."""
+    _require(isinstance(doc, dict), f"{what} must be a JSON object")
+    unknown = set(doc) - set(keys)
+    _require(not unknown, f"unknown {what} keys: {sorted(unknown)}")
+
+
 # ---------------------------------------------------------------------------
 # deformations
 # ---------------------------------------------------------------------------
@@ -51,6 +63,10 @@ class Deformation:
     bulk: tuple = ()
     basis: str = "coordinate"
 
+    def __post_init__(self):
+        _require(self.basis in ("coordinate", "random"),
+                 f"deformation basis must be 'coordinate' or 'random', not {self.basis!r}")
+
     @property
     def rank(self):
         return len(self.taus) + len(self.bulk)
@@ -66,30 +82,31 @@ class Deformation:
     def from_json(cls, d):
         if d is None:
             return None
+        _closed(d, ("taus", "bulk", "basis"), "deformation")
         return cls(taus=tuple(d.get("taus", ())), bulk=tuple(d.get("bulk", ())),
                    basis=d.get("basis", "coordinate"))
 
 
-def _haar_frame(rng, N, r, complex_entries):
-    G = rng.standard_normal((N, r))
-    if complex_entries:
-        G = G + 1j * rng.standard_normal((N, r))
+def _frame(basis, n, r, beta, seed, block):
+    """n x r orthonormal frame: the first r coordinates, or a Haar frame
+    (orthogonal for beta 1, unitary for beta 2) from stream (seed, 0, block)."""
+    if basis == "coordinate":
+        return np.eye(n, dtype=complex if beta == 2 else float)[:, :r]
+    rng = rng_for(seed, 0, block)
+    G = rng.standard_normal((n, r))
+    if beta == 2:
+        G = G + 1j * rng.standard_normal((n, r))
     Q, R = np.linalg.qr(G)
-    ph = np.diagonal(R).copy()
-    ph = ph / np.abs(ph)
+    ph = np.diagonal(R) / np.abs(np.diagonal(R))
     return Q * ph.conj()
 
 
-def deformation_matrix(deformation, N, beta=1, seed=0, edge=1.0):
+def deformation_matrix(deformation, N, beta=1, seed=0):
     """Hermitian N x N matrix A = Q Lambda Q^* realizing the deformation."""
     if deformation is None or deformation.rank == 0:
         return None
-    vals = deformation.eigenvalues(N, edge=edge)
-    r = len(vals)
-    if deformation.basis == "coordinate":
-        Q = np.eye(N, dtype=complex if beta == 2 else float)[:, :r]
-    else:
-        Q = _haar_frame(rng_for(seed, 0, 911), N, r, beta == 2)
+    vals = deformation.eigenvalues(N)
+    Q = _frame(deformation.basis, N, len(vals), beta, seed, 911)
     A = (Q * vals) @ Q.conj().T
     return 0.5 * (A + A.conj().T)
 
@@ -101,20 +118,14 @@ def wishart_deformation_matrix(deformation, M, N, beta=1, seed=0):
     alpha = M / N
     vals = deformation.eigenvalues(N, edge=math.sqrt(alpha))
     r = len(vals)
-    if r > M:
-        raise EnsembleError("deformation rank exceeds M")
-    if deformation.basis == "coordinate":
-        Q1 = np.eye(M, dtype=complex if beta == 2 else float)[:, :r]
-        Q2 = np.eye(N, dtype=complex if beta == 2 else float)[:, :r]
-    else:
-        Q1 = _haar_frame(rng_for(seed, 0, 913), M, r, beta == 2)
-        Q2 = _haar_frame(rng_for(seed, 0, 917), N, r, beta == 2)
+    _require(r <= M, "deformation rank exceeds M")
+    Q1 = _frame(deformation.basis, M, r, beta, seed, 913)
+    Q2 = _frame(deformation.basis, N, r, beta, seed, 917)
     A = (Q1 * vals) @ Q2.conj().T
     norm = np.linalg.norm(A, 2)
     tau_max = max(deformation.taus, default=0.0)
     cap = math.sqrt(alpha) + max(tau_max, 0.0) * N ** (-1.0 / 3.0) + 1e-9
-    if norm > cap:
-        raise EnsembleError(f"deformation norm {norm:.6g} exceeds sqrt(alpha)+tau N^(-1/3)")
+    _require(norm <= cap, f"deformation norm {norm:.6g} exceeds sqrt(alpha)+tau N^(-1/3)")
     return A
 
 
@@ -122,96 +133,90 @@ def wishart_deformation_matrix(deformation, M, N, beta=1, seed=0):
 # entry samplers
 # ---------------------------------------------------------------------------
 
+def _gaussian(rng, shape, beta):
+    """Standard real (beta 1) or complex (beta 2, E|z|^2 = 1, E z^2 = 0) Gaussians."""
+    if beta == 1:
+        return rng.standard_normal(shape)
+    if beta == 2:
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    raise EnsembleError("beta must be 1 or 2")
+
+
+def _hermitian(off, diag):
+    """Hermitian matrix: off's strict upper triangle mirrored, diagonal diag."""
+    U = np.triu(off, 1)
+    W = U + U.conj().T
+    W[np.diag_indices(len(diag))] = diag
+    return W
+
+
 def sample_wigner(N, beta=1, seed=0, replica=0):
     """GOE (beta=1) / GUE (beta=2) matrix in the stated normalization."""
     rng = rng_for(seed, replica, 0)
-    if beta == 1:
-        G = rng.standard_normal((N, N))
-        W = np.triu(G, 1)
-        W = W + W.T
-        W[np.diag_indices(N)] = rng.standard_normal(N) * math.sqrt(2.0)
-        return W
-    if beta == 2:
-        Gr = rng.standard_normal((N, N))
-        Gi = rng.standard_normal((N, N))
-        Z = np.triu((Gr + 1j * Gi) / math.sqrt(2.0), 1)
-        W = Z + Z.conj().T
-        W[np.diag_indices(N)] = rng.standard_normal(N)
-        return W
-    raise EnsembleError("beta must be 1 or 2")
+    off = _gaussian(rng, (N, N), beta)
+    return _hermitian(off, rng.standard_normal(N) * math.sqrt(2.0 / beta))
 
 
 def sample_rademacher(N, beta=1, seed=0, replica=0):
     """Symmetric sign matrix with the Wigner normalization (diag +-sqrt(2))."""
-    if beta != 1:
-        raise EnsembleError("rademacher entries implemented for beta=1")
+    _require(beta == 1, "rademacher entries implemented for beta=1")
     rng = rng_for(seed, replica, 0)
     S = np.where(rng.random((N, N)) < 0.5, 1.0, -1.0)
-    W = np.triu(S, 1)
-    W = W + W.T
-    W[np.diag_indices(N)] = np.where(rng.random(N) < 0.5, 1.0, -1.0) * math.sqrt(2.0)
-    return W
+    return _hermitian(S, np.where(rng.random(N) < 0.5, 1.0, -1.0) * math.sqrt(2.0))
 
 
-def _bernoulli_mask(N, theta, seed, replica):
-    rng = rng_for(seed, replica, 1)
-    mask = np.triu(rng.random((N, N)) < 1.0 / theta, 0).astype(float)
-    return np.triu(mask, 1) + np.triu(mask, 0).T
+def _check_theta(theta):
+    _require(1.0 <= theta < math.inf, "theta must be finite and >= 1")
+
+
+def _sparsify(W, theta, seed, replica, mirror):
+    """sqrt(theta) Bern(1/theta) o W, the mask drawn from stream block 1;
+    mirror keeps the mask symmetric (upper triangle and diagonal mirrored)."""
+    _check_theta(theta)
+    keep = rng_for(seed, replica, 1).random(W.shape) < 1.0 / theta
+    if mirror:
+        keep = np.triu(keep) | np.triu(keep, 1).T
+    return math.sqrt(theta) * keep * W
 
 
 def sample_theta_goe(N, theta, seed=0, replica=0):
     """Bernoulli-sparsified GOE: entries sqrt(theta) Bern(1/theta) x Gaussian."""
-    if theta < 1:
-        raise EnsembleError("theta must be >= 1")
-    W = sample_wigner(N, 1, seed, replica)
-    return math.sqrt(theta) * _bernoulli_mask(N, theta, seed, replica) * W
+    return _sparsify(sample_wigner(N, 1, seed, replica), theta, seed, replica, mirror=True)
 
 
 def sample_theta_rademacher(N, theta, seed=0, replica=0):
     """Sparsified sign matrix sqrt(theta) Bern(1/theta) x Rademacher: the
     weighted signed Erdos-Renyi reading of the sparse model."""
-    if theta < 1:
-        raise EnsembleError("theta must be >= 1")
-    W = sample_rademacher(N, 1, seed, replica)
-    return math.sqrt(theta) * _bernoulli_mask(N, theta, seed, replica) * W
+    return _sparsify(sample_rademacher(N, 1, seed, replica), theta, seed, replica, mirror=True)
 
 
 def sample_interpolating(N, alpha_mix, seed=0, replica=0):
     """Gaussian ensemble interpolating GOE (alpha=0) to GUE (alpha=1) and on
-    to the antisymmetric-imaginary ensemble (alpha=inf)."""
+    to the antisymmetric-imaginary ensemble (alpha=inf); real at alpha=0 only."""
     rng = rng_for(seed, replica, 0)
     if math.isinf(alpha_mix):
         vr, vi, vd = 0.0, 1.0, 0.0
     else:
         den = 1.0 + alpha_mix ** 2
         vr, vi, vd = 1.0 / den, alpha_mix ** 2 / den, 2.0 / den
-    R = np.triu(rng.standard_normal((N, N)), 1) * math.sqrt(vr)
-    I = np.triu(rng.standard_normal((N, N)), 1) * math.sqrt(vi)
-    W = (R + 1j * I)
-    W = W + W.conj().T
-    W = W + np.diag(rng.standard_normal(N) * math.sqrt(vd)).astype(complex)
-    if vi == 0.0:
-        return W.real
-    return W
+    R = rng.standard_normal((N, N)) * math.sqrt(vr)
+    I = rng.standard_normal((N, N)) * math.sqrt(vi)
+    d = rng.standard_normal(N) * math.sqrt(vd) + 0.0  # alpha=inf: -0.0 diagonal to 0.0
+    return _hermitian(R if alpha_mix == 0 else R + 1j * I, d)
 
 
 def sample_heavy(N, df, seed=0, replica=0):
     """Symmetric Student-t entries scaled to the Wigner second moments."""
-    if df <= 2:
-        raise EnsembleError("need df > 2 for finite variance")
+    _require(df > 2, "need df > 2 for finite variance")
     rng = rng_for(seed, replica, 0)
     scale = math.sqrt((df - 2.0) / df)
     T = rng.standard_t(df, size=(N, N)) * scale
-    W = np.triu(T, 1)
-    W = W + W.T
-    W[np.diag_indices(N)] = rng.standard_t(df, size=N) * scale * math.sqrt(2.0)
-    return W
+    return _hermitian(T, rng.standard_t(df, size=N) * scale * math.sqrt(2.0))
 
 
 def truncate_heavy(W, N, zeta):
     """Entrywise truncation W * 1(|W| < N^(zeta/2)); returns (W<, fraction cut)."""
-    if not 0.0 < zeta < 1.0 / 3.0:
-        raise EnsembleError("zeta must lie in (0, 1/3)")
+    _require(0.0 < zeta < 1.0 / 3.0, "zeta must lie in (0, 1/3)")
     thr = float(N) ** (zeta / 2.0)
     keep = np.abs(W) < thr
     frac = 1.0 - float(np.mean(keep))
@@ -222,12 +227,10 @@ def assemble(profile, W, deformation_mat=None):
     """X = Sigma o W + A.  Superposition holds exactly: assemble(P,W,A) -
     assemble(P,W,0) = A."""
     V = profile.variances
-    if V.shape != W.shape:
-        raise EnsembleError("profile and W dimensions disagree")
+    _require(V.shape == W.shape, "profile and W dimensions disagree")
     X = np.sqrt(V) * W
     if deformation_mat is not None:
-        if deformation_mat.shape != X.shape:
-            raise EnsembleError("deformation dimension mismatch")
+        _require(deformation_mat.shape == X.shape, "deformation dimension mismatch")
         X = X + deformation_mat
     return X
 
@@ -235,103 +238,99 @@ def assemble(profile, W, deformation_mat=None):
 def sample_wishart(profile, beta=1, deformation=None, seed=0, replica=0,
                    entry_law="gaussian", theta=1.0):
     """X = (H + A)(H + A)^* for a bipartite profile (M <= N)."""
-    if profile.kind != "bipartite":
-        raise EnsembleError("wishart sampler needs a bipartite profile")
-    M, N = profile.n_rows, profile.n_cols
-    rng = rng_for(seed, replica, 0)
-    if beta == 1:
-        W = rng.standard_normal((M, N))
-    elif beta == 2:
-        W = (rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))) / math.sqrt(2.0)
-    else:
-        raise EnsembleError("beta must be 1 or 2")
-    if entry_law == "theta":
-        mask = (rng_for(seed, replica, 1).random((M, N)) < 1.0 / theta).astype(float)
-        W = math.sqrt(theta) * mask * W
-    elif entry_law != "gaussian":
-        raise EnsembleError(f"unsupported wishart entry law {entry_law!r}")
-    H = np.sqrt(profile.variances) * W
-    A = wishart_deformation_matrix(deformation, M, N, beta=beta, seed=seed)
-    HA = H if A is None else H + A
-    X = HA @ HA.conj().T
-    return 0.5 * (X + X.conj().T)
+    return sample(EnsembleSpec(beta=beta, entry_law=entry_law, theta=theta, profile=profile,
+                               deformation=deformation, model="wishart", seed=seed), replica)
+
+
+def _wishart_entries(spec, replica):
+    return _gaussian(rng_for(spec.seed, replica, 0),
+                     (spec.profile.n_rows, spec.profile.n_cols), spec.beta)
 
 
 # ---------------------------------------------------------------------------
-# ensemble specification
+# the ensemble table, the one place that knows the ensembles: (model, entry
+# law) -> (betas the law really draws, draw: (spec, replica) -> W, check:
+# spec -> None, raising on parameters outside the law's domain)
 # ---------------------------------------------------------------------------
+LAWS = {
+    ("wigner", "gaussian"): ((1, 2), lambda s, r: sample_wigner(s.N, s.beta, s.seed, r), None),
+    ("wigner", "rademacher"): ((1,), lambda s, r: sample_rademacher(s.N, 1, s.seed, r), None),
+    ("wigner", "theta_goe"): ((1,), lambda s, r: sample_theta_goe(s.N, s.theta, s.seed, r),
+                              lambda s: _check_theta(s.theta)),
+    ("wigner", "theta_rademacher"): (
+        (1,), lambda s, r: sample_theta_rademacher(s.N, s.theta, s.seed, r),
+        lambda s: _check_theta(s.theta)),
+    ("wigner", "interpolating"): (
+        (1, 2), lambda s, r: sample_interpolating(s.N, s.alpha_mix, s.seed, r),
+        lambda s: _require(s.alpha_mix >= 0 and s.beta == (2 if s.alpha_mix > 0 else 1),
+                           "interpolating needs alpha_mix >= 0, and beta 2 exactly when > 0")),
+    ("wigner", "heavy_tailed"): (
+        (1,), lambda s, r: truncate_heavy(sample_heavy(s.N, s.tail_df, s.seed, r), s.N, s.zeta)[0],
+        lambda s: _require(s.tail_df > 2 and 0 < s.zeta < 1 / 3,
+                           "heavy_tailed needs tail_df > 2 and zeta in (0, 1/3)")),
+    ("wishart", "gaussian"): ((1, 2), _wishart_entries, None),
+    ("wishart", "theta_goe"): (
+        (1, 2), lambda s, r: _sparsify(_wishart_entries(s, r), s.theta, s.seed, r, mirror=False),
+        lambda s: _check_theta(s.theta)),
+}
+
 
 @dataclasses.dataclass
 class EnsembleSpec:
     beta: int = 1
-    entry_law: str = "gaussian"   # gaussian | theta_goe | rademacher | interpolating | heavy_tailed
+    entry_law: str = "gaussian"
     theta: float = 1.0
     alpha_mix: float = 0.0
     tail_df: float = 9.0
     zeta: float = 0.25
     profile: VarianceProfile | None = None
     deformation: Deformation | None = None
-    model: str = "wigner"         # wigner | wishart
+    model: str = "wigner"
     seed: int = 0
 
     def __post_init__(self):
-        if self.entry_law == "theta_goe" and self.theta < 1:
-            raise EnsembleError("theta must be >= 1")
-        if self.entry_law == "heavy_tailed" and not 0 < self.zeta < 1 / 3:
-            raise EnsembleError("zeta must lie in (0, 1/3)")
+        """Accept only a row of LAWS, in-domain parameters and a profile of the model's kind."""
+        key = (self.model, self.entry_law)
+        _require(all(isinstance(k, str) for k in key) and key in LAWS,
+                 f"no ensemble {key}; known: {sorted(LAWS)}")
+        betas, _, check = LAWS[key]
+        _require(self.beta in betas, f"{key} draws beta in {betas}, not {self.beta!r}")
+        if check:
+            check(self)
+        kind = "square" if self.model == "wigner" else "bipartite"
+        _require(isinstance(self.profile, VarianceProfile) and self.profile.kind == kind,
+                 f"a {self.model} spec needs a {kind} profile")
 
     @property
     def N(self):
         return self.profile.n_cols
 
     def to_json(self):
-        return {
-            "beta": self.beta, "entry_law": self.entry_law, "theta": self.theta,
-            "alpha_mix": self.alpha_mix, "tail_df": self.tail_df, "zeta": self.zeta,
-            "model": self.model, "seed": self.seed,
-            "profile": self.profile.to_json() if self.profile is not None else None,
-            "deformation": self.deformation.to_json() if self.deformation else None,
-        }
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return dict(d, profile=self.profile.to_json(),
+                    deformation=self.deformation.to_json() if self.deformation else None)
 
     def dumps(self):
         return json.dumps(self.to_json(), sort_keys=True)
 
     @classmethod
     def from_json(cls, d):
-        prof = VarianceProfile.from_json(d["profile"]) if d.get("profile") else None
-        return cls(beta=d.get("beta", 1), entry_law=d.get("entry_law", "gaussian"),
-                   theta=d.get("theta", 1.0), alpha_mix=d.get("alpha_mix", 0.0),
-                   tail_df=d.get("tail_df", 9.0), zeta=d.get("zeta", 0.25),
-                   profile=prof, deformation=Deformation.from_json(d.get("deformation")),
-                   model=d.get("model", "wigner"), seed=d.get("seed", 0))
+        _closed(d, [f.name for f in dataclasses.fields(cls)], "ensemble spec")
+        kw = dict(d, deformation=Deformation.from_json(d.get("deformation")))
+        kw["profile"] = VarianceProfile.from_json(d["profile"]) if d.get("profile") else None
+        return cls(**kw)
 
 
 def sample(spec, replica=0):
     """Draw one realization of the ensemble described by spec."""
-    if spec.model == "wishart":
-        return sample_wishart(spec.profile, beta=spec.beta, deformation=spec.deformation,
-                              seed=spec.seed, replica=replica,
-                              entry_law="theta" if spec.entry_law == "theta_goe" else "gaussian",
-                              theta=spec.theta)
-    N = spec.profile.n_rows
-    law = spec.entry_law
-    if law == "gaussian":
-        W = sample_wigner(N, spec.beta, spec.seed, replica)
-    elif law == "theta_goe":
-        W = sample_theta_goe(N, spec.theta, spec.seed, replica)
-    elif law == "theta_rademacher":
-        W = sample_theta_rademacher(N, spec.theta, spec.seed, replica)
-    elif law == "rademacher":
-        W = sample_rademacher(N, spec.beta, spec.seed, replica)
-    elif law == "interpolating":
-        W = sample_interpolating(N, spec.alpha_mix, spec.seed, replica)
-    elif law == "heavy_tailed":
-        W = sample_heavy(N, spec.tail_df, spec.seed, replica)
-        W, _ = truncate_heavy(W, N, spec.zeta)
-    else:
-        raise EnsembleError(f"unknown entry law {law!r}")
-    A = deformation_matrix(spec.deformation, N, beta=spec.beta, seed=spec.seed)
-    return assemble(spec.profile, W, A)
+    W = LAWS[spec.model, spec.entry_law][1](spec, replica)
+    if spec.model == "wigner":
+        A = deformation_matrix(spec.deformation, spec.N, beta=spec.beta, seed=spec.seed)
+        return assemble(spec.profile, W, A)
+    A = wishart_deformation_matrix(spec.deformation, *W.shape, beta=spec.beta, seed=spec.seed)
+    HA = assemble(spec.profile, W, A)
+    X = HA @ HA.conj().T
+    return 0.5 * (X + X.conj().T)
 
 
 def goe_reference_spec(N, beta=1, deformation=None, seed=0):

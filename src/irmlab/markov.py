@@ -190,7 +190,7 @@ def check_mixing(profile, t_N, gamma, delta, horizon):
     N = P.shape[0]
     scan = _mixing_scan(P, np.full(N, float(N)), t_N, gamma, delta, horizon)
 
-    circulant = profile.structure == "circulant"
+    circulant = profile.circulant_row is not None
     lam = _lambda_star(P, symbol=_circulant_symbol(profile)[0] if circulant else None)
     certificate = "exhaustive"
     horizon_limited = True
@@ -247,7 +247,7 @@ def bipartite_check_mixing(profile, t_N, gamma, delta, horizon):
 
 def _circulant_symbol(profile):
     t = profile.torus
-    if profile.structure != "circulant" or t is None:
+    if profile.circulant_row is None or t is None:
         raise ProfileError("Fourier path requires a circulant band profile")
     d, L = t["d"], t["L"]
     row = np.asarray(profile.circulant_row, dtype=float).reshape((L,) * d)

@@ -161,10 +161,9 @@ class BandDensity:
 class VarianceProfile:
     """Matrix of entry variances; square profiles are doubly stochastic."""
 
-    def __init__(self, variances=None, kind="square", structure="dense",
-                 circulant_row=None, torus=None, metadata=None):
+    def __init__(self, variances=None, kind="square", circulant_row=None, torus=None,
+                 metadata=None):
         self.kind = kind
-        self.structure = structure
         self.torus = dict(torus) if torus else None
         self.metadata = dict(metadata or {})
         self._dense = None
@@ -242,7 +241,7 @@ class VarianceProfile:
         return P
 
     # -- validation --------------------------------------------------------
-    def validate(self, symmetric=True):
+    def validate(self):
         V = np.array(self.variances, dtype=float)
         if not (np.isfinite(V).all() and np.min(V) >= 0):
             raise ProfileError("variance entries must be finite and non-negative")
@@ -259,7 +258,7 @@ class VarianceProfile:
                 V = 0.5 * (V + V.T)
                 V.setflags(write=False)
                 self._dense = V
-            if symmetric and np.max(np.abs(V - V.T)) > VALIDATE_TOL:
+            if np.max(np.abs(V - V.T)) > VALIDATE_TOL:
                 raise ProfileError("square profile not symmetric")
         else:
             M, N = V.shape
@@ -284,7 +283,7 @@ class VarianceProfile:
             "kind": self.kind,
             "n_rows": int(self.n_rows),
             "n_cols": int(self.n_cols),
-            "storage": "circulant" if (self.circulant_row is not None and self._dense is None) or self.structure == "circulant" else "dense",
+            "storage": "dense" if self.circulant_row is None else "circulant",
             "metadata": dict(self.metadata),
         }
         if self.torus:
@@ -302,10 +301,8 @@ class VarianceProfile:
         torus = meta.pop("torus", None)
         if storage == "circulant":
             return cls(circulant_row=np.array(doc["data"], dtype=float),
-                       kind=doc["kind"], structure="circulant", torus=torus,
-                       metadata=meta)
+                       kind=doc["kind"], torus=torus, metadata=meta)
         return cls(variances=np.array(doc["data"], dtype=float), kind=doc["kind"],
-                   structure=meta.pop("structure", "dense") if "structure" in meta else "dense",
                    torus=torus, metadata=meta)
 
     def save(self, path):
@@ -383,7 +380,7 @@ def band_profile(d, L, W, density):
     torus = {"d": d, "L": L, "W": W, "density": density.name,
              "alpha_stable": density.alpha_stable,
              "decay_T": density.decay_T, "decay_K": density.decay_K}
-    prof = VarianceProfile(circulant_row=row, kind="square", structure="circulant",
+    prof = VarianceProfile(circulant_row=row, kind="square",
                            torus=torus, metadata={"family": "band"})
     return prof
 
@@ -497,7 +494,7 @@ def block_wegner_profile(D, M, lam):
         else:
             for nb in ((b + 1) % D, (b - 1) % D):
                 V[sl, nb * M:(nb + 1) * M] = lam / (2.0 * M)
-    return VarianceProfile(V, kind="square", structure="block",
+    return VarianceProfile(V, kind="square",
                            metadata={"family": "block", "D": D, "M": M,
                                      "lambda": lam}).validate()
 

@@ -304,3 +304,56 @@ class TestCliEntry:
         _, payload = cli._edge_scenario(spec_obj, spec_obj,
                                         {"k": 1, "replicas": 100, "level": 0.01}, 2)
         assert out.read_text() == json.dumps(payload["edge_report"], sort_keys=True)
+
+
+def _spec_doc(**kw):
+    from irmlab.profiles import uniform_profile, wishart_profile
+    if kw.get("model") == "wishart":
+        prof = wishart_profile(kw.pop("M", 10), 30)
+    else:
+        prof = uniform_profile(30)
+    return ensembles.EnsembleSpec(profile=prof, **kw).to_json()
+
+
+GOOD = _spec_doc()
+
+
+class TestSpecInputExit64:
+    """Malformed ensemble specs and mismatched baselines: exit 64, no traceback."""
+
+    @pytest.mark.parametrize("doc, message", [
+        (dict(GOOD, entry_lw="theta_goe"), "unknown ensemble spec keys: ['entry_lw']"),
+        (dict(GOOD, model="wishart", entry_law="heavy_tailed"), "no ensemble"),
+        (dict(GOOD, model="nope"), "no ensemble"),
+        (dict(GOOD, entry_law="theta_goe", beta=2), "draws beta in (1,)"),
+        (dict(GOOD, entry_law="rademacher", beta=2), "draws beta in (1,)"),
+        (dict(GOOD, deformation={"taus": [0.5], "basis": "radnom"}), "deformation basis"),
+        (dict(GOOD, deformation={"taus": [0.5], "spikes": [1]}), "unknown deformation keys"),
+    ])
+    def test_sample_malformed_spec(self, doc, message, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["sample", "--spec", str(path), "--out", str(tmp_path / "draws")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("test, baseline, replicas, message", [
+        (_spec_doc(model="wishart"), GOOD, 100, "must share the model and the profile shape"),
+        (_spec_doc(model="wishart"), _spec_doc(model="wishart", M=20), 100,
+         "must share the model and the profile shape"),
+        (GOOD, GOOD, 50, "fewer than 100 replicas"),
+        (dict(GOOD, entry_lw="gaussian"), GOOD, 100, "unknown ensemble spec keys"),
+    ])
+    def test_edge_compare_malformed(self, test, baseline, replicas, message, tmp_path, capsys):
+        for name, doc in (("t.json", test), ("b.json", baseline)):
+            (tmp_path / name).write_text(json.dumps(doc))
+        code = cli.main(["edge", "compare", "--test", str(tmp_path / "t.json"),
+                         "--baseline", str(tmp_path / "b.json"), "--k", "1",
+                         "--replicas", str(replicas), "--out", str(tmp_path / "rep.json")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "rep.json").exists()

@@ -20,7 +20,8 @@ from irmlab.edgestats import (
     universality_test,
     wilson_interval,
 )
-from irmlab.profiles import block_wegner_profile, random_regular_adjacency, uniform_profile
+from irmlab.profiles import (block_wegner_profile, random_regular_adjacency, uniform_profile,
+                             wishart_profile)
 
 
 class TestSpectrum:
@@ -119,6 +120,16 @@ class TestUniversality:
         with pytest.raises(EdgeStatError):
             universality_test(ensembles.goe_reference_spec(30),
                               ensembles.goe_reference_spec(40), replicas=100)
+
+    @pytest.mark.parametrize("test, baseline", [
+        (ensembles.EnsembleSpec(model="wishart", profile=wishart_profile(30, 30)),
+         ensembles.goe_reference_spec(30)),
+        (ensembles.EnsembleSpec(model="wishart", profile=wishart_profile(10, 30)),
+         ensembles.EnsembleSpec(model="wishart", profile=wishart_profile(20, 30))),
+    ])
+    def test_mismatched_model_or_shape_refused(self, test, baseline):
+        with pytest.raises(EdgeStatError):
+            universality_test(test, baseline, replicas=100)
 
     def test_deterministic_given_seed(self):
         base = ensembles.goe_reference_spec(40)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -215,13 +216,115 @@ class TestSpecAndSeeding:
             assert np.allclose(vals[:2], expect, atol=1e-10)
 
     def test_spec_roundtrip(self):
-        spec = EnsembleSpec(beta=2, entry_law="theta_goe", theta=3.0,
-                            profile=uniform_profile(4),
+        spec = EnsembleSpec(beta=2, entry_law="theta_goe", theta=3.0, model="wishart",
+                            profile=wishart_profile(3, 5),
                             deformation=Deformation(taus=(0.5,)), seed=9)
         doc = spec.to_json()
         back = EnsembleSpec.from_json(doc)
         assert back.dumps() == spec.dumps()
         assert np.array_equal(sample(spec, 1), sample(back, 1))
+
+
+# Every (model, entry law, beta) the ensemble table accepts, with the
+# parameters each row is drawn at, and the first 16 hex digits of
+# sha256(sample(spec, 2).tobytes()) at seed 11 (numpy 2.4, x86-64).  A change
+# to any random stream, or to the arithmetic that assembles a draw, shows up
+# here; the Wishart rows also pass through one small BLAS product.
+ACCEPTED = [
+    ("wigner", "gaussian", 1, {}, "a30c606813c51c73"),
+    ("wigner", "gaussian", 2, {}, "8748ff8558056b6a"),
+    ("wigner", "rademacher", 1, {}, "4cf8fff5b91ba57e"),
+    ("wigner", "theta_goe", 1, {"theta": 3.0}, "2dc97a9c614d1e52"),
+    ("wigner", "theta_rademacher", 1, {"theta": 3.0}, "9b65ae6c0c86c4d8"),
+    ("wigner", "interpolating", 1, {"alpha_mix": 0.0}, "4994a06cb8cb6763"),
+    ("wigner", "interpolating", 2, {"alpha_mix": 0.7}, "ee7a19cb3a20ebda"),
+    ("wigner", "interpolating", 2, {"alpha_mix": math.inf}, "f5376e42af636bd4"),
+    ("wigner", "heavy_tailed", 1, {"tail_df": 9.0, "zeta": 0.25}, "da073199c3a788e0"),
+    ("wishart", "gaussian", 1, {}, "c15f9d9a869caffe"),
+    ("wishart", "gaussian", 2, {}, "0a460fa2f00a7051"),
+    ("wishart", "theta_goe", 1, {"theta": 3.0}, "cbea1500e3b135c6"),
+    ("wishart", "theta_goe", 2, {"theta": 3.0}, "b966fb74209a4eb9"),
+]
+
+
+def _table_spec(model, law, beta, kw, **extra):
+    from irmlab.profiles import block_wegner_profile
+    prof = block_wegner_profile(2, 3, 0.4) if model == "wigner" else wishart_profile(4, 7, "banded")
+    return EnsembleSpec(model=model, entry_law=law, beta=beta, profile=prof, seed=11, **kw, **extra)
+
+
+class TestEnsembleTable:
+    def test_rows_cover_the_table(self):
+        rows = {(m, law, beta) for m, law, beta, _, _ in ACCEPTED}
+        assert rows == {(m, law, beta) for (m, law), (betas, _, _) in ensembles.LAWS.items()
+                        for beta in betas}
+
+    @pytest.mark.parametrize("model, law, beta, kw, digest", ACCEPTED)
+    def test_accepted_row_draws_its_beta(self, model, law, beta, kw, digest):
+        for deformation in (None, Deformation(taus=(1.0,), bulk=(0.3,), basis="random")):
+            X = sample(_table_spec(model, law, beta, kw, deformation=deformation), 2)
+            assert X.dtype == (np.float64 if beta == 1 else np.complex128)
+            assert np.array_equal(X, X.conj().T)
+
+    @pytest.mark.parametrize("model, law, beta, kw, digest", ACCEPTED)
+    def test_stream_guard(self, model, law, beta, kw, digest):
+        X = sample(_table_spec(model, law, beta, kw), 2)
+        assert hashlib.sha256(X.tobytes()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("model, law, beta, kw", [
+        # Wishart entries are Gaussian or theta-sparsified Gaussian only
+        ("wishart", "heavy_tailed", 1, {}),
+        ("wishart", "rademacher", 1, {}),
+        ("wishart", "interpolating", 1, {}),
+        ("wishart", "theta_rademacher", 1, {"theta": 3.0}),
+        ("wishart", "bogus", 1, {}),
+        ("nope", "gaussian", 1, {}),
+        ("wigner", ["gaussian"], 1, {}),
+        # real entry laws at beta 2, and beta outside {1, 2}
+        ("wigner", "theta_goe", 2, {"theta": 3.0}),
+        ("wigner", "theta_goe", 2, {"theta": 3.0, "deformation": Deformation(taus=(0.5,))}),
+        ("wigner", "heavy_tailed", 2, {}),
+        ("wigner", "rademacher", 2, {}),
+        ("wigner", "gaussian", 3, {}),
+        # interpolating: beta 2 exactly when alpha_mix > 0
+        ("wigner", "interpolating", 1, {"alpha_mix": 0.5}),
+        ("wigner", "interpolating", 2, {"alpha_mix": 0.0}),
+        ("wigner", "interpolating", 2, {"alpha_mix": -1.0}),
+        ("wigner", "interpolating", 1, {"alpha_mix": math.nan}),
+        # parameters outside the law's domain
+        ("wigner", "theta_goe", 1, {"theta": 0.5}),
+        ("wigner", "theta_rademacher", 1, {"theta": math.inf}),
+        ("wishart", "theta_goe", 2, {"theta": math.nan}),
+        ("wigner", "heavy_tailed", 1, {"zeta": 0.5}),
+        ("wigner", "heavy_tailed", 1, {"tail_df": 2.0}),
+    ])
+    def test_rejected_at_construction(self, model, law, beta, kw):
+        with pytest.raises(ensembles.EnsembleError):
+            _table_spec(model, law, beta, kw)
+
+    @pytest.mark.parametrize("model, profile", [
+        ("wigner", wishart_profile(4, 7)),
+        ("wishart", uniform_profile(4)),
+        ("wigner", None),
+    ])
+    def test_profile_kind_checked(self, model, profile):
+        with pytest.raises(ensembles.EnsembleError):
+            EnsembleSpec(model=model, profile=profile)
+
+    @pytest.mark.parametrize("doc", [
+        {"entry_lw": "theta_goe"},
+        {"deformation": {"taus": [0.5], "basis": "radnom"}},
+        {"deformation": {"tau": [0.5]}},
+        {"deformation": [0.5]},
+    ])
+    def test_closed_json(self, doc):
+        good = EnsembleSpec(profile=uniform_profile(4)).to_json()
+        with pytest.raises(ensembles.EnsembleError):
+            EnsembleSpec.from_json(dict(good, **doc))
+
+    def test_basis_checked_at_construction(self):
+        with pytest.raises(ensembles.EnsembleError):
+            Deformation(taus=(1.0,), basis="Random")
 
 
 class TestGaussianMoments:
