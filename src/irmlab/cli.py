@@ -97,9 +97,12 @@ def parse_config(doc):
             raise ConfigError(f"unknown parameter {key!r} for scenario {scenario}")
         params[key] = val
     _range_check(scenario, params)
+    seed = doc.get("seed", 0)
+    if type(seed) is not int:
+        raise ConfigError(f"seed must be an integer, not {seed!r}")
     return {
         "scenario": scenario,
-        "seed": int(doc.get("seed", 0)),
+        "seed": seed,
         "out": doc.get("out", "."),
         "params": params,
         "svg": bool(doc.get("svg", False)),
@@ -108,10 +111,18 @@ def parse_config(doc):
 
 
 def _range_check(scenario, p):
+    """Check values, never coerce: a number where the preset holds one, then
+    the ranges, then integers and finite floats (after the range checks, so
+    a check that owns a message about them reports it)."""
     def need(cond, msg):
         if not cond:
             raise ConfigError(f"{scenario}: {msg}")
 
+    preset = SCENARIOS[scenario]
+    for key, val in p.items():
+        kind = type(preset[key])
+        need(type(val) in ((int, float) if kind in (int, float) else (kind,)),
+             f"{key} must be of type {kind.__name__}, not {val!r}")
     if "replicas" in p:
         need(p["replicas"] >= 100, "replicas must be >= 100")
     if "N" in p:
@@ -134,6 +145,15 @@ def _range_check(scenario, p):
         need(0 < p["delta"] < 0.1, "delta must lie in (0, 0.1)")
         need(0 < p["gamma"] < math.inf, "gamma must be finite and positive")
         need(1 <= p["t"] <= p["horizon"], "need 1 <= t <= horizon")
+        need(type(p["t"]) is int and type(p["horizon"]) is int,
+             "need integers 1 <= t_N <= horizon")
+    if scenario == "diagrams-exact":
+        need(all(b in (1, 2) and type(b) is int for b in p["betas"]), "betas must be 1 or 2")
+    for key, val in p.items():
+        if type(preset[key]) is int:
+            need(type(val) is int, f"{key} must be an integer, not {val!r}")
+        if type(preset[key]) is float:
+            need(math.isfinite(val), f"{key} must be finite, not {val!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +502,7 @@ def _cmd_sample(args):
             np.savetxt(os.path.join(args.out, f"eigs_{r:05d}.csv"),
                        np.sort(np.linalg.eigvalsh(X))[::-1], delimiter=",")
         else:
-            np.savetxt(os.path.join(args.out, f"matrix_{r:05d}.csv"),
-                       np.asarray(X, dtype=float), delimiter=",")
+            np.savetxt(os.path.join(args.out, f"matrix_{r:05d}.csv"), X, delimiter=",")
     return EXIT_PASS
 
 

@@ -33,6 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from irmlab.chebyshev import u_poly_half_coeffs
 from irmlab.ensembles import double_factorial
 
 
@@ -79,16 +80,15 @@ class _UF:
 
 
 def _faces_and_gamma(perimeters):
-    faces, gamma, face_of = [], {}, {}
+    faces, gamma = [], {}
     k = 0
-    for j, m in enumerate(perimeters):
+    for m in perimeters:
         steps = list(range(k, k + m))
         faces.append(steps)
         for i, s in enumerate(steps):
             gamma[s] = steps[(i + 1) % m]
-            face_of[s] = j
         k += m
-    return faces, gamma, face_of, k
+    return faces, gamma, k
 
 
 def _matchings(items):
@@ -187,7 +187,7 @@ def glue(gluing):
     if any(m < 1 for m in gluing.perimeters):
         raise GluingError("glue needs positive perimeters (zero faces are "
                           "handled as trivial factors by the sum level)")
-    faces, gamma, _face_of, k = _faces_and_gamma(gluing.perimeters)
+    faces, gamma, k = _faces_and_gamma(gluing.perimeters)
     seen = set()
     for (s, t) in gluing.pairing:
         if s in seen or t in seen or s == t:
@@ -285,7 +285,6 @@ class Diagram:
 @dataclasses.dataclass
 class ContractionInfo:
     had_tree: bool
-    tree_steps_per_face: tuple
     weight_check: bool           # per-face sum w_e + 2 * tree steps == perimeter
 
 
@@ -343,9 +342,7 @@ def okounkov_contract(gc):
             deg[v] -= 1
             had_tree = True
             changed = True
-            for j, m in enumerate(marks):
-                if m == leaf:
-                    marks[j] = root
+            marks = [root if m == leaf else m for m in marks]
 
     live = [ei for ei in range(nE) if alive[ei]]
     tree_steps = [0] * gc.n_faces
@@ -462,15 +459,9 @@ def okounkov_contract(gc):
         beta=gc.gluing.beta,
     )
     # per-face conservation: sum of traversed weights + 2 * (tree steps) = perimeter
-    ok = True
-    for j, m in enumerate(gc.gluing.perimeters):
-        tot = sum(diagram.edges[c][3] for c in diagram.face_boundaries[j])
-        if tot + tree_steps[j] != m:
-            ok = False
-    info = ContractionInfo(had_tree=had_tree,
-                           tree_steps_per_face=tuple(tree_steps),
-                           weight_check=ok)
-    return diagram, info
+    ok = all(sum(diagram.edges[c][3] for c in diagram.face_boundaries[j]) + tree_steps[j] == m
+             for j, m in enumerate(gc.gluing.perimeters))
+    return diagram, ContractionInfo(had_tree=had_tree, weight_check=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -480,28 +471,35 @@ def okounkov_contract(gc):
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
+def _power(powers, w):
+    """M^w from the list [M, M^2, ...], extended by M^k = M^(k-1) M."""
+    while len(powers) < w:
+        powers.append(powers[-1] @ powers[0])
+    return powers[w - 1]
+
+
 class PowerCache:
-    """Matrix powers of the transition kernel and the deformation."""
+    """Matrix powers of the transition kernel and the deformation.
+
+    Every power is formed by successive products, so its value does not
+    depend on the order in which powers are requested.
+    """
 
     def __init__(self, profile, A=None):
         self.P = np.asarray(profile.variances if hasattr(profile, "variances") else profile,
                             dtype=float)
         self.A = None if A is None else np.asarray(A)
         self.N = self.P.shape[0]
-        self._p = {1: self.P}
-        self._a = {} if self.A is None else {1: self.A}
+        self._p = [self.P]
+        self._a = None if self.A is None else [self.A]
 
     def p(self, w):
-        if w not in self._p:
-            self._p[w] = self._p[w - 1] @ self.P if w - 1 in self._p else np.linalg.matrix_power(self.P, w)
-        return self._p[w]
+        return _power(self._p, w)
 
     def a(self, w):
-        if self.A is None:
+        if self._a is None:
             raise GluingError("no deformation supplied for open edges")
-        if w not in self._a:
-            self._a[w] = self._a[w - 1] @ self.A if w - 1 in self._a else np.linalg.matrix_power(self.A, w)
-        return self._a[w]
+        return _power(self._a, w)
 
 
 def diagram_value(diagram, powers, weights=None):
@@ -526,13 +524,9 @@ def frak_F(diagram, l_list, powers):
     """Exact diagram function at fixed boundary sums l_j: sum over integer
     weights w_e >= 1 with sum_{e in dD_j} w_e = l_j (multiplicity counted)."""
     l_list = list(l_list)
-    for j in diagram.trivial_faces:
-        if l_list[j] != 0:
-            return 0.0
-    active = [j for j in range(len(l_list)) if j not in diagram.trivial_faces]
-    for j in active:
-        if not diagram.face_boundaries[j] and l_list[j] != 0:
-            return 0.0
+    if any(l and (j in diagram.trivial_faces or not diagram.face_boundaries[j])
+           for j, l in enumerate(l_list)):
+        return 0.0
     nE = len(diagram.edges)
     mult = np.zeros((len(l_list), nE), dtype=int)
     for j, fb in enumerate(diagram.face_boundaries):
@@ -540,9 +534,6 @@ def frak_F(diagram, l_list, powers):
             mult[j, c] += 1
     total = 0.0
     l_arr = np.array(l_list, dtype=int)
-
-    if nE and not mult.any():
-        raise GluingError("edge lies on no face boundary")
 
     def rec(idx, rem, weights):
         nonlocal total
@@ -563,8 +554,7 @@ def frak_F(diagram, l_list, powers):
             weights.pop()
             w += 1
     rec(0, l_arr, [])
-    scale = powers.N ** len(diagram.trivial_faces)
-    return total * scale
+    return total * powers.N ** len(diagram.trivial_faces)
 
 
 def F_direct(diagram, n_list, powers):
@@ -607,8 +597,7 @@ def F_direct(diagram, n_list, powers):
             weights.pop()
             w += 1
     rec(0, np.zeros(len(n_list), dtype=int), [])
-    scale = powers.N ** len(diagram.trivial_faces)
-    return total * scale
+    return total * powers.N ** len(diagram.trivial_faces)
 
 
 def F_parity_sum(diagram, n_list, powers):
@@ -649,43 +638,6 @@ def b_prime(n):
     if n == 2:
         return Fraction(1)
     return Fraction(0)
-
-
-# ---------------------------------------------------------------------------
-# skeleton sums (tree-free gluing enumeration)
-# ---------------------------------------------------------------------------
-
-def skeleton_sum(l_vector, powers, beta, allow_open, connected_only=False,
-                 value_cache=None, per_diagram=None):
-    """Sum of contracted-diagram values over all tree-free gluings of
-    polygons with the given (all-positive) perimeters."""
-    l_vector = tuple(int(l) for l in l_vector)
-    if any(l <= 0 for l in l_vector):
-        raise GluingError("skeleton faces need positive perimeter")
-    total = 0.0
-    for gl in enumerate_gluings(l_vector, beta, allow_open=allow_open):
-        gc = glue(gl)
-        deg = gc.degrees()
-        if any(d < 2 for d in deg[:len(deg)]):
-            continue  # tree-containing gluing: counted at lower perimeter
-        diagram, info = okounkov_contract(gc)
-        if info.had_tree:
-            continue
-        if not info.weight_check:
-            raise GluingError("weight conservation failed")
-        if connected_only and not diagram.is_connected():
-            continue
-        key = diagram.structure_key()
-        if value_cache is not None and key in value_cache:
-            val = value_cache[key]
-        else:
-            val = diagram_value(diagram, powers)
-            if value_cache is not None:
-                value_cache[key] = val
-        if per_diagram is not None:
-            per_diagram[key] = per_diagram.get(key, 0.0) + val
-        total += val
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -749,13 +701,12 @@ def wick_moment(m_list, profile, A=None, beta=1):
     counts = {}
 
     def add_step(x, y, sgn):
+        key = (min(x, y), max(x, y))
         if beta == 1 or x == y:
-            key = (min(x, y), max(x, y))
             counts[key] = counts.get(key, 0) + sgn
             if counts[key] == 0:
                 del counts[key]
         else:
-            key = (min(x, y), max(x, y))
             u, v = counts.get(key, (0, 0))
             if x < y:
                 u += sgn
@@ -798,91 +749,144 @@ def wick_moment(m_list, profile, A=None, beta=1):
     return total * (N ** zeros)
 
 
+
+
 # ---------------------------------------------------------------------------
 # the three verified identities
 # ---------------------------------------------------------------------------
 
-def _expand_traces(factors, profile, A, beta, cache):
-    """E[prod_j sum_k c_jk Tr X^k] for factors given as (k, c_jk) term lists.
+@dataclasses.dataclass
+class _Skeleton:
+    """One gluing enumeration at fixed perimeters: the sum of diagram values
+    over tree-free gluings, its connected part and the sum per diagram."""
+    total: float = 0.0
+    connected: float = 0.0
+    diagrams: dict = dataclasses.field(default_factory=dict)
 
-    Tr X^0 = N; every mixed moment of positive powers is looked up in `cache`
-    by its sorted powers and filled from the Wick oracle on a miss.
+
+def _ribbon_face(m):
+    """(reduced perimeter l, binom(m, (m - l)/2)) terms, the l = 0 term halved."""
+    return [(l, math.comb(m, (m - l) // 2) / (2 if l == 0 else 1))
+            for l in range(m % 2, m + 1, 2)]
+
+
+def _chebyshev_face(n):
+    """(perimeter, 1) terms over the parity range 1 <= l <= n, l = n mod 2."""
+    return [(l, 1) for l in range(2 - n % 2, n + 1, 2)] if n else [(0, 1)]
+
+
+class MomentTable:
+    """Both sides of the ribbon, Chebyshev and cumulant identities for one
+    (profile, A, beta).
+
+    A left side expands each trace factor in powers of X and reads the mixed
+    moments from the Wick oracle; a right side expands each face in reduced
+    perimeters and reads skeleton sums.  Both are one basis sum, and both
+    lookups are cached on the table: each mixed moment is one oracle call and
+    each perimeter tuple is one gluing enumeration.
     """
-    N = profile.n_rows
-    cache = {} if cache is None else cache
-    total = 0.0
-    for terms in itertools.product(*factors):
-        coef = 1.0
-        for _, c in terms:
-            coef *= c
-        if coef == 0.0:
-            continue
-        key = tuple(sorted(k for k, _ in terms if k > 0))
-        if key and key not in cache:
-            cache[key] = wick_moment(list(key), profile, A, beta)
-        total += coef * (N ** (len(terms) - len(key))) * (cache[key] if key else 1.0)
-    return total
 
+    def __init__(self, profile, A=None, beta=1):
+        self.profile, self.A, self.beta = profile, A, beta
+        self.N = profile.n_rows
+        self.powers = PowerCache(profile, A)
+        self._wick = {}        # sorted positive powers -> E prod_j Tr X^{k_j}
+        self._skeletons = {}   # perimeter tuple -> _Skeleton
+        self._values = {}      # diagram structure key -> diagram value
 
-def ribbon_moment_lhs(m_list, profile, A=None, beta=1, _cache=None):
-    """E[prod_j (Tr X^{m_j} + b_{m_j} N)] through the Wick oracle."""
-    factors = [[(m, 1.0), (0, float(catalan_corrections(m)))] for m in m_list]
-    return _expand_traces(factors, profile, A, beta, _cache)
+    def _basis_sum(self, faces, value):
+        """sum over one (k_j, c_j) term per face of
+        prod_j c_j * N^#{j: k_j = 0} * value(the positive k_j)."""
+        total = 0.0
+        for terms in itertools.product(*faces):
+            coef = 1.0
+            for _, c in terms:
+                coef *= c
+            if coef == 0.0:
+                continue
+            ks = tuple(k for k, _ in terms if k > 0)
+            total += coef * (self.N ** (len(terms) - len(ks))) * (value(ks) if ks else 1.0)
+        return total
 
+    def _moment(self, ks):
+        key = tuple(sorted(ks))
+        if key not in self._wick:
+            self._wick[key] = wick_moment(list(key), self.profile, self.A, self.beta)
+        return self._wick[key]
 
-def ribbon_moment_rhs(m_list, profile, A=None, beta=1, _skel_cache=None):
-    """Binomial-weighted skeleton sums over reduced perimeters."""
-    N = profile.n_rows
-    powers = PowerCache(profile, A)
-    skel = {} if _skel_cache is None else _skel_cache
-    vcache = {}
-    total = 0.0
-    ranges = [range(m % 2, m + 1, 2) for m in m_list]
-    for lv in itertools.product(*[list(r) for r in ranges]):
-        coef = Fraction(1)
-        for m, l in zip(m_list, lv):
-            c = Fraction(math.comb(m, (m - l) // 2))
-            if l == 0:
-                c /= 2
-            coef *= c
-        nz = tuple(l for l in lv if l > 0)
-        zeros = len(lv) - len(nz)
-        if nz not in skel:
-            skel[nz] = skeleton_sum(nz, powers, beta, allow_open=A is not None,
-                                    value_cache=vcache) if nz else 1.0
-        total += float(coef) * skel[nz] * (N ** zeros)
-    return total
+    def _skeleton(self, perimeters):
+        if perimeters not in self._skeletons:
+            sk = _Skeleton()
+            for gl in enumerate_gluings(perimeters, self.beta, allow_open=self.A is not None):
+                gc = glue(gl)
+                if min(gc.degrees()) < 2:
+                    continue  # tree-containing gluing: counted at lower perimeter
+                diagram, info = okounkov_contract(gc)
+                if info.had_tree:
+                    continue
+                if not info.weight_check:
+                    raise GluingError("weight conservation failed")
+                key = diagram.structure_key()
+                if key not in self._values:
+                    self._values[key] = diagram_value(diagram, self.powers)
+                val = self._values[key]
+                sk.diagrams[key] = sk.diagrams.get(key, 0.0) + val
+                sk.total += val
+                if diagram.is_connected():
+                    sk.connected += val
+            self._skeletons[perimeters] = sk
+        return self._skeletons[perimeters]
 
+    def _chebyshev_lhs(self, n_list):
+        return self._basis_sum([list(enumerate(u_poly_half_coeffs(n))) for n in n_list],
+                               self._moment)
 
-def chebyshev_moment_lhs(n_list, profile, A=None, beta=1, _cache=None):
-    """E[prod_j Tr U_{n_j}(X/2)] by expanding U in powers and calling the oracle."""
-    from irmlab.chebyshev import u_poly_half_coeffs
-    factors = [list(enumerate(u_poly_half_coeffs(n))) for n in n_list]
-    return _expand_traces(factors, profile, A, beta, _cache)
+    def ribbon(self, m_list):
+        """E prod_j (Tr X^{m_j} + b_{m_j} N), and the binomial-weighted
+        skeleton sums over reduced perimeters."""
+        lhs = self._basis_sum([[(m, 1.0), (0, float(catalan_corrections(m)))] for m in m_list],
+                              self._moment)
+        rhs = self._basis_sum([_ribbon_face(m) for m in m_list],
+                              lambda ls: self._skeleton(ls).total)
+        return lhs, rhs
 
+    def chebyshev(self, n_list):
+        """E prod_j Tr U_{n_j}(X/2), and sum_Gamma F_Gamma({n_j}) as skeleton
+        sums over the parity ranges (a face with n_j = 0 is a factor N)."""
+        return self._chebyshev_lhs(n_list), self._basis_sum(
+            [_chebyshev_face(n) for n in n_list], lambda ls: self._skeleton(ls).total)
 
-def chebyshev_moment_rhs(n_list, profile, A=None, beta=1, connected_only=False,
-                         per_diagram=None):
-    """sum_Gamma F_Gamma({n_j}) as skeleton sums over the parity range.
+    def chebyshev_diagrams(self, n_list):
+        """Per-diagram terms of the Chebyshev right side, keyed by structure."""
+        out = {}
+        for terms in itertools.product(*[_chebyshev_face(n) for n in n_list if n]):
+            if terms:
+                out.update(self._skeleton(tuple(l for l, _ in terms)).diagrams)
+        return out
 
-    Faces with n_j = 0 are trivial (factor N each); for the connected sum
-    they disconnect everything else."""
-    N = profile.n_rows
-    nonzero = [n for n in n_list if n > 0]
-    zeros = len(n_list) - len(nonzero)
-    if connected_only and zeros:
-        return float(N) if not nonzero and zeros == 1 else 0.0
-    if not nonzero:
-        return float(N ** zeros)
-    powers = PowerCache(profile, A)
-    vcache = {}
-    total = 0.0
-    ranges = [range(2 - n % 2, n + 1, 2) for n in nonzero]
-    for mv in itertools.product(*[list(r) for r in ranges]):
-        total += skeleton_sum(mv, powers, beta, allow_open=A is not None,
-                              connected_only=connected_only,
-                              value_cache=vcache, per_diagram=per_diagram)
-    return total * (N ** zeros)
+    def cumulant(self, n_list):
+        """kappa_X(n_1..n_s) from the moment recursion over partitions, and
+        the connected part of the Chebyshev right side."""
+        kappas = {}
+
+        def kappa(sub):
+            key = tuple(sorted(sub))
+            if key not in kappas:
+                corr = 0.0
+                for part in _partitions(key):
+                    if len(part) > 1:
+                        prod = 1.0
+                        for blk in part:
+                            prod *= kappa(blk)
+                        corr += prod
+                kappas[key] = self._chebyshev_lhs(key) - corr
+            return kappas[key]
+
+        lhs = kappa(n_list)
+        if len(n_list) > 1 and 0 in n_list:
+            return lhs, 0.0  # the isolated vertex of a zero face disconnects the rest
+        return lhs, self._basis_sum([_chebyshev_face(n) for n in n_list],
+                                    lambda ls: self._skeleton(ls).connected)
 
 
 def _partitions(items):
@@ -897,34 +901,6 @@ def _partitions(items):
         yield [[first]] + part
 
 
-def cumulant_lhs(n_list, profile, A=None, beta=1, _cache=None):
-    """kappa_X(n_1..n_s) from the mixed-moment recursion over partitions."""
-    cache = {}
-
-    def kappa(sub):
-        key = tuple(sorted(sub))
-        if key in cache:
-            return cache[key]
-        mom = chebyshev_moment_lhs(list(key), profile, A, beta, _cache)
-        corr = 0.0
-        for part in _partitions(list(key)):
-            if len(part) <= 1:
-                continue
-            prod = 1.0
-            for blk in part:
-                prod *= kappa(tuple(blk))
-            corr += prod
-        cache[key] = mom - corr
-        return cache[key]
-
-    return kappa(tuple(n_list))
-
-
-def cumulant_rhs(n_list, profile, A=None, beta=1):
-    """Connected-diagram partial sum."""
-    return chebyshev_moment_rhs(n_list, profile, A, beta, connected_only=True)
-
-
 def verify_expansions(m_list, profile, A=None, beta=1, tol=1e-9):
     """Check the three exact identities at the given perimeters.
 
@@ -933,29 +909,20 @@ def verify_expansions(m_list, profile, A=None, beta=1, tol=1e-9):
     (3) cumulants = connected diagrams (s >= 2 only).
     Returns a report dict with per-identity values and worst deviation.
     """
+    table = MomentTable(profile, A, beta)
     report = {"perimeters": list(m_list), "beta": beta,
               "deformed": A is not None, "checks": {}}
-    wick = {}
-    lhs1 = ribbon_moment_lhs(m_list, profile, A, beta, wick)
-    rhs1 = ribbon_moment_rhs(m_list, profile, A, beta)
-    report["checks"]["ribbon"] = {
-        "lhs": lhs1, "rhs": rhs1, "abs_err": abs(lhs1 - rhs1),
-        "pass": bool(abs(lhs1 - rhs1) <= tol * max(1.0, abs(lhs1)))}
-    lhs2 = chebyshev_moment_lhs(m_list, profile, A, beta, wick)
-    contributions = {}
-    rhs2 = chebyshev_moment_rhs(m_list, profile, A, beta, per_diagram=contributions)
-    report["checks"]["chebyshev"] = {
-        "lhs": lhs2, "rhs": rhs2, "abs_err": abs(lhs2 - rhs2),
-        "pass": bool(abs(lhs2 - rhs2) <= tol * max(1.0, abs(lhs2)))}
+    sides = {"ribbon": table.ribbon, "chebyshev": table.chebyshev}
+    if len(m_list) >= 2:
+        sides["cumulant"] = table.cumulant
+    for name, side in sides.items():
+        lhs, rhs = side(m_list)
+        report["checks"][name] = {
+            "lhs": lhs, "rhs": rhs, "abs_err": abs(lhs - rhs),
+            "pass": bool(abs(lhs - rhs) <= tol * max(1.0, abs(lhs)))}
     if not report["checks"]["chebyshev"]["pass"]:
-        top = sorted(contributions.items(), key=lambda kv: -abs(kv[1]))[:20]
+        top = sorted(table.chebyshev_diagrams(m_list).items(), key=lambda kv: -abs(kv[1]))[:20]
         report["checks"]["chebyshev"]["per_diagram"] = [
             {"diagram": repr(k), "value": v} for k, v in top]
-    if len(m_list) >= 2:
-        lhs3 = cumulant_lhs(m_list, profile, A, beta, wick)
-        rhs3 = cumulant_rhs(m_list, profile, A, beta)
-        report["checks"]["cumulant"] = {
-            "lhs": lhs3, "rhs": rhs3, "abs_err": abs(lhs3 - rhs3),
-            "pass": bool(abs(lhs3 - rhs3) <= tol * max(1.0, abs(lhs3)))}
     report["pass"] = all(c["pass"] for c in report["checks"].values())
     return report

@@ -114,6 +114,8 @@ def ks_2sample(a, b, jitter_seed=None):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise EdgeStatError("KS samples must be finite")
     if jitter_seed is not None:
         scale = max(np.std(a), np.std(b), 1e-12) * 1e-10
         rng = ensembles.rng_for(jitter_seed, 0, 515)
@@ -241,6 +243,8 @@ def tail_estimate(spec, x_grid, replicas=2000, seed=0):
     x_grid = sorted(float(x) for x in x_grid)
     if any(x <= 0 for x in x_grid):
         raise EdgeStatError("x grid must be positive")
+    if replicas < 1:
+        raise EdgeStatError("tail_estimate needs replicas >= 1")
     run = dataclasses.replace(spec, seed=seed)
     N = run.profile.n_rows
     norms = np.empty(replicas)

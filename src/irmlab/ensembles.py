@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -194,11 +195,12 @@ def sample_interpolating(N, alpha_mix, seed=0, replica=0):
     """Gaussian ensemble interpolating GOE (alpha=0) to GUE (alpha=1) and on
     to the antisymmetric-imaginary ensemble (alpha=inf); real at alpha=0 only."""
     rng = rng_for(seed, replica, 0)
-    if math.isinf(alpha_mix):
-        vr, vi, vd = 0.0, 1.0, 0.0
-    else:
-        den = 1.0 + alpha_mix ** 2
-        vr, vi, vd = 1.0 / den, alpha_mix ** 2 / den, 2.0 / den
+    try:
+        a2 = alpha_mix ** 2
+    except OverflowError:  # finite alpha_mix past about 1.3e154 splits as alpha = inf
+        a2 = math.inf
+    den = 1.0 + a2
+    vr, vi, vd = 1.0 / den, (a2 / den if den < math.inf else 1.0), 2.0 / den
     R = rng.standard_normal((N, N)) * math.sqrt(vr)
     I = rng.standard_normal((N, N)) * math.sqrt(vi)
     d = rng.standard_normal(N) * math.sqrt(vd) + 0.0  # alpha=inf: -0.0 diagonal to 0.0
@@ -289,7 +291,13 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self):
-        """Accept only a row of LAWS, in-domain parameters and a profile of the model's kind."""
+        """Accept only numbers of the declared int/float field types, a row of
+        LAWS, in-domain parameters and a profile of the model's kind."""
+        for f in dataclasses.fields(self):
+            kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
+            value = getattr(self, f.name)
+            _require(kind is None or isinstance(value, kind) and not isinstance(value, bool),
+                     f"{f.name} must be of type {f.type}, not {value!r}")
         key = (self.model, self.entry_law)
         _require(all(isinstance(k, str) for k in key) and key in LAWS,
                  f"no ensemble {key}; known: {sorted(LAWS)}")

@@ -70,20 +70,19 @@ def _expansion_grid(check):
         for N in (2, 3, 4):
             for prof in (profiles.uniform_profile(N), nonuniform_profile(N, seed=N)):
                 for A in (None, coordinate_spike(N)):
-                    wick_cache = {}
+                    table = dg.MomentTable(prof, A, beta)
                     for ms in GRID_S1 + GRID_S2:
                         if sum(ms) > 8:
                             continue
-                        err = check(ms, prof, A, beta, wick_cache)
+                        err = check(ms, table)
                         worst = max(worst, err)
                         cases += 1
     return worst, cases, time.time() - t0
 
 
 def test_criterion_1_ribbon_exactness():
-    def check(ms, prof, A, beta, cache):
-        lhs = dg.ribbon_moment_lhs(ms, prof, A, beta, _cache=cache)
-        rhs = dg.ribbon_moment_rhs(ms, prof, A, beta)
+    def check(ms, table):
+        lhs, rhs = table.ribbon(ms)
         return abs(lhs - rhs) / max(1.0, abs(lhs))
 
     worst, cases, elapsed = _expansion_grid(check)
@@ -93,9 +92,8 @@ def test_criterion_1_ribbon_exactness():
 
 
 def test_criterion_2_chebyshev_expansion():
-    def check(ms, prof, A, beta, cache):
-        lhs = dg.chebyshev_moment_lhs(ms, prof, A, beta, _cache=cache)
-        rhs = dg.chebyshev_moment_rhs(ms, prof, A, beta)
+    def check(ms, table):
+        lhs, rhs = table.chebyshev(ms)
         return abs(lhs - rhs) / max(1.0, abs(lhs))
 
     worst, cases, elapsed = _expansion_grid(check)
@@ -135,8 +133,7 @@ def test_criterion_3_cumulants_connected():
     for beta in (1, 2):
         for ns in ((2, 2), (3, 3)):
             for prof in (profiles.uniform_profile(3), nonuniform_profile(3, seed=5)):
-                lhs = dg.cumulant_lhs(list(ns), prof, None, beta)
-                rhs = dg.cumulant_rhs(list(ns), prof, None, beta)
+                lhs, rhs = dg.MomentTable(prof, None, beta).cumulant(list(ns))
                 worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     ok = worst <= 1e-9
     _line(3, ok, f"cumulant = connected diagrams at s=2, N=3 (worst {worst:.2e})")

@@ -1,10 +1,12 @@
+import hashlib
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from irmlab import cli, ensembles
+from irmlab import cli, edgestats, ensembles
 from irmlab.cli import (
     ConfigError,
     EXIT_FAIL,
@@ -357,3 +359,102 @@ class TestSpecInputExit64:
         assert err.startswith("invalid configuration:") and message in err
         assert "Traceback" not in err
         assert not (tmp_path / "rep.json").exists()
+
+
+class TestSampleCsv:
+    def _draw(self, doc, tmp_path):
+        (tmp_path / "spec.json").write_text(json.dumps(doc))
+        assert cli.main(["sample", "--spec", str(tmp_path / "spec.json"), "--replicas", "2",
+                         "--seed", "3", "--out", str(tmp_path / "draws")]) == EXIT_PASS
+        return [tmp_path / "draws" / f"matrix_{r:05d}.csv" for r in range(2)]
+
+    def test_complex_draw_keeps_imaginary_part(self, tmp_path):
+        doc = _spec_doc(beta=2)
+        spec = ensembles.EnsembleSpec.from_json(dict(doc, seed=3))
+        for r, path in enumerate(self._draw(doc, tmp_path)):
+            X = ensembles.sample(spec, r)
+            assert np.iscomplexobj(X) and np.abs(X.imag).max() > 0
+            assert np.array_equal(np.loadtxt(path, delimiter=",", dtype=complex), X)
+
+    @pytest.mark.parametrize("kw, digests", [
+        ({}, ("2cbe449becd2de9f", "01ee64339b5a03b6")),
+        ({"model": "wishart", "M": 3, "N": 5}, ("c36324b19ceac82f", "3a81c754ee2dd103")),
+    ])
+    def test_real_draw_bytes(self, kw, digests, tmp_path):
+        # sha256 prefixes of the CSVs written before complex draws were kept
+        from irmlab.profiles import uniform_profile, wishart_profile
+        prof = wishart_profile(kw["M"], kw["N"]) if kw else uniform_profile(6)
+        doc = ensembles.EnsembleSpec(profile=prof, model=kw.get("model", "wigner")).to_json()
+        got = tuple(hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+                    for p in self._draw(doc, tmp_path))
+        assert got == digests
+
+
+def _run_config(doc):
+    def call(tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        return cli.main(["run", "--config", str(tmp_path / "cfg.json"),
+                         "--out", str(tmp_path / "out")])
+    return call
+
+
+def _sample_spec(doc):
+    def call(tmp_path):
+        (tmp_path / "spec.json").write_text(json.dumps(doc))
+        return cli.main(["sample", "--spec", str(tmp_path / "spec.json"),
+                         "--out", str(tmp_path / "draws")])
+    return call
+
+
+def _spec(**kw):
+    from irmlab.profiles import uniform_profile
+    return lambda tmp_path: ensembles.EnsembleSpec(profile=uniform_profile(8), **kw)
+
+
+GOE8 = ensembles.goe_reference_spec(8)
+
+# each row: (input, exception type it raises or EXIT_USAGE)
+MALFORMED = {
+    "config replicas string": (_run_config(
+        {"scenario": "goe-baseline", "params": {"replicas": "500"}}), EXIT_USAGE),
+    "config seed string": (_run_config({"scenario": "goe-baseline", "seed": "abc"}), EXIT_USAGE),
+    "config seed float": (_run_config({"scenario": "lift2", "seed": 1.5}), EXIT_USAGE),
+    "config N float lift2": (_run_config({"scenario": "lift2", "params": {"N": 16.5}}),
+                             EXIT_USAGE),
+    "config N float goe": (_run_config(
+        {"scenario": "goe-baseline", "params": {"N": 16.5}}), EXIT_USAGE),
+    "config tol nan": (_run_config({"scenario": "lift2", "params": {"tol": float("nan")}}),
+                       EXIT_USAGE),
+    "config trials bool": (_run_config({"scenario": "lift2", "params": {"trials": True}}),
+                           EXIT_USAGE),
+    "config density number": (_run_config(
+        {"scenario": "band", "params": {"N": 20, "density": 3}}), EXIT_USAGE),
+    "config betas": (_run_config(
+        {"scenario": "diagrams-exact", "params": {"betas": [1, 3]}}), EXIT_USAGE),
+    "sample theta string": (_sample_spec(dict(GOOD, entry_law="theta_goe", theta="3")),
+                            EXIT_USAGE),
+    "spec theta string": (_spec(entry_law="theta_goe", theta="3"), ensembles.EnsembleError),
+    "spec beta bool": (_spec(beta=True), ensembles.EnsembleError),
+    "spec seed string": (_spec(seed="abc"), ensembles.EnsembleError),
+    "spec alpha_mix none": (_spec(entry_law="interpolating", alpha_mix=None),
+                            ensembles.EnsembleError),
+    "ks nan sample": (lambda tmp_path: edgestats.ks_2sample(np.full(50, np.nan), np.zeros(50)),
+                      edgestats.EdgeStatError),
+    "ks inf sample": (lambda tmp_path: edgestats.ks_2sample(np.zeros(50), [math.inf] * 50),
+                      edgestats.EdgeStatError),
+    "tail zero replicas": (lambda tmp_path: edgestats.tail_estimate(GOE8, [0.5], replicas=0),
+                           edgestats.EdgeStatError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input(case, tmp_path, capsys):
+    call, expected = MALFORMED[case]
+    if expected == EXIT_USAGE:
+        assert call(tmp_path) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:") and "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
+    else:
+        with pytest.raises(expected):
+            call(tmp_path)

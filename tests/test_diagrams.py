@@ -8,14 +8,11 @@ from irmlab import diagrams as dg
 from irmlab.diagrams import (
     BudgetError,
     GluingError,
+    MomentTable,
     PowerCache,
     RibbonGluing,
     b_prime,
     catalan_corrections,
-    chebyshev_moment_lhs,
-    chebyshev_moment_rhs,
-    cumulant_lhs,
-    cumulant_rhs,
     diagram_envelope,
     enumerate_gluings,
     F_direct,
@@ -24,9 +21,6 @@ from irmlab.diagrams import (
     glue,
     gluing_count,
     okounkov_contract,
-    ribbon_moment_lhs,
-    ribbon_moment_rhs,
-    skeleton_sum,
     verify_expansions,
     wick_moment,
 )
@@ -252,72 +246,63 @@ class TestWickOracle:
 class TestRibbonExpansion:
     @pytest.mark.parametrize("beta", [1, 2])
     def test_single_trace_uniform(self, beta):
-        prof = uniform_profile(3)
+        table = MomentTable(uniform_profile(3), None, beta)
         for m in range(1, 7):
-            lhs = ribbon_moment_lhs([m], prof, None, beta)
-            rhs = ribbon_moment_rhs([m], prof, None, beta)
+            lhs, rhs = table.ribbon([m])
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
     @pytest.mark.parametrize("beta", [1, 2])
     def test_single_trace_nonuniform_deformed(self, beta):
         prof = nonuniform_profile(3, seed=7)
-        A = spike(3, 1.1, seed=11)
+        table = MomentTable(prof, spike(3, 1.1, seed=11), beta)
         for m in range(1, 7):
-            lhs = ribbon_moment_lhs([m], prof, A, beta)
-            rhs = ribbon_moment_rhs([m], prof, A, beta)
+            lhs, rhs = table.ribbon([m])
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
     def test_two_traces(self):
-        prof = nonuniform_profile(3, seed=1)
+        table = MomentTable(nonuniform_profile(3, seed=1), None, 1)
         for ms in ([2, 2], [2, 4], [3, 3]):
-            lhs = ribbon_moment_lhs(ms, prof, None, 1)
-            rhs = ribbon_moment_rhs(ms, prof, None, 1)
+            lhs, rhs = table.ribbon(ms)
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
     def test_m_zero_halving(self):
-        prof = uniform_profile(4)
-        assert ribbon_moment_lhs([0], prof, None, 1) == pytest.approx(2.0)
-        assert ribbon_moment_rhs([0], prof, None, 1) == pytest.approx(2.0)
+        lhs, rhs = MomentTable(uniform_profile(4), None, 1).ribbon([0])
+        assert lhs == pytest.approx(2.0)
+        assert rhs == pytest.approx(2.0)
 
 
 class TestChebyshevExpansion:
     def test_u2_is_trace_minus_n(self):
         prof = uniform_profile(3)
-        lhs = chebyshev_moment_lhs([2], prof, None, 1)
+        lhs, rhs = MomentTable(prof, None, 1).chebyshev([2])
         assert lhs == pytest.approx(wick_moment([2], prof, None, 1) - 3.0)
-        rhs = chebyshev_moment_rhs([2], prof, None, 1)
         assert rhs == pytest.approx(np.trace(prof.variances))
         assert lhs == pytest.approx(rhs)
 
     @pytest.mark.parametrize("beta", [1, 2])
     def test_deformed_grid(self, beta):
         prof = nonuniform_profile(3, seed=4)
-        A = spike(3, 0.8, seed=5)
+        table = MomentTable(prof, spike(3, 0.8, seed=5), beta)
         for n in range(1, 7):
-            lhs = chebyshev_moment_lhs([n], prof, A, beta)
-            rhs = chebyshev_moment_rhs([n], prof, A, beta)
+            lhs, rhs = table.chebyshev([n])
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
     def test_zero_index(self):
-        prof = uniform_profile(4)
-        assert chebyshev_moment_lhs([0], prof, None, 1) == 4.0
-        assert chebyshev_moment_rhs([0], prof, None, 1) == 4.0
+        assert MomentTable(uniform_profile(4), None, 1).chebyshev([0]) == (4.0, 4.0)
 
 
 class TestCumulants:
     @pytest.mark.parametrize("beta", [1, 2])
     @pytest.mark.parametrize("ns", [(2, 2), (3, 3)])
     def test_covariance_equals_connected(self, beta, ns):
-        prof = nonuniform_profile(3, seed=9)
-        lhs = cumulant_lhs(list(ns), prof, None, beta)
-        rhs = cumulant_rhs(list(ns), prof, None, beta)
+        lhs, rhs = MomentTable(nonuniform_profile(3, seed=9), None, beta).cumulant(list(ns))
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
     def test_parity_vanishing(self):
         # odd total weight with no deformation: no pairings at all
-        prof = uniform_profile(3)
-        assert chebyshev_moment_lhs([3], prof, None, 1) == pytest.approx(0.0, abs=1e-12)
-        assert chebyshev_moment_rhs([3], prof, None, 1) == pytest.approx(0.0, abs=1e-12)
+        lhs, rhs = MomentTable(uniform_profile(3), None, 1).chebyshev([3])
+        assert lhs == pytest.approx(0.0, abs=1e-12)
+        assert rhs == pytest.approx(0.0, abs=1e-12)
 
 
 class TestEnvelope:
@@ -357,3 +342,30 @@ class TestVerifyReport:
         rep = verify_expansions([2, 2], uniform_profile(3), None, 1)
         assert rep["pass"]
         assert sorted(keys) == sorted(set(keys)) == [(2,), (2, 2)]
+
+    @pytest.mark.parametrize("args", [
+        ([2, 2], uniform_profile(3), None, 1),
+        ([4], uniform_profile(2), spike(2, 0.5), 2),
+    ])
+    def test_one_enumeration_per_perimeter_tuple(self, monkeypatch, args):
+        # the ribbon, Chebyshev and cumulant right sides read one skeleton
+        # enumeration per perimeter tuple
+        calls = []
+
+        def counting(perimeters, *rest, **kwargs):
+            calls.append(tuple(perimeters))
+            return enumerate_gluings(perimeters, *rest, **kwargs)
+
+        monkeypatch.setattr(dg, "enumerate_gluings", counting)
+        assert verify_expansions(*args)["pass"]
+        assert calls and len(calls) == len(set(calls))
+
+    def test_power_independent_of_request_order(self):
+        prof = nonuniform_profile(4, seed=3)
+        A = spike(4, 0.9, seed=2)
+        up, down = PowerCache(prof, A), PowerCache(prof, A)
+        for w in range(1, 8):
+            up.p(w), up.a(w)
+        for w in range(7, 0, -1):
+            assert np.array_equal(down.p(w), up.p(w))
+            assert np.array_equal(down.a(w), up.a(w))

@@ -76,6 +76,11 @@ class TestInterpolating:
         W = sample_interpolating(5, alpha, 1)
         assert np.max(np.abs(W - np.conj(W).T)) == 0.0
 
+    def test_alpha_past_square_overflow(self):
+        # alpha_mix ** 2 overflows past about 1.3e154: the split is alpha = inf's
+        W = sample_interpolating(5, 1e300, 1)
+        assert W.tobytes() == sample_interpolating(5, math.inf, 1).tobytes()
+
 
 class TestAssemble:
     def test_uniform_profile_scaling(self):
