@@ -84,8 +84,8 @@ def load_config(path):
 def parse_config(doc):
     if not isinstance(doc, dict) or not doc:
         raise ConfigError("config must be a non-empty object")
-    allowed_top = {"scenario", "seed", "out", "params", "svg", "csv", "threads"}
-    unknown = set(doc) - allowed_top
+    top = {"seed": 0, "out": ".", "svg": False, "csv": False, "threads": 1}
+    unknown = set(doc) - {"scenario", "params", *top}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     scenario = doc.get("scenario")
@@ -97,17 +97,13 @@ def parse_config(doc):
             raise ConfigError(f"unknown parameter {key!r} for scenario {scenario}")
         params[key] = val
     _range_check(scenario, params)
-    seed = doc.get("seed", 0)
-    if type(seed) is not int:
-        raise ConfigError(f"seed must be an integer, not {seed!r}")
-    return {
-        "scenario": scenario,
-        "seed": seed,
-        "out": doc.get("out", "."),
-        "params": params,
-        "svg": bool(doc.get("svg", False)),
-        "csv": bool(doc.get("csv", False)),
-    }
+    for key, default in top.items():
+        val = top[key] = doc.get(key, default)
+        if type(val) is not type(default):
+            raise ConfigError(f"{key} must be of type {type(default).__name__}, not {val!r}")
+    if top["threads"] < 1:
+        raise ConfigError("threads must be >= 1")
+    return {"scenario": scenario, "params": params, **top}
 
 
 def _range_check(scenario, p):
@@ -298,8 +294,7 @@ def _run_nbpath_exact(p, seed):
 def _mixing(prof, p):
     """Certify the profile's chain (the bipartite chain for a bipartite
     profile) with p's t, gamma, delta and horizon; return (exit code, report)."""
-    check = markov.bipartite_check_mixing if prof.kind == "bipartite" else markov.check_mixing
-    report = check(prof, p["t"], p["gamma"], p["delta"], p["horizon"])
+    report = markov.check_mixing(prof, p["t"], p["gamma"], p["delta"], p["horizon"])
     if report.refuted:
         code = EXIT_FAIL
     elif report.horizon_limited:
@@ -357,10 +352,10 @@ def _profile_preset(name, N, seed):
         p = np.full((N, N), 1.0 / theta)
         w = np.full((N, N), theta)
         return profiles.sparse_profile(p, w, d=float(N))
-    if name == "block":
-        return profiles.block_wegner_profile(2, N // 2, 0.5)
-    if name == "blockdiag":
-        return profiles.block_wegner_profile(2, N // 2, 0.0)
+    if name in ("block", "blockdiag"):
+        if N % 2:
+            raise ConfigError(f"{name} preset needs even N")
+        return profiles.block_wegner_profile(2, N // 2, 0.5 if name == "block" else 0.0)
     if name == "regular":
         d = 4 if N > 4 else 2
         return profiles.regular_graph_profile(
@@ -583,8 +578,7 @@ def _cmd_edge(args):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="irmlab")
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("IRMLAB_THREADS", "1")),
+    ap.add_argument("--threads", type=int, default=1,
                     help="accepted for interface compatibility; execution is "
                          "sequential and results do not depend on it")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -2,12 +2,13 @@
 
 The short-to-long mixing check has two parts: an averaged short-time bound
 (max over (x,y) of (1/t) sum_{n<=t} p_n(x,y) <= gamma/N) and a long-time
-uniform bound (|p_n(x,y) - 1/N| <= delta/N for all n >= t).  Square and
-bipartite chains share one float64 engine: binary doubling forms the
-short-time sum and P^t in O(log t) products, and single steps cover only the
-scan window [t, horizon].  A spectral certificate closes the tail beyond the
-horizon: |p_n(x,y) - 1/N| <= (1 - 1/N) lambda_*^n for a symmetric doubly
-stochastic kernel (Cauchy-Schwarz on the eigenvector expansion), with
+uniform bound (|p_n(x,y) - 1/N| <= delta/N for all n >= t).  One certificate
+serves the chain on [N] of a square profile and the two-sided chain on
+[M] | [N] of a bipartite one, with targets and bounds divided by the size of
+the target's side.  Binary doubling forms the short-time sum and P^t in
+O(log t) float64 products, and single steps cover only the scan window
+[t, horizon].  A spectral certificate closes the tail beyond the horizon
+(Cauchy-Schwarz on the eigenvector expansion of the reversible chain), with
 lambda_* read off the Fourier symbol for circulant (band) profiles, whose
 p_n rows are also available in O(N log N) without dense powers.
 """
@@ -183,62 +184,60 @@ def _lambda_star(P, drop=1, symbol=None):
     return float(np.sort(ev)[-1 - drop]) if ev.size > drop else 0.0
 
 
-def check_mixing(profile, t_N, gamma, delta, horizon):
-    """Certify or refute the short/long mixing pair for a square profile."""
+def _certify(profile, t_N, gamma, delta, horizon):
+    """The mixing report of a square or bipartite profile's chain.
+
+    The period-2 bipartite chain holds the lazy sums p_n + p_{n+1} to its
+    long-time bound.  lambda_* is read from D P D^{-1}, D = diag(side)^{-1/2},
+    past the unit-modulus eigenvalues (1, and -1 when bipartite).  With
+    pi = 1/(2 side) and c = 1 + lambda_* for lazy sums (1 for p_n),
+    |p(x,y) - 1/side_y| <= c lambda_*^n sqrt(pi_y/pi_x (1-2pi_x)(1-2pi_y)),
+    so the tail closes once c (1 - 1/s) lambda_*^(horizon+1) <= delta/s for
+    the largest side s.
+    """
     _check_domain(t_N, gamma, delta, horizon)
-    P = profile.transition_matrix()
-    N = P.shape[0]
-    scan = _mixing_scan(P, np.full(N, float(N)), t_N, gamma, delta, horizon)
+    bipartite = profile.kind == "bipartite"
+    if bipartite:
+        M, N = profile.n_rows, profile.n_cols
+        P, side = profile.bipartite_transition(), np.repeat([float(M), float(N)], [M, N])
+    else:
+        P = profile.transition_matrix()
+        side = np.full(len(P), float(len(P)))
+    scan = _mixing_scan(P, side, t_N, gamma, delta, horizon, lazy=bipartite)
 
     circulant = profile.circulant_row is not None
-    lam = _lambda_star(P, symbol=_circulant_symbol(profile)[0] if circulant else None)
+    lam = _lambda_star(P * np.sqrt(side / side[:, None]), drop=2 if bipartite else 1,
+                       symbol=_circulant_symbol(profile)[0] if circulant else None)
     certificate = "exhaustive"
     horizon_limited = True
     if lam is not None:
         certificate = "fourier" if circulant else "spectral-gap"
-        if lam < 1.0 and (1.0 - 1.0 / N) * lam ** (horizon + 1) <= delta / N:
+        s = float(side.max())
+        c = 1.0 + lam if bipartite else 1.0
+        if lam < 1.0 and c * (1.0 - 1.0 / s) * lam ** (horizon + 1) <= delta / s:
             horizon_limited = False
 
     return MixingReport(
         t_N=t_N, gamma=gamma, delta=delta, horizon=horizon,
         b2_pass=scan["b2_examined"] and not horizon_limited,
-        certificate=certificate, horizon_limited=horizon_limited,
-        thouless_flag=bool(t_N <= max(1, int(N ** (1.0 / 3.0)))), **scan,
+        certificate=certificate, horizon_limited=horizon_limited, bipartite=bipartite,
+        thouless_flag=None if bipartite else bool(t_N <= max(1, int(len(side) ** (1.0 / 3.0)))),
+        **scan,
     )
+
+
+def check_mixing(profile, t_N, gamma, delta, horizon):
+    """Certify or refute the short/long mixing pair for the chain of a square
+    or bipartite profile."""
+    return _certify(profile, t_N, gamma, delta, horizon)
 
 
 def bipartite_check_mixing(profile, t_N, gamma, delta, horizon):
-    """Mixing check on the two-sided chain of a bipartite profile.
-
-    Short-time bounds are side dependent (gamma/N for targets in [N],
-    gamma/M in [M]); the long-time check applies to the lazified sums
-    p_n + p_{n+1} against the side target.  The tail beyond the horizon is
-    closed through the symmetrized kernel: the period-2 eigenvalue cancels
-    in p_n + p_{n+1} and the remainder decays like |lambda_*|^n.
-    """
-    _check_domain(t_N, gamma, delta, horizon)
-    PS = profile.bipartite_transition()   # raises ProfileError for a square profile
-    M = profile.n_rows
-    N = profile.n_cols
-    side = np.concatenate([np.full(M, float(M)), np.full(N, float(N))])
-    scan = _mixing_scan(PS, side, t_N, gamma, delta, horizon, lazy=True)
-
-    # tail certificate via the reversible symmetrization D PS D^{-1}
-    dvec = np.sqrt(0.5 / side)
-    lam_star = _lambda_star(dvec[:, None] * PS / dvec[None, :], drop=2)  # the +-1 pair
-    certificate = "exhaustive"
-    horizon_limited = True
-    if lam_star is not None:
-        certificate = "spectral-gap"
-        amp = (1.0 + lam_star) * float(np.max(dvec) / np.min(dvec))
-        horizon_limited = not (lam_star < 1.0 and
-                               amp * lam_star ** (horizon + 1) <= delta / max(M, N))
-
-    return MixingReport(
-        t_N=t_N, gamma=gamma, delta=delta, horizon=horizon,
-        b2_pass=scan["b2_examined"] and not horizon_limited,
-        certificate=certificate, horizon_limited=horizon_limited, bipartite=True, **scan,
-    )
+    """check_mixing restricted to bipartite profiles: the two-sided chain on
+    [M] | [N], with short-time bounds gamma/M on [M] and gamma/N on [N]."""
+    if profile.kind != "bipartite":
+        raise ProfileError("bipartite chain needs a bipartite profile")
+    return _certify(profile, t_N, gamma, delta, horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -118,9 +118,8 @@ class BandDensity:
         r = np.sqrt(np.sum(x * x, axis=-1))
         return self._radial(r)
 
-    def is_even(self, rng=None):
-        rng = np.random.default_rng(0) if rng is None else rng
-        pts = rng.uniform(-3, 3, size=(64, self.d))
+    def is_even(self):
+        pts = np.random.default_rng(0).uniform(-3, 3, size=(64, self.d))
         return bool(np.max(np.abs(self(pts) - self(-pts))) < 1e-12)
 
     def mass(self, n_nodes=400):
@@ -287,7 +286,7 @@ class VarianceProfile:
             "metadata": dict(self.metadata),
         }
         if self.torus:
-            doc["metadata"]["torus"] = {k: v for k, v in self.torus.items() if k != "density_obj"}
+            doc["metadata"]["torus"] = dict(self.torus)
         if self.circulant_row is not None:
             doc["data"] = np.asarray(self.circulant_row).tolist()
         else:

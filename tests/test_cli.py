@@ -182,6 +182,11 @@ class TestCliEntry:
         doc = json.loads(out)
         assert "band" in doc
 
+    def test_threads_environment_variable_ignored(self, monkeypatch, capsys):
+        monkeypatch.setenv("IRMLAB_THREADS", "abc")
+        assert cli.main(["presets"]) == EXIT_PASS
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_cheb_orthogonality(self, capsys):
         assert cli.main(["cheb", "verify", "--suite", "orthogonality",
                          "--max", "20"]) == EXIT_PASS
@@ -235,6 +240,10 @@ class TestCliEntry:
           "--delta", "0.05", "--gamma", "-1"], "gamma must be finite and positive"),
         (["--profile-preset", "uniform", "--t", "1", "--horizon", "10",
           "--delta", "0.05", "--gamma", "0"], "gamma must be finite and positive"),
+        (["--profile-preset", "block", "--N", "63", "--t", "1", "--horizon", "10",
+          "--delta", "0.05"], "block preset needs even N"),
+        (["--profile-preset", "blockdiag", "--N", "63", "--t", "1", "--horizon", "10",
+          "--delta", "0.05"], "blockdiag preset needs even N"),
     ])
     def test_mixing_malformed_input_exit_64(self, args, message, capsys):
         code = cli.main(["mixing", "check", "--N", "16", "--gamma", "1.0"] + args)
@@ -431,6 +440,18 @@ MALFORMED = {
         {"scenario": "band", "params": {"N": 20, "density": 3}}), EXIT_USAGE),
     "config betas": (_run_config(
         {"scenario": "diagrams-exact", "params": {"betas": [1, 3]}}), EXIT_USAGE),
+    "config out number": (_run_config({"scenario": "mixing-audit", "out": 5}), EXIT_USAGE),
+    "config svg string": (_run_config({"scenario": "mixing-audit", "svg": "false"}),
+                          EXIT_USAGE),
+    "config csv number": (_run_config({"scenario": "mixing-audit", "csv": 1}), EXIT_USAGE),
+    "config threads string": (_run_config({"scenario": "mixing-audit", "threads": "lots"}),
+                              EXIT_USAGE),
+    "config threads zero": (_run_config({"scenario": "mixing-audit", "threads": 0}),
+                            EXIT_USAGE),
+    "config block odd N": (_run_config(
+        {"scenario": "mixing-audit", "params": {"preset": "block", "N": 63}}), EXIT_USAGE),
+    "config blockdiag odd N": (_run_config(
+        {"scenario": "mixing-audit", "params": {"preset": "blockdiag", "N": 63}}), EXIT_USAGE),
     "sample theta string": (_sample_spec(dict(GOOD, entry_law="theta_goe", theta="3")),
                             EXIT_USAGE),
     "spec theta string": (_spec(entry_law="theta_goe", theta="3"), ensembles.EnsembleError),

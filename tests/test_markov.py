@@ -186,6 +186,23 @@ class TestSharpTailBound:
             floor = defect + n * np.finfo(float).eps
             assert dev <= lam ** n * (1 - 1.0 / N) * (1 + 1e-9) + floor, n
 
+    @pytest.mark.parametrize("M, N, builder", [
+        (3, 6, "uniform"), (4, 8, "banded"), (3, 9, "banded"), (2, 4, "banded"),
+        (32, 64, "banded")])
+    def test_bipartite_bound_dominates_dense_powers(self, M, N, builder):
+        P = wishart_profile(M, N, builder=builder).bipartite_transition()
+        side = np.concatenate([np.full(M, M), np.full(N, N)])
+        s = max(M, N)
+        # lambda_* from the kernel itself: the largest |eigenvalue| past the +-1 pair
+        lam = float(np.sort(np.abs(np.linalg.eigvals(P)))[-3])
+        assert lam < 1.0
+        defect = float(np.max(np.abs(P.sum(axis=1) - 1.0)))
+        Pn = sequential_powers(P, 101)
+        for n in range(1, 101):
+            dev = float(np.max(np.abs(Pn[n - 1] + Pn[n] - 1.0 / side) * side))
+            floor = defect + n * np.finfo(float).eps
+            assert dev <= (1 + lam) * (1 - 1.0 / s) * lam ** n * s * (1 + 1e-9) + floor, n
+
     @pytest.mark.parametrize("d, L, W", [(1, 64, 8), (1, 512, 64), (2, 12, 3), (2, 16, 2)])
     def test_fourier_lambda_star_matches_eigvalsh(self, d, L, W):
         p = band_profile(d, L, W, "gaussian")
@@ -211,6 +228,22 @@ class TestBipartite:
         p = wishart_profile(2, 4, builder="banded")
         rep = bipartite_check_mixing(p, 10, 1.5, 0.05, 200)
         assert rep.passed, (rep.delta_observed, rep.gamma_observed)
+
+    def test_sharp_tail_closes_at_short_horizon(self):
+        # lambda_* = 0.45: (1 + lambda_*)(1 - 1/9) lambda_*^7 = 4.8e-3 <= 0.05/9
+        rep = bipartite_check_mixing(wishart_profile(3, 9, "banded"), 1, 3.0, 0.05, 6)
+        assert not rep.horizon_limited
+
+    @pytest.mark.parametrize("M, N, builder", [(3, 6, "uniform"), (3, 9, "banded")])
+    def test_check_mixing_takes_bipartite_profile(self, M, N, builder):
+        p = wishart_profile(M, N, builder=builder)
+        rep = check_mixing(p, 2, 1.5, 0.05, 20)
+        assert rep.bipartite
+        assert rep.to_json() == bipartite_check_mixing(p, 2, 1.5, 0.05, 20).to_json()
+
+    def test_square_profile_refused(self):
+        with pytest.raises(profiles.ProfileError):
+            bipartite_check_mixing(uniform_profile(4), 1, 1.0, 0.05, 8)
 
 
 class TestFourier:
