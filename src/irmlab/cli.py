@@ -150,6 +150,13 @@ def _range_check(scenario, p):
             need(type(val) is int, f"{key} must be an integer, not {val!r}")
         if type(preset[key]) is float:
             need(math.isfinite(val), f"{key} must be finite, not {val!r}")
+    if scenario == "diagrams-exact":
+        # the largest perimeters set the cost: refuse them before the smaller checks run
+        top = p["max_m"]
+        need(top < 64 and p["N"] ** max(top, 4) <= diagrams.MAX_WICK_TUPLES
+             and all(diagrams.gluing_count((m,), b, bool(p["spike"])) <= diagrams.MAX_GLUINGS
+                     for b in p["betas"] for m in (top - 1, top) if m > 0),
+             f"N = {p['N']} and max_m = {top} exceed the enumeration budget")
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +429,7 @@ def _write_samples_csv(path, samples):
 
 # malformed input: reported on stderr with exit code 64, never a traceback
 INVALID_INPUT = (ConfigError, profiles.ProfileError, ensembles.EnsembleError,
-                 edgestats.EdgeStatError, markov.MixingDomainError)
+                 edgestats.EdgeStatError, markov.MixingDomainError, diagrams.BudgetError)
 
 
 def _invalid(exc):
@@ -576,9 +583,26 @@ def _cmd_edge(args):
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 64; its own 2 means a failed check
+    here.  Subparsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def count(text):
+    """A count of at least 1: a count of 0 would make a verdict vacuous."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {n}")
+    return n
+
+
 def main(argv=None):
-    ap = argparse.ArgumentParser(prog="irmlab")
-    ap.add_argument("--threads", type=int, default=1,
+    ap = _Parser(prog="irmlab")
+    ap.add_argument("--threads", type=count, default=1,
                     help="accepted for interface compatibility; execution is "
                          "sequential and results do not depend on it")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -595,7 +619,7 @@ def main(argv=None):
     p_sample = sub.add_parser("sample", help="draw ensemble replicas")
     p_sample.set_defaults(func=_cmd_sample)
     p_sample.add_argument("--spec", required=True, help="EnsembleSpec JSON file")
-    p_sample.add_argument("--replicas", type=int, default=1)
+    p_sample.add_argument("--replicas", type=count, default=1)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--out", default=".")
     p_sample.add_argument("--eigs-only", action="store_true")
@@ -617,7 +641,7 @@ def main(argv=None):
     p_cheb.add_argument("action", choices=["verify"])
     p_cheb.add_argument("--suite", choices=["orthogonality", "product", "wishart-poly"],
                         required=True)
-    p_cheb.add_argument("--max", type=int, default=20)
+    p_cheb.add_argument("--max", type=count, default=20)
     p_cheb.add_argument("--seed", type=int, default=0)
 
     p_diag = sub.add_parser("diagrams", help="exact diagram-identity verification")
@@ -626,7 +650,7 @@ def main(argv=None):
     p_diag.add_argument("--s", type=int, default=1)
     p_diag.add_argument("--n", type=int, default=4)
     p_diag.add_argument("--N", type=int, default=3)
-    p_diag.add_argument("--beta", type=int, default=1)
+    p_diag.add_argument("--beta", type=int, choices=[1, 2], default=1)
     p_diag.add_argument("--spike", type=float, default=0.0)
 
     p_nb = sub.add_parser("nbpath", help="path-expansion verification")
@@ -635,7 +659,7 @@ def main(argv=None):
     p_nb.add_argument("--model", choices=["wigner", "wishart"], default="wigner")
     p_nb.add_argument("--n", type=int, default=6)
     p_nb.add_argument("--N", type=int, default=6)
-    p_nb.add_argument("--seeds", type=int, default=10)
+    p_nb.add_argument("--seeds", type=count, default=10)
 
     p_edge = sub.add_parser("edge", help="edge-statistics comparison")
     p_edge.set_defaults(func=_cmd_edge)

@@ -3,11 +3,15 @@
 Pipeline: polygons with marked first corners are glued along a pairing of
 their directed sides (opposite orientation only in the complex case beta=2,
 same or opposite in the real case beta=1); unglued sides are open edges
-carrying deformation powers.  The glued complex is reduced by collapsing
-pendant (Catalan-tree) edges and absorbing unmarked divalent vertices into
-edge weights; the reduced diagram is evaluated as a sum over vertex labelings
-of products of n-step transition probabilities (interior edges, weight w
-gives p_w) and deformation powers A^w (open edges).
+carrying deformation powers.  The glued complex is reduced in one pass over
+its face walks: pendant (Catalan-tree) edges are collapsed, then each walk
+is cut at its kept corners (degree >= 3, or marked).  A run of steps between
+two kept corners crosses one chain of edges through unmarked divalent
+vertices, which becomes one diagram edge: its weight is the run's length and
+it points from the run's first corner to its last.  The reduced diagram is
+evaluated as a sum over vertex labelings of products of n-step transition
+probabilities (interior edges, weight w gives p_w) and deformation powers
+A^w (open edges).
 
 Conventions that the exact tests pin down:
 
@@ -17,7 +21,8 @@ Conventions that the exact tests pin down:
   own perimeter; they are accounted by the binomial prefactors at lower
   perimeter (the half-binomial applies at l = 0);
 * mixed chains (interior + open through an unmarked divalent vertex) are
-  combinatorially impossible; the contraction asserts this.
+  combinatorially impossible; the contraction asserts this, and that every
+  run crosses a chain without repeating an edge.
 
 The Wick oracle computes the same mixed trace moments directly from scalar
 Gaussian entry moments over all index tuples and never touches the gluing
@@ -291,173 +296,79 @@ class ContractionInfo:
 def okounkov_contract(gc):
     """Reduce a glued complex to a diagram, recording edge weights.
 
-    Collapses pendant edges (moving marks to the attachment root), then
-    absorbs unmarked divalent vertices into weighted chains of same-kind
-    edges.  Returns (Diagram, ContractionInfo).
+    Collapses pendant edges (moving marks to the attachment root), then cuts
+    each face walk at its kept corners (degree >= 3, or marked).  A run of
+    steps between two kept corners traverses one chain of same-kind edges
+    through unmarked divalent vertices: the run's edge set is the chain, its
+    length the weight, its first and last corners the tail and head (an open
+    chain is traversed once, so it is oriented along its face).
+    Returns (Diagram, ContractionInfo).
     """
-    nE = gc.n_edges
-    nV = gc.n_vertices
-    alive = [True] * nE
     kind = [e[0] for e in gc.edges]
     ends = [(e[1], e[2]) for e in gc.edges]
-    deg = [0] * nV
-    for u, v in ends:
-        deg[u] += 1
-        deg[v] += 1
+    deg = gc.degrees()
+    alive = [True] * gc.n_edges
     marks = list(gc.marks)
-    tree_edge_face = {}
+    edge_of_step, corner = gc.edge_of_step, gc.vertex_of_corner
 
     # face lookup for a glued pair (pendants always live in a single face)
-    face_of_step = {}
+    faces_of_edge = [[] for _ in range(gc.n_edges)]
     for j, steps in enumerate(gc.face_steps):
         for s in steps:
-            face_of_step[s] = j
-    faces_of_edge = [[] for _ in range(nE)]
-    for s, e in gc.edge_of_step.items():
-        faces_of_edge[e].append(face_of_step[s])
+            faces_of_edge[edge_of_step[s]].append(j)
 
     had_tree = False
+    tree_steps = [0] * gc.n_faces
     changed = True
     while changed:
         changed = False
-        for ei in range(nE):
-            if not alive[ei]:
+        for ei, (u, v) in enumerate(ends):
+            if not alive[ei] or u == v or 1 not in (deg[u], deg[v]):
                 continue
-            u, v = ends[ei]
-            leaf = None
-            if deg[u] == 1 and u != v:
-                leaf, root = u, v
-            elif deg[v] == 1 and u != v:
-                leaf, root = v, u
-            if leaf is None:
-                continue
+            leaf, root = (u, v) if deg[u] == 1 else (v, u)
             if kind[ei] != "p":
                 raise GluingError("open pendant edge cannot occur")
             fs = faces_of_edge[ei]
             if len(set(fs)) != 1:
                 raise GluingError("pendant edge shared by two faces")
-            tree_edge_face[ei] = fs[0]
+            tree_steps[fs[0]] += 2
             alive[ei] = False
             deg[u] -= 1
             deg[v] -= 1
-            had_tree = True
-            changed = True
+            had_tree = changed = True
             marks = [root if m == leaf else m for m in marks]
 
-    live = [ei for ei in range(nE) if alive[ei]]
-    tree_steps = [0] * gc.n_faces
-    for ei, j in tree_edge_face.items():
-        tree_steps[j] += 2
-
-    # vertices that survive: any endpoint of a live edge
-    live_vs = set()
-    for ei in live:
-        live_vs.update(ends[ei])
-    marked_vs = {m for m in marks if m in live_vs}
-    keep = {v for v in live_vs if deg[v] >= 3 or v in marked_vs}
-
-    # chains through absorbed (unmarked divalent) vertices
-    incid = {v: [] for v in live_vs}
-    for ei in live:
-        u, v = ends[ei]
-        incid[u].append(ei)
-        incid[v].append(ei)
-    euf = _UF(nE)
-    for v in live_vs:
-        if v in keep:
-            continue
-        es = incid[v]
-        if len(es) != 2 or es[0] == es[1]:
-            raise GluingError("unexpected absorbed-vertex incidence")
-        if kind[es[0]] != kind[es[1]]:
-            raise GluingError("mixed-kind chain through a divalent vertex")
-        euf.union(es[0], es[1])
-
-    chains = {}
-    for ei in live:
-        chains.setdefault(euf.find(ei), []).append(ei)
-    chain_ids = {root: idx for idx, root in enumerate(sorted(chains))}
+    walks = [[s for s in steps if alive[edge_of_step[s]]] for steps in gc.face_steps]
+    keep = {corner[s] for walk in walks for s in walk
+            if deg[corner[s]] >= 3 or corner[s] in marks}
     vmap = {v: i for i, v in enumerate(sorted(keep))}
 
-    final_edges = []
-    chain_dir = {}
-    for root in sorted(chains):
-        eis = chains[root]
-        endl = []
-        for ei in eis:
-            u, v = ends[ei]
-            if u in keep:
-                endl.append(u)
-            if v in keep:
-                endl.append(v)
-        if not endl:
-            raise GluingError("floating chain without a kept vertex")
-        if len(endl) == 1:
-            endl = endl * 2
-        if len(endl) > 2:
-            raise GluingError("chain with more than two kept endpoints")
-        final_edges.append([kind[eis[0]], vmap[endl[0]], vmap[endl[1]], len(eis)])
-
-    # rebuild face boundaries: split surviving steps at kept corners
-    face_boundaries = []
-    for j, steps in enumerate(gc.face_steps):
-        surviving = [s for s in steps if alive[gc.edge_of_step[s]]]
-        if not surviving:
-            face_boundaries.append(())
-            continue
-        # rotate so the walk starts at a kept corner
-        start = None
-        for i, s in enumerate(surviving):
-            if gc.vertex_of_corner[s] in keep:
-                start = i
-                break
-        if start is None:
+    chain_of = {}                # edge set of a chain -> its index
+    edges, face_boundaries = [], []
+    for walk in walks:
+        cuts = [i for i, s in enumerate(walk) if corner[s] in keep]
+        if walk and not cuts:
             raise GluingError("face walk with no kept corner")
-        surviving = surviving[start:] + surviving[:start]
         boundary = []
-        run_chain = None
-        run_len = 0
-        for s in surviving:
-            c = chain_ids[euf.find(gc.edge_of_step[s])]
-            corner = gc.vertex_of_corner[s]
-            if corner in keep and run_len:
-                boundary.append(run_chain)
-                run_chain, run_len = None, 0
-            if run_chain is None:
-                run_chain = c
-            elif c != run_chain:
-                raise GluingError("face run crosses chains without a kept corner")
-            run_len += 1
-            # open chains are traversed once; record direction for A powers
-            if final_edges[c][0] == "a":
-                chain_dir.setdefault(c, (vmap.get(gc.vertex_of_corner[s], None)))
-        if run_len:
-            boundary.append(run_chain)
+        for a, b in zip(cuts, cuts[1:] + cuts[:1]):
+            run = [edge_of_step[s] for s in (walk[a:b] if a < b else walk[a:] + walk[:b])]
+            chain = frozenset(run)
+            if len(chain) < len(run) or len({kind[e] for e in run}) > 1:
+                raise GluingError("face run repeats an edge or mixes kinds")
+            if chain not in chain_of:
+                if any(not chain.isdisjoint(c) for c in chain_of):
+                    raise GluingError("face runs cut one chain differently")
+                chain_of[chain] = len(edges)
+                edges.append((kind[run[0]], vmap[corner[walk[a]]], vmap[corner[walk[b]]],
+                              len(run)))
+            boundary.append(chain_of[chain])
         face_boundaries.append(tuple(boundary))
 
-    # orient open chains along the traversal (first corner is the tail)
-    for c, tail in chain_dir.items():
-        k_, u, v, w = final_edges[c]
-        if tail is not None and v == tail and u != tail:
-            final_edges[c] = [k_, v, u, w]
-
-    final_marks = []
-    trivial = []
-    for j, m in enumerate(marks):
-        if gc.face_steps[j] and m in keep:
-            final_marks.append(vmap[m])
-        else:
-            final_marks.append(-1)
-            trivial.append(j)
-
-    diagram = Diagram(
-        n_vertices=len(keep),
-        edges=tuple(tuple(e) for e in final_edges),
-        face_boundaries=tuple(face_boundaries),
-        marks=tuple(final_marks),
-        trivial_faces=tuple(trivial),
-        beta=gc.gluing.beta,
-    )
+    diagram = Diagram(n_vertices=len(keep), edges=tuple(edges),
+                      face_boundaries=tuple(face_boundaries),
+                      marks=tuple(vmap.get(m, -1) for m in marks),
+                      trivial_faces=tuple(j for j, m in enumerate(marks) if m not in keep),
+                      beta=gc.gluing.beta)
     # per-face conservation: sum of traversed weights + 2 * (tree steps) = perimeter
     ok = all(sum(diagram.edges[c][3] for c in diagram.face_boundaries[j]) + tree_steps[j] == m
              for j, m in enumerate(gc.gluing.perimeters))
@@ -822,8 +733,6 @@ class MomentTable:
                 if min(gc.degrees()) < 2:
                     continue  # tree-containing gluing: counted at lower perimeter
                 diagram, info = okounkov_contract(gc)
-                if info.had_tree:
-                    continue
                 if not info.weight_check:
                     raise GluingError("weight conservation failed")
                 key = diagram.structure_key()

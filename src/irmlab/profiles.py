@@ -162,6 +162,8 @@ class VarianceProfile:
 
     def __init__(self, variances=None, kind="square", circulant_row=None, torus=None,
                  metadata=None):
+        if kind not in ("square", "bipartite"):
+            raise ProfileError(f"profile kind must be 'square' or 'bipartite', not {kind!r}")
         self.kind = kind
         self.torus = dict(torus) if torus else None
         self.metadata = dict(metadata or {})
@@ -169,6 +171,8 @@ class VarianceProfile:
         self.circulant_row = None
         if variances is not None:
             arr = np.array(variances, dtype=float)
+            if arr.ndim != 2:
+                raise ProfileError("dense variances must be a matrix")
             arr.setflags(write=False)
             self._dense = arr
         if circulant_row is not None:
@@ -295,14 +299,15 @@ class VarianceProfile:
 
     @classmethod
     def from_json(cls, doc):
-        storage = doc.get("storage", "dense")
+        """The profile a JSON document describes, validated: files are input."""
+        try:
+            kind, data = doc["kind"], np.array(doc["data"], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProfileError(f"profile needs a kind and numeric data: {exc!r}") from exc
         meta = dict(doc.get("metadata", {}))
         torus = meta.pop("torus", None)
-        if storage == "circulant":
-            return cls(circulant_row=np.array(doc["data"], dtype=float),
-                       kind=doc["kind"], torus=torus, metadata=meta)
-        return cls(variances=np.array(doc["data"], dtype=float), kind=doc["kind"],
-                   torus=torus, metadata=meta)
+        storage = "circulant_row" if doc.get("storage", "dense") == "circulant" else "variances"
+        return cls(kind=kind, torus=torus, metadata=meta, **{storage: data}).validate()
 
     def save(self, path):
         with open(path, "w") as fh:

@@ -452,6 +452,8 @@ MALFORMED = {
         {"scenario": "mixing-audit", "params": {"preset": "block", "N": 63}}), EXIT_USAGE),
     "config blockdiag odd N": (_run_config(
         {"scenario": "mixing-audit", "params": {"preset": "blockdiag", "N": 63}}), EXIT_USAGE),
+    "config diagrams over budget": (_run_config(
+        {"scenario": "diagrams-exact", "params": {"max_m": 15}}), EXIT_USAGE),
     "sample theta string": (_sample_spec(dict(GOOD, entry_law="theta_goe", theta="3")),
                             EXIT_USAGE),
     "spec theta string": (_spec(entry_law="theta_goe", theta="3"), ensembles.EnsembleError),
@@ -479,3 +481,77 @@ def test_malformed_input(case, tmp_path, capsys):
     else:
         with pytest.raises(expected):
             call(tmp_path)
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse refuses the command line
+        return exc.code
+
+
+# command lines argparse refuses, counts that would make a verdict vacuous and
+# diagram input over the enumeration budget: exit 64, never 2 (a failed check)
+USAGE_ERRORS = [
+    ["mixing", "check", "--profile-preset", "uniform"],
+    ["--threads", "abc", "presets"],
+    ["nosuch"],
+    ["--threads", "-3", "presets"],
+    ["nbpath", "verify", "--seeds", "0"],
+    ["cheb", "verify", "--suite", "orthogonality", "--max", "-1"],
+    ["cheb", "verify", "--suite", "wishart-poly", "--max", "0"],
+    ["sample", "--spec", "TMP/spec.json", "--replicas", "-2", "--out", "TMP/draws"],
+    ["diagrams", "verify", "--beta", "3"],
+    ["diagrams", "verify", "--n", "30"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_usage_error_exit_64(argv, tmp_path, capsys):
+    (tmp_path / "spec.json").write_text(json.dumps(GOOD))
+    assert _exit_code([a.replace("TMP", str(tmp_path)) for a in argv]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: " in err or err.startswith("invalid configuration:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "draws").exists()
+
+
+UNIFORM8 = np.full((8, 8), 1 / 8)
+NEGATIVE8 = UNIFORM8.copy()
+NEGATIVE8[0, 1] = NEGATIVE8[1, 0] = -0.1
+
+# profile files are validated when loaded, by every command that reads one
+BAD_PROFILES = {
+    "row sums 4": {"kind": "square", "data": np.full((8, 8), 0.5).tolist()},
+    "negative pair": {"kind": "square", "data": NEGATIVE8.tolist()},
+    "kind weird": {"kind": "weird", "data": UNIFORM8.tolist()},
+    "no kind": {"data": UNIFORM8.tolist()},
+}
+
+
+def _bad_profile_call(command, tmp_path, doc):
+    from irmlab.profiles import VarianceProfile
+    spec8 = ensembles.EnsembleSpec(profile=VarianceProfile(UNIFORM8)).to_json()
+    (tmp_path / "profile.json").write_text(json.dumps(doc))
+    (tmp_path / "spec.json").write_text(json.dumps(dict(spec8, profile=doc)))
+    (tmp_path / "good.json").write_text(json.dumps(spec8))
+    return {
+        "mixing": ["mixing", "check", "--profile", str(tmp_path / "profile.json"), "--t", "1",
+                   "--gamma", "1.0", "--delta", "0.05", "--horizon", "10"],
+        "sample": ["sample", "--spec", str(tmp_path / "spec.json"), "--eigs-only",
+                   "--out", str(tmp_path / "draws")],
+        "edge": ["edge", "compare", "--test", str(tmp_path / "spec.json"),
+                 "--baseline", str(tmp_path / "good.json"), "--k", "1", "--replicas", "100",
+                 "--out", str(tmp_path / "rep.json")],
+    }[command]
+
+
+# (an ensemble spec already refused a profile of another kind than its model's)
+@pytest.mark.parametrize("case, command", [
+    (case, command) for case in sorted(BAD_PROFILES) for command in ("mixing", "sample", "edge")
+    if case != "kind weird" or command == "mixing"])
+def test_malformed_profile_file_exit_64(case, command, tmp_path, capsys):
+    assert cli.main(_bad_profile_call(command, tmp_path, BAD_PROFILES[case])) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:") and "Traceback" not in err
+    assert not (tmp_path / "draws").exists() and not (tmp_path / "rep.json").exists()

@@ -119,6 +119,51 @@ class TestContract:
             for v in range(diagram.n_vertices):
                 assert deg[v] >= (2 if v in marked else 3)
 
+    @staticmethod
+    def _reduced(perimeters=((4,), (6,), (2, 2), (2, 4), (3, 3), (1, 3), (2, 2, 2))):
+        """Every reduced diagram of the perimeters, open edges allowed, beta 1 and 2,
+        skipping the gluings that collapse completely."""
+        for per in perimeters:
+            for beta in (1, 2):
+                for gl in enumerate_gluings(per, beta, allow_open=True):
+                    diagram, _ = okounkov_contract(glue(gl))
+                    if diagram.n_vertices:
+                        yield diagram
+
+    def test_reduced_diagram_count(self):
+        assert sum(1 for _ in self._reduced()) == 1711
+
+    def test_chains_traversed_twice_or_once(self):
+        # an interior chain borders two face sides, an open chain one
+        for diagram in self._reduced():
+            seen = [0] * len(diagram.edges)
+            for fb in diagram.face_boundaries:
+                for c in fb:
+                    seen[c] += 1
+            assert seen == [2 if kind == "p" else 1 for kind, *_ in diagram.edges]
+
+    def test_face_boundaries_are_closed_walks(self):
+        # open chains run tail to head; interior chains run either way
+        def walk_end(diagram, fb, start):
+            at = start
+            for c in fb:
+                kind, u, v, _ = diagram.edges[c]
+                if u == at:
+                    at = v
+                elif v == at and kind == "p":
+                    at = u
+                else:
+                    return None
+            return at
+
+        for diagram in self._reduced():
+            for fb in diagram.face_boundaries:
+                if not fb:
+                    continue
+                kind, u, v, _ = diagram.edges[fb[0]]
+                starts = (u,) if kind == "a" else (u, v)
+                assert any(walk_end(diagram, fb, s) == s for s in starts)
+
 
 class TestEnumeration:
     def test_pairing_counts_beta2(self):
