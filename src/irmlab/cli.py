@@ -123,6 +123,9 @@ def _range_check(scenario, p):
         need(p["replicas"] >= 100, "replicas must be >= 100")
     if "N" in p:
         need(p["N"] >= 2, "N must be >= 2")
+    for key in ("max_m", "n", "seeds", "wishart_n", "wishart_M"):
+        if key in p:
+            need(p[key] >= 1, f"{key} must be >= 1")  # a count of 0 would check nothing
     if scenario == "gw":
         need(0 < p["c"] <= 1 <= p["C"], "need 0 < c <= 1 <= C")
     if scenario == "sparse":
@@ -647,8 +650,8 @@ def main(argv=None):
     p_diag = sub.add_parser("diagrams", help="exact diagram-identity verification")
     p_diag.set_defaults(func=_cmd_diagrams)
     p_diag.add_argument("action", choices=["verify"])
-    p_diag.add_argument("--s", type=int, default=1)
-    p_diag.add_argument("--n", type=int, default=4)
+    p_diag.add_argument("--s", type=count, default=1)
+    p_diag.add_argument("--n", type=count, default=4)
     p_diag.add_argument("--N", type=int, default=3)
     p_diag.add_argument("--beta", type=int, choices=[1, 2], default=1)
     p_diag.add_argument("--spike", type=float, default=0.0)
@@ -657,7 +660,7 @@ def main(argv=None):
     p_nb.set_defaults(func=_cmd_nbpath)
     p_nb.add_argument("action", choices=["verify"])
     p_nb.add_argument("--model", choices=["wigner", "wishart"], default="wigner")
-    p_nb.add_argument("--n", type=int, default=6)
+    p_nb.add_argument("--n", type=count, default=6)
     p_nb.add_argument("--N", type=int, default=6)
     p_nb.add_argument("--seeds", type=count, default=10)
 

@@ -26,7 +26,10 @@ Conventions that the exact tests pin down:
 
 The Wick oracle computes the same mixed trace moments directly from scalar
 Gaussian entry moments over all index tuples and never touches the gluing
-machinery, so the two sides of each verified identity are independent.
+machinery, so the two sides of each verified identity are independent.  It
+sums the tuples in numpy blocks against one table of entry factors per call,
+in the scalar walk's order of operations, so it gives that walk's floats bit
+for bit (see `wick_moment`).
 """
 
 from __future__ import annotations
@@ -555,38 +558,28 @@ def b_prime(n):
 # Wick oracle
 # ---------------------------------------------------------------------------
 
-class _EntryMoments:
-    """Per unordered entry pair (x, y): exact moments of the (H + A) factors."""
+WICK_BLOCK = 1024               # index tuples per numpy block: bounds the oracle's memory
 
-    def __init__(self, P, A, beta):
-        self.P = P
-        self.A = A
-        self.beta = beta
-        self.cache = {}
 
-    def factor(self, x, y, c):
-        key = (x, y, c)
-        if key in self.cache:
-            return self.cache[key]
-        P, A, beta = self.P, self.A, self.beta
-        if beta == 1 or x == y:
-            var = P[x, y] * (2.0 if (x == y and beta == 1) else 1.0)
-            a = float(np.real(A[x, y]))
-            cc = c if isinstance(c, int) else c[0] + c[1]
-            val = 0.0
-            for t in range(0, cc + 1, 2):
-                val += math.comb(cc, t) * a ** (cc - t) * double_factorial(t - 1) * var ** (t / 2.0)
-        else:
-            u, v = c
-            var = P[x, y]
-            a = complex(A[x, y])
-            val = 0.0
-            for t in range(0, min(u, v) + 1):
-                val += (math.comb(u, t) * math.comb(v, t) * math.factorial(t)
-                        * var ** t * a ** (u - t) * np.conj(a) ** (v - t))
-            val = float(np.real(val))
-        self.cache[key] = val
+def _entry_factor(P, A, beta, x, y, c):
+    """E of the factors (H + A) on entry (x, y), x <= y: c is the count of
+    steps on a real or diagonal entry, and the pair (u, v) of steps x -> y
+    and y -> x on an off-diagonal entry at beta 2."""
+    if beta == 1 or x == y:
+        var = P[x, y] * (2.0 if (x == y and beta == 1) else 1.0)
+        a = float(np.real(A[x, y]))
+        val = 0.0
+        for t in range(0, c + 1, 2):
+            val += math.comb(c, t) * a ** (c - t) * double_factorial(t - 1) * var ** (t / 2.0)
         return val
+    u, v = c
+    var = P[x, y]
+    a = complex(A[x, y])
+    val = 0.0
+    for t in range(0, min(u, v) + 1):
+        val += (math.comb(u, t) * math.comb(v, t) * math.factorial(t)
+                * var ** t * a ** (u - t) * np.conj(a) ** (v - t))
+    return float(np.real(val))
 
 
 def wick_moment(m_list, profile, A=None, beta=1):
@@ -595,6 +588,13 @@ def wick_moment(m_list, profile, A=None, beta=1):
     Direct sum over all index tuples; the Gaussian expectation of each tuple
     factorizes over distinct entries into scalar moments ((t-1)!! real
     pairs, t! circular complex pairs).  Independent of the gluing pipeline.
+
+    The tuples are summed in numpy blocks of WICK_BLOCK, in lexicographic
+    order of (face 0's indices, face 1's indices, ...).  Each tuple's product
+    takes the entry factors in the order the entries first occur along the
+    face walks, and the tuple values are added one after another, so the
+    float is the same, bit for bit, as that of the scalar walk over the
+    tuples with a dict of entry counts (kept as the reference in the tests).
     """
     P = np.asarray(profile.variances if hasattr(profile, "variances") else profile, dtype=float)
     N = P.shape[0]
@@ -607,57 +607,41 @@ def wick_moment(m_list, profile, A=None, beta=1):
     if not m_list:
         return float(N ** zeros)
     Amat = np.zeros_like(P) if A is None else np.asarray(A)
-    moments = _EntryMoments(P, Amat, beta)
-    total = 0.0
-    counts = {}
-
-    def add_step(x, y, sgn):
-        key = (min(x, y), max(x, y))
-        if beta == 1 or x == y:
-            counts[key] = counts.get(key, 0) + sgn
-            if counts[key] == 0:
-                del counts[key]
-        else:
-            u, v = counts.get(key, (0, 0))
-            if x < y:
-                u += sgn
+    # factor table: row x N + y for the entry x <= y, column the count code
+    # (a code is at most k for a real or diagonal entry, u (k+1) + v otherwise);
+    # when every face has perimeter 1 every step is diagonal: only those rows are filled
+    complex_codes = [(u, c - u) for c in range(1, k + 1) for u in range(c + 1)]
+    table = np.zeros((N * N, (k + 1) ** 2 if beta == 2 else k + 1))
+    for x in range(N):
+        for y in range(x, N if max(m_list) > 1 else x + 1):
+            if beta == 1 or x == y:
+                for c in range(1, k + 1):
+                    table[x * N + y, c] = _entry_factor(P, Amat, beta, x, y, c)
             else:
-                v += sgn
-            if u == 0 and v == 0:
-                counts.pop(key, None)
-            else:
-                counts[key] = (u, v)
-
-    def leaf_value():
-        val = 1.0
-        for (x, y), c in counts.items():
-            val *= moments.factor(x, y, c)
-            if val == 0.0:
-                return 0.0
-        return val
-
-    def rec_face(f_idx, pos, xs):
-        nonlocal total
-        m = m_list[f_idx]
-        if pos == m:
-            add_step(xs[-1], xs[0], +1)
-            if f_idx + 1 == len(m_list):
-                total += leaf_value()
-            else:
-                rec_face(f_idx + 1, 0, [])
-            add_step(xs[-1], xs[0], -1)
-            return
-        for x in range(N):
-            if pos > 0:
-                add_step(xs[-1], x, +1)
-            xs.append(x)
-            rec_face(f_idx, pos + 1, xs)
-            xs.pop()
-            if pos > 0:
-                add_step(xs[-1] if xs else 0, x, -1)
-
-    rec_face(0, 0, [])
-    return total * (N ** zeros)
+                for u, v in complex_codes:
+                    table[x * N + y, u * (k + 1) + v] = _entry_factor(P, Amat, beta, x, y, (u, v))
+    # step s of the face walks goes from index s to index nxt[s] of the tuple
+    nxt, start = [], 0
+    for m in m_list:
+        nxt += list(range(start + 1, start + m)) + [start]
+        start += m
+    total = np.zeros(1)
+    for lo in range(0, N ** k, WICK_BLOCK):
+        xs = np.stack(np.unravel_index(np.arange(lo, min(lo + WICK_BLOCK, N ** k)), (N,) * k),
+                      axis=1)
+        ys = xs[:, nxt]
+        key = np.minimum(xs, ys) * N + np.maximum(xs, ys)
+        same = key[:, :, None] == key[:, None, :]        # [tuple, s, t]: steps s, t on one entry
+        # a step adds 1 to its entry's code, or k + 1 at beta 2 when it runs x -> y, x < y
+        step = 1 + k * (xs < ys) if beta == 2 else np.ones_like(xs)
+        code = np.einsum("bst,bt->bs", same, step)
+        first = same.argmax(axis=2) == np.arange(k)      # no earlier step on the entry
+        leaf = np.ones(len(xs))
+        for s in range(k):
+            leaf *= np.where(first[:, s], table[key[:, s], code[:, s]], 1.0)
+        # a sequential running sum, as the scalar walk adds: np.sum would pair terms
+        total = np.add.accumulate(np.concatenate((total[-1:], leaf)))
+    return float(total[-1]) * (N ** zeros)
 
 
 

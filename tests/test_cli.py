@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -181,6 +183,15 @@ class TestCliEntry:
         out = capsys.readouterr().out
         doc = json.loads(out)
         assert "band" in doc
+
+    def test_python_m_irmlab(self):
+        # a checkout run without installing: only the source directory on the path
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        done = subprocess.run([sys.executable, "-m", "irmlab", "presets"],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == EXIT_PASS, done.stderr
+        assert "band" in json.loads(done.stdout)
 
     def test_threads_environment_variable_ignored(self, monkeypatch, capsys):
         monkeypatch.setenv("IRMLAB_THREADS", "abc")
@@ -454,6 +465,18 @@ MALFORMED = {
         {"scenario": "mixing-audit", "params": {"preset": "blockdiag", "N": 63}}), EXIT_USAGE),
     "config diagrams over budget": (_run_config(
         {"scenario": "diagrams-exact", "params": {"max_m": 15}}), EXIT_USAGE),
+    "config max_m zero": (_run_config(
+        {"scenario": "diagrams-exact", "params": {"max_m": 0}}), EXIT_USAGE),
+    "config max_m negative": (_run_config(
+        {"scenario": "diagrams-exact", "params": {"max_m": -3}}), EXIT_USAGE),
+    "config nbpath seeds zero": (_run_config(
+        {"scenario": "nbpath-exact", "params": {"seeds": 0}}), EXIT_USAGE),
+    "config nbpath n zero": (_run_config(
+        {"scenario": "nbpath-exact", "params": {"n": 0}}), EXIT_USAGE),
+    "config nbpath wishart_n negative": (_run_config(
+        {"scenario": "nbpath-exact", "params": {"wishart_n": -1}}), EXIT_USAGE),
+    "config nbpath wishart_M zero": (_run_config(
+        {"scenario": "nbpath-exact", "params": {"wishart_M": 0}}), EXIT_USAGE),
     "sample theta string": (_sample_spec(dict(GOOD, entry_law="theta_goe", theta="3")),
                             EXIT_USAGE),
     "spec theta string": (_spec(entry_law="theta_goe", theta="3"), ensembles.EnsembleError),
@@ -503,6 +526,10 @@ USAGE_ERRORS = [
     ["sample", "--spec", "TMP/spec.json", "--replicas", "-2", "--out", "TMP/draws"],
     ["diagrams", "verify", "--beta", "3"],
     ["diagrams", "verify", "--n", "30"],
+    ["diagrams", "verify", "--n", "-2"],
+    ["diagrams", "verify", "--s", "0"],
+    ["nbpath", "verify", "--n", "0"],
+    ["nbpath", "verify", "--n", "-1"],
 ]
 
 

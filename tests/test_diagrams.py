@@ -287,6 +287,55 @@ class TestWickOracle:
         with pytest.raises(BudgetError):
             wick_moment([12], uniform_profile(5), None, 1)
 
+    @staticmethod
+    def reference(m_list, prof, A, beta):
+        """Scalar walk over the index tuples in lexicographic order: the entry
+        counts of a tuple in a dict (first-occurrence order), their factors
+        multiplied in that order, the tuple values added one after another."""
+        P = prof.variances
+        N, A = P.shape[0], np.zeros_like(P) if A is None else A
+        ms = [m for m in m_list if m > 0]
+        total = 0.0
+        for xs in itertools.product(range(N), repeat=sum(ms)):
+            counts, start = {}, 0
+            for m in ms:
+                face, start = xs[start:start + m], start + m
+                for x, y in zip(face, face[1:] + face[:1]):
+                    key = (min(x, y), max(x, y))
+                    if beta == 1 or x == y:
+                        counts[key] = counts.get(key, 0) + 1
+                    else:
+                        u, v = counts.get(key, (0, 0))
+                        counts[key] = (u + (x < y), v + (x > y))
+            val = 1.0
+            for (x, y), c in counts.items():
+                val *= dg._entry_factor(P, A, beta, x, y, c)
+            total += val
+        return total * N ** (len(m_list) - len(ms))
+
+    @staticmethod
+    def deformations(N):
+        rng = np.random.default_rng(N)
+        R = rng.standard_normal((N, N))
+        C = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        return [None, spike(N, 1.1), R + R.T, C + C.conj().T]
+
+    @pytest.mark.parametrize("beta", [1, 2])
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_bits_match_scalar_reference(self, N, beta):
+        prof = nonuniform_profile(N, seed=N)
+        for A in self.deformations(N):
+            for ms in ([1], [2], [3], [4], [5], [6], [2, 2], [1, 2], [0, 3], [2, 0, 2]):
+                assert wick_moment(ms, prof, A, beta) == self.reference(ms, prof, A, beta)
+
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_bits_match_over_several_blocks(self, beta):
+        # 3^7 = 2187 tuples: more than two blocks, the last one partial
+        assert 3 ** 7 > 2 * dg.WICK_BLOCK and 3 ** 7 % dg.WICK_BLOCK
+        prof = nonuniform_profile(3, seed=5)
+        for A in self.deformations(3):
+            assert wick_moment([7], prof, A, beta) == self.reference([7], prof, A, beta)
+
 
 class TestRibbonExpansion:
     @pytest.mark.parametrize("beta", [1, 2])
