@@ -126,6 +126,12 @@ def _range_check(scenario, p):
     for key in ("max_m", "n", "seeds", "wishart_n", "wishart_M"):
         if key in p:
             need(p[key] >= 1, f"{key} must be >= 1")  # a count of 0 would check nothing
+    if "k" in p:
+        # k coordinates of a spectrum of size M (Wishart), D*M (block) or N
+        size = p["M"] if scenario == "wishart" else p["D"] * p["M"] if "D" in p else p["N"]
+        need(1 <= p["k"] <= size, f"need 1 <= k <= {size} (the matrix size)")
+    if "level" in p:
+        need(0 < p["level"] < 1, "level must lie in (0, 1)")
     if scenario == "gw":
         need(0 < p["c"] <= 1 <= p["C"], "need 0 < c <= 1 <= C")
     if scenario == "sparse":

@@ -6,7 +6,12 @@ intervals, and the 2-lift spectrum-split check.
 The baseline philosophy: universality statements are tested against a
 same-N GOE/GUE Monte Carlo sample rather than tabulated limiting quantiles,
 which removes finite-size-correction confounds.  Rejection level defaults
-to 0.01 with a Bonferroni split across the k tested coordinates.
+to 0.01 with a Bonferroni split across the k tested coordinates.  A plain
+Gaussian spec (GOE/GUE, possibly with a rank-one coordinate spike) is
+sampled from its tridiagonal model, whose top k eigenvalues come from Sturm
+multisection, so each baseline replica costs O(N) memory, not a dense N x N
+draw and eigensolve.  Dense draws are solved per connected block of their
+support.
 
 Limitation: the same-size baseline removes GOE's own finite-size
 corrections, not those of the test profile.  With real entries a square
@@ -22,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -59,13 +65,117 @@ def spectrum(X, check_residual=False):
 
 
 def top_eigenvalues(spec, k, replicas):
-    """k largest eigenvalues per replica, shape (replicas, k)."""
+    """k largest eigenvalues per replica, descending, shape (replicas, k).
+
+    A plain Gaussian spec (ensembles.has_tridiagonal_model) draws its
+    tridiagonal model and finds the top k by Sturm multisection.  Any other
+    spec draws dense matrices and solves each connected block of their
+    support on its own; sampler output is exactly Hermitian, so it skips
+    spectrum's check.
+    """
+    if ensembles.has_tridiagonal_model(spec):
+        return tridiagonal_top(*ensembles.sample_tridiagonal(spec, replicas), k)
+    blocks = support_blocks(spec)
     out = np.empty((replicas, k))
     for r in range(replicas):
         X = ensembles.sample(spec, replica=r)
-        lam = spectrum(X)
-        out[r] = lam[:k]
+        if len(blocks) == 1:
+            lam = np.linalg.eigvalsh(X)
+        else:
+            lam = np.sort(np.concatenate([np.linalg.eigvalsh(X[np.ix_(c, c)]) for c in blocks]))
+        out[r] = lam[::-1][:k]
     return out
+
+
+def support_blocks(spec):
+    """Index arrays of the connected components of the graph on which a draw
+    of spec can be nonzero: the support of the profile plus the deformation,
+    and for Wishart X = (H + A)(H + A)^* rows that share a column."""
+    if spec.model == "wigner":
+        A = ensembles.deformation_matrix(spec.deformation, spec.N, spec.beta, spec.seed)
+    else:
+        A = ensembles.wishart_deformation_matrix(
+            spec.deformation, spec.profile.n_rows, spec.N, spec.beta, spec.seed)
+    S = spec.profile.variances != 0
+    if A is not None:
+        S |= A != 0
+    G = S if spec.model == "wigner" else S @ S.T
+    blocks, seen = [], np.zeros(len(G), dtype=bool)
+    for start in range(len(G)):
+        if seen[start]:
+            continue
+        comp = np.zeros(len(G), dtype=bool)
+        comp[start] = True
+        front = comp
+        while front.any():
+            front = G[front].any(axis=0) & ~comp
+            comp |= front
+        seen |= comp
+        blocks.append(np.flatnonzero(comp))
+    return blocks
+
+
+STURM_POINTS = 15   # interior points per bracket and pass: a pass cuts it 16-fold
+
+
+def tridiagonal_top(a, b, k):
+    """k largest eigenvalues, descending, of each real symmetric tridiagonal
+    matrix with diagonal a[r] and off-diagonal b[r]; shapes (R, n), (R, n-1)
+    give (R, k).
+
+    Sturm multisection, vectorized over replicas and targets: each bracket
+    starts at the Gershgorin interval, and each pass counts the eigenvalues
+    below STURM_POINTS points per bracket in one sweep of the LDL^T pivot
+    recurrence, then keeps the sub-interval holding its target.  Passes end
+    when one moves no bracket, each then an ulp or two wide.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    R, n = a.shape
+    if b.shape != (R, n - 1) or not 1 <= k <= n:
+        raise EdgeStatError(f"need diagonals (R, n), (R, n-1) and 1 <= k <= n, "
+                            f"not {a.shape}, {b.shape} and k = {k}")
+    radius = np.zeros_like(a)
+    radius[:, :-1] += np.abs(b)
+    radius[:, 1:] += np.abs(b)
+    lo, hi = (a - radius).min(axis=1), (a + radius).max(axis=1)
+    pad = 2 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi)) + np.finfo(float).tiny
+    lo = np.repeat((lo - pad)[:, None], k, axis=1)
+    hi = np.repeat((hi + pad)[:, None], k, axis=1)
+    below = n - 1 - np.arange(k)[:, None]        # target j: count(x) <= n-1-j iff x <= lambda_j
+    t = np.arange(1, STURM_POINTS + 1) / (STURM_POINTS + 1)
+    diag = np.ascontiguousarray(a.T)[:, :, None]
+    # a zero off-diagonal would make 0/0 at a zero pivot; tiny keeps it +-inf
+    offsq = np.maximum(np.ascontiguousarray(b.T) ** 2, np.finfo(float).tiny)[:, :, None]
+    while True:
+        x = lo[..., None] + (hi - lo)[..., None] * t
+        counts = _sturm_counts(diag, offsq, x.reshape(R, -1)).reshape(x.shape)
+        m = np.sum(counts <= below, axis=-1)[..., None]
+        grid = np.concatenate([lo[..., None], x, hi[..., None]], axis=-1)
+        new_lo = np.take_along_axis(grid, m, axis=-1)[..., 0]
+        new_hi = np.take_along_axis(grid, m + 1, axis=-1)[..., 0]
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
+    return 0.5 * (lo + hi)
+
+
+def _sturm_counts(diag, offsq, x):
+    """Eigenvalues below x[r, j] of tridiagonal matrix r: the number of
+    negative pivots d_i = a_i - x - b_(i-1)^2 / d_(i-1).  Counting sign bits
+    keeps a zero pivot right: +0 gives a next pivot of -inf, -0 one of +inf,
+    as in the limits from either side."""
+    d = diag[0] - x
+    count = np.signbit(d).astype(np.int32)
+    q = np.empty_like(d)
+    neg = np.empty(d.shape, dtype=bool)
+    with np.errstate(divide="ignore", over="ignore"):
+        for i in range(1, len(diag)):
+            np.divide(offsq[i - 1], d, out=q)
+            np.subtract(diag[i], x, out=d)
+            d -= q
+            count += np.signbit(d, out=neg)
+    return count
 
 
 def rescale_edge(samples, N, model="wigner", alpha=1.0):
@@ -172,6 +282,12 @@ def universality_test(test_spec, baseline_spec, k=2, replicas=1000, seed=0,
     """
     if replicas < 100:
         raise EdgeStatError("refusing to run with fewer than 100 replicas (power)")
+    n = test_spec.profile.n_rows
+    if n < 2 or not (isinstance(k, numbers.Integral) and 1 <= k <= n):
+        raise EdgeStatError(f"need 1 <= k <= n and n >= 2 for the gap, where n = {n} "
+                            f"is the matrix size, not k = {k}")
+    if not 0 < level < 1:
+        raise EdgeStatError(f"level must lie in (0, 1), not {level}")
     shapes = [(s.model, s.profile.n_rows, s.profile.n_cols) for s in (test_spec, baseline_spec)]
     if shapes[0] != shapes[1]:
         raise EdgeStatError(f"test {shapes[0]} and baseline {shapes[1]} must share "
@@ -249,8 +365,8 @@ def tail_estimate(spec, x_grid, replicas=2000, seed=0):
     N = run.profile.n_rows
     norms = np.empty(replicas)
     for r in range(replicas):
-        lam = spectrum(ensembles.sample(run, replica=r))
-        norms[r] = max(abs(lam[0]), abs(lam[-1])) / 2.0
+        lam = np.linalg.eigvalsh(ensembles.sample(run, replica=r))
+        norms[r] = max(abs(lam[-1]), abs(lam[0])) / 2.0
     rows = []
     for x in x_grid:
         thr = 1.0 + x * N ** (-2.0 / 3.0)

@@ -341,6 +341,40 @@ def sample(spec, replica=0):
     return 0.5 * (X + X.conj().T)
 
 
+def has_tridiagonal_model(spec):
+    """True for a plain Gaussian Wigner spec: Gaussian entries, every profile
+    entry exactly 1/N, and no deformation or a rank-one coordinate one.  Its
+    eigenvalues have the law of the tridiagonal model (sample_tridiagonal)."""
+    d = spec.deformation
+    return (spec.model == "wigner" and spec.entry_law == "gaussian"
+            and (d is None or d.rank == 0 or (d.rank == 1 and d.basis == "coordinate"))
+            and bool(np.all(spec.profile.variances == 1.0 / spec.N)))
+
+
+def sample_tridiagonal(spec, replicas):
+    """Diagonal a and off-diagonal b, shapes (replicas, N) and (replicas, N-1),
+    of the Dumitriu-Edelman tridiagonal beta-Hermite model of a plain Gaussian
+    spec (J. Math. Phys. 43, 2002): a ~ N(0, 2/beta) and b_i ~ chi_{beta i}/sqrt(beta)
+    for i = N-1, ..., 1, both over sqrt(N).  The Householder tridiagonalization
+    of a spec's dense draw has this law, and it fixes the first coordinate, so
+    a rank-one coordinate spike adds its eigenvalue to a[0] (Bloemendal-Virag,
+    PTRF 2013).  Replica r draws from stream (seed, r, 2), a block the dense
+    samplers do not use."""
+    _require(has_tridiagonal_model(spec), "the tridiagonal model needs a plain Gaussian spec")
+    N, beta = spec.N, spec.beta
+    df = beta * np.arange(N - 1, 0, -1)
+    a, b = np.empty((replicas, N)), np.empty((replicas, N - 1))
+    for r in range(replicas):
+        rng = rng_for(spec.seed, r, 2)
+        a[r] = rng.standard_normal(N) * math.sqrt(2.0 / beta)
+        b[r] = np.sqrt(rng.chisquare(df) / beta)
+    a /= math.sqrt(N)
+    b /= math.sqrt(N)
+    if spec.deformation is not None and spec.deformation.rank:
+        a[:, 0] += spec.deformation.eigenvalues(N)[0]
+    return a, b
+
+
 def goe_reference_spec(N, beta=1, deformation=None, seed=0):
     """Same-size GOE/GUE baseline (uniform profile, Gaussian entries)."""
     return EnsembleSpec(beta=beta, entry_law="gaussian",

@@ -433,6 +433,17 @@ def _spec(**kw):
 
 GOE8 = ensembles.goe_reference_spec(8)
 
+
+def _edge_compare(k):
+    def call(tmp_path):
+        for name in ("t.json", "b.json"):
+            (tmp_path / name).write_text(json.dumps(GOOD))
+        (tmp_path / "out").mkdir()
+        return cli.main(["edge", "compare", "--test", str(tmp_path / "t.json"),
+                         "--baseline", str(tmp_path / "b.json"), "--k", str(k),
+                         "--replicas", "100", "--out", str(tmp_path / "out" / "report.json")])
+    return call
+
 # each row: (input, exception type it raises or EXIT_USAGE)
 MALFORMED = {
     "config replicas string": (_run_config(
@@ -490,6 +501,38 @@ MALFORMED = {
                       edgestats.EdgeStatError),
     "tail zero replicas": (lambda tmp_path: edgestats.tail_estimate(GOE8, [0.5], replicas=0),
                            edgestats.EdgeStatError),
+    # an edge test needs 1 <= k <= N coordinates and a level in (0, 1)
+    "config k zero": (_run_config({"scenario": "goe-baseline", "params": {"k": 0}}),
+                      EXIT_USAGE),
+    "config k negative": (_run_config({"scenario": "sparse", "params": {"k": -1}}),
+                          EXIT_USAGE),
+    "config k over N": (_run_config(
+        {"scenario": "goe-baseline", "params": {"N": 20, "k": 21}}), EXIT_USAGE),
+    "config k over block size": (_run_config(
+        {"scenario": "block", "params": {"D": 2, "M": 5, "k": 11}}), EXIT_USAGE),
+    "config k over wishart M": (_run_config(
+        {"scenario": "wishart", "params": {"M": 10, "N": 20, "k": 11}}), EXIT_USAGE),
+    "config level zero": (_run_config({"scenario": "gw", "params": {"level": 0.0}}),
+                          EXIT_USAGE),
+    "config level negative": (_run_config(
+        {"scenario": "counterexample-blockdiag", "params": {"level": -0.01}}), EXIT_USAGE),
+    "config level one": (_run_config({"scenario": "heavy", "params": {"level": 1.0}}),
+                         EXIT_USAGE),
+    "edge compare k zero": (_edge_compare(0), EXIT_USAGE),
+    "edge compare k over N": (_edge_compare(31), EXIT_USAGE),
+    "universality k zero": (lambda tmp_path: edgestats.universality_test(GOE8, GOE8, k=0,
+                                                                         replicas=100),
+                            edgestats.EdgeStatError),
+    "universality k negative": (lambda tmp_path: edgestats.universality_test(
+        GOE8, GOE8, k=-1, replicas=100), edgestats.EdgeStatError),
+    "universality k over N": (lambda tmp_path: edgestats.universality_test(
+        GOE8, GOE8, k=9, replicas=100), edgestats.EdgeStatError),
+    "universality k float": (lambda tmp_path: edgestats.universality_test(
+        GOE8, GOE8, k=1.5, replicas=100), edgestats.EdgeStatError),
+    "universality level zero": (lambda tmp_path: edgestats.universality_test(
+        GOE8, GOE8, replicas=100, level=0.0), edgestats.EdgeStatError),
+    "universality level one": (lambda tmp_path: edgestats.universality_test(
+        GOE8, GOE8, replicas=100, level=1.0), edgestats.EdgeStatError),
 }
 
 

@@ -42,6 +42,89 @@ class TestSpectrum:
             spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _tridiagonal_eigs(a, b):
+    return np.linalg.eigvalsh(np.diag(a) + np.diag(b, 1) + np.diag(b, -1))[::-1]
+
+
+def _dense_top(spec, k, replicas):
+    return np.array([np.linalg.eigvalsh(ensembles.sample(spec, r))[::-1][:k]
+                     for r in range(replicas)])
+
+
+SPIKE = ensembles.Deformation(taus=(0.5,))
+
+
+class TestTridiagonalTop:
+    def _cases(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 3, 17, 60):
+            yield rng.standard_normal((4, n)), rng.standard_normal((4, n - 1))
+        a, b = rng.standard_normal((3, 30)), rng.standard_normal((3, 29))
+        b[:, [0, 14, 28]] = 0.0                        # splits, one at each end
+        yield a, b
+        yield np.ones((2, 12)), np.zeros((2, 11))      # one eigenvalue 12 times
+        block = np.tile([0.3, -0.2, 0.5], 4)           # four equal blocks: triples
+        yield np.tile(block, (2, 1)), np.tile(np.tile([0.7, 1.1, 0.0], 4)[:-1], (2, 1))
+        for beta in (1, 2):
+            for deformation in (None, SPIKE):
+                spec = ensembles.goe_reference_spec(40, beta, deformation, seed=beta)
+                yield ensembles.sample_tridiagonal(spec, 5)
+
+    def test_matches_eigvalsh(self):
+        for a, b in self._cases():
+            n = a.shape[1]
+            for k in {1, min(3, n), n}:
+                top = edgestats.tridiagonal_top(a, b, k)
+                ref = np.array([_tridiagonal_eigs(ar, br)[:k] for ar, br in zip(a, b)])
+                assert np.max(np.abs(top - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_k_outside_the_matrix_refused(self, k):
+        with pytest.raises(EdgeStatError):
+            edgestats.tridiagonal_top(np.zeros((1, 3)), np.zeros((1, 2)), k)
+
+    @pytest.mark.parametrize("beta", [1, 2])
+    @pytest.mark.parametrize("deformation", [None, SPIKE])
+    def test_same_law_as_dense(self, beta, deformation):
+        # the tridiagonal draw (stream block 2) against dense draws (block 0)
+        # of the same spec: 1000 replicas at N = 50, each of 8 p-values > 1e-3
+        spec = ensembles.goe_reference_spec(50, beta, deformation)
+        assert ensembles.has_tridiagonal_model(spec)
+        tri, dense = edgestats.top_eigenvalues(spec, 2, 1000), _dense_top(spec, 2, 1000)
+        for i in range(2):
+            assert ks_2sample(tri[:, i], dense[:, i])[1] > 1e-3
+
+    @pytest.mark.parametrize("spec", [
+        ensembles.EnsembleSpec(profile=block_wegner_profile(2, 10, 0.4)),
+        ensembles.EnsembleSpec(entry_law="theta_goe", theta=2.0, profile=uniform_profile(20)),
+        ensembles.goe_reference_spec(20, deformation=ensembles.Deformation(taus=(0.5, 1.0))),
+        ensembles.goe_reference_spec(20, 2, ensembles.Deformation(taus=(0.5,), basis="random")),
+        ensembles.EnsembleSpec(model="wishart", profile=wishart_profile(15, 20)),
+    ])
+    def test_other_specs_stay_dense(self, spec):
+        assert np.array_equal(edgestats.top_eigenvalues(spec, 3, 4), _dense_top(spec, 3, 4))
+
+    @pytest.mark.parametrize("spec, sizes", [
+        (ensembles.EnsembleSpec(profile=block_wegner_profile(2, 10, 0.0)), [10, 10]),
+        (ensembles.EnsembleSpec(profile=block_wegner_profile(3, 4, 0.0), beta=2,
+                                deformation=ensembles.Deformation(taus=(0.5,), bulk=(0.2,))),
+         [4, 4, 4]),
+        (ensembles.EnsembleSpec(profile=block_wegner_profile(2, 10, 0.0),
+                                deformation=ensembles.Deformation(taus=(0.5,), basis="random")),
+         [20]),
+        (ensembles.EnsembleSpec(profile=block_wegner_profile(2, 10, 0.4)), [20]),
+        (ensembles.EnsembleSpec(model="wishart", profile=profiles.VarianceProfile(
+            np.kron(np.eye(2), np.full((3, 5), 0.2)), kind="bipartite")), [3, 3]),
+    ])
+    def test_reducible_profiles_split(self, spec, sizes):
+        blocks = edgestats.support_blocks(spec)
+        assert [len(c) for c in blocks] == sizes
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(sum(sizes)))
+        k = sum(sizes)
+        top, dense = edgestats.top_eigenvalues(spec, k, 3), _dense_top(spec, k, 3)
+        assert np.max(np.abs(top - dense)) <= 1e-12
+
+
 class TestRescale:
     def test_affine_order_preserving(self):
         lam = np.array([[2.1, 2.0], [1.9, 1.8]])

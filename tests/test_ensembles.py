@@ -332,6 +332,41 @@ class TestEnsembleTable:
             Deformation(taus=(1.0,), basis="Random")
 
 
+SPIKE = Deformation(taus=(0.5,))
+
+
+class TestTridiagonalModel:
+    @pytest.mark.parametrize("beta, digest", [(1, "7700b034ce425529"), (2, "786fe5d947e205e6")])
+    def test_stream_guard(self, beta, digest):
+        spec = ensembles.goe_reference_spec(7, beta=beta, deformation=SPIKE, seed=11)
+        a, b = ensembles.sample_tridiagonal(spec, 3)
+        assert hashlib.sha256(a[2].tobytes() + b[2].tobytes()).hexdigest()[:16] == digest
+
+    def test_spike_shifts_first_diagonal_entry(self):
+        plain = ensembles.goe_reference_spec(9, beta=2, seed=4)
+        spiked = ensembles.goe_reference_spec(9, beta=2, deformation=SPIKE, seed=4)
+        (a0, b0), (a1, b1) = (ensembles.sample_tridiagonal(s, 5) for s in (plain, spiked))
+        assert np.array_equal(b0, b1) and np.array_equal(a0[:, 1:], a1[:, 1:])
+        assert np.array_equal(a1[:, 0], a0[:, 0] + SPIKE.eigenvalues(9)[0])
+
+    @pytest.mark.parametrize("spec, plain", [
+        (ensembles.goe_reference_spec(6), True),
+        (ensembles.goe_reference_spec(6, beta=2, deformation=Deformation(bulk=(0.3,))), True),
+        (ensembles.goe_reference_spec(6, deformation=Deformation()), True),
+        (ensembles.goe_reference_spec(6, deformation=Deformation(taus=(0.5, 1.0))), False),
+        (ensembles.goe_reference_spec(6, deformation=Deformation(taus=(0.5,), basis="random")),
+         False),
+        (EnsembleSpec(entry_law="theta_goe", theta=2.0, profile=uniform_profile(6)), False),
+        (EnsembleSpec(profile=_table_spec("wigner", "gaussian", 1, {}).profile), False),
+        (EnsembleSpec(model="wishart", profile=wishart_profile(6, 6)), False),
+    ])
+    def test_plain_specs_only(self, spec, plain):
+        assert ensembles.has_tridiagonal_model(spec) is plain
+        if not plain:
+            with pytest.raises(ensembles.EnsembleError):
+                ensembles.sample_tridiagonal(spec, 1)
+
+
 class TestGaussianMoments:
     def test_initial_values(self):
         assert gaussian_mixed_moment(0, 0) == 1
