@@ -84,7 +84,7 @@ def load_config(path):
 def parse_config(doc):
     if not isinstance(doc, dict) or not doc:
         raise ConfigError("config must be a non-empty object")
-    top = {"seed": 0, "out": ".", "svg": False, "csv": False, "threads": 1}
+    top = {"seed": 0, "out": ".", "svg": False, "csv": False}
     unknown = set(doc) - {"scenario", "params", *top}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -101,8 +101,6 @@ def parse_config(doc):
         val = top[key] = doc.get(key, default)
         if type(val) is not type(default):
             raise ConfigError(f"{key} must be of type {type(default).__name__}, not {val!r}")
-    if top["threads"] < 1:
-        raise ConfigError("threads must be >= 1")
     return {"scenario": scenario, "params": params, **top}
 
 
@@ -152,14 +150,14 @@ def _range_check(scenario, p):
         need(1 <= p["t"] <= p["horizon"], "need 1 <= t <= horizon")
         need(type(p["t"]) is int and type(p["horizon"]) is int,
              "need integers 1 <= t_N <= horizon")
-    if scenario == "diagrams-exact":
+    if "betas" in p:
         need(all(b in (1, 2) and type(b) is int for b in p["betas"]), "betas must be 1 or 2")
     for key, val in p.items():
         if type(preset[key]) is int:
             need(type(val) is int, f"{key} must be an integer, not {val!r}")
         if type(preset[key]) is float:
             need(math.isfinite(val), f"{key} must be finite, not {val!r}")
-    if scenario == "diagrams-exact":
+    if "max_m" in p:
         # the largest perimeters set the cost: refuse them before the smaller checks run
         top = p["max_m"]
         need(top < 64 and p["N"] ** max(top, 4) <= diagrams.MAX_WICK_TUPLES
@@ -228,16 +226,14 @@ def _run_blockdiag(p, seed):
 
 def _run_lift2(p, seed):
     rng = np.random.default_rng(seed)
-    results = []
-    worst = 0.0
+    ok, worst = True, 0.0
     for t in range(p["trials"]):
         g_seed, s_seed = int(rng.integers(2 ** 31)), int(rng.integers(2 ** 31))
         G = profiles.random_regular_adjacency(p["N"], p["d"], seed=g_seed)
         S = edgestats.random_edge_signs(G, seed=s_seed)
         res = edgestats.lift_spectrum_check(G, S, tol=p["tol"])
         worst = max(worst, res["defect"])
-        results.append(res["pass"])
-    ok = all(results)
+        ok = ok and res["pass"]
     return (EXIT_PASS if ok else EXIT_FAIL), {
         "trials": p["trials"], "worst_defect": worst, "all_pass": ok,
         "criteria": {"tol": p["tol"]}}
@@ -363,11 +359,8 @@ def _profile_preset(name, N, seed):
         return profiles.band_profile(1, N, max(2, N // 8), "gaussian")
     if name == "gw":
         return profiles.generalized_wigner_profile(N, 0.5, 2.0, seed=seed)
-    if name == "sparse":
-        theta = 4.0
-        p = np.full((N, N), 1.0 / theta)
-        w = np.full((N, N), theta)
-        return profiles.sparse_profile(p, w, d=float(N))
+    if name == "sparse":  # theta = 4: each entry kept with probability 1/4, weight 4
+        return profiles.sparse_profile(np.full((N, N), 0.25), np.full((N, N), 4.0), d=float(N))
     if name in ("block", "blockdiag"):
         if N % 2:
             raise ConfigError(f"{name} preset needs even N")
@@ -538,15 +531,13 @@ def _cmd_cheb(args):
     elif args.suite == "product":
         rng = np.random.default_rng(args.seed)
         worst = None
-        ok = True
         for _ in range(200):
             ms = rng.integers(1, 16, size=int(rng.integers(1, 5)))
             good, lhs, rhs = chebyshev.product_coeff_identity(list(ms))
             if not good:
-                ok = False
                 worst = {"m_list": ms.tolist(), "lhs": lhs, "rhs": rhs}
                 break
-        rep = {"passed": ok, "worst": worst}
+        rep = {"passed": worst is None, "worst": worst}
     else:
         worst = 0.0
         for alpha in (0.25, 0.5, 1.0):
@@ -560,6 +551,7 @@ def _cmd_cheb(args):
 
 
 def _cmd_diagrams(args):
+    _range_check("diagrams-exact", {"spike": args.spike})
     rep = diagrams.verify_expansions([args.n] * args.s, profiles.uniform_profile(args.N),
                                      _spike(args.N, args.spike), args.beta)
     print(json.dumps(rep, sort_keys=True))
@@ -611,9 +603,6 @@ def count(text):
 
 def main(argv=None):
     ap = _Parser(prog="irmlab")
-    ap.add_argument("--threads", type=count, default=1,
-                    help="accepted for interface compatibility; execution is "
-                         "sequential and results do not depend on it")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario from a config file")

@@ -25,7 +25,6 @@ baseline with the same Delta (acceptance criterion 8(c)).
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import numbers
 
@@ -135,6 +134,8 @@ def tridiagonal_top(a, b, k):
     if b.shape != (R, n - 1) or not 1 <= k <= n:
         raise EdgeStatError(f"need diagonals (R, n), (R, n-1) and 1 <= k <= n, "
                             f"not {a.shape}, {b.shape} and k = {k}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise EdgeStatError("tridiagonal entries must be finite")  # a NaN bracket never settles
     radius = np.zeros_like(a)
     radius[:, :-1] += np.abs(b)
     radius[:, 1:] += np.abs(b)
@@ -244,8 +245,8 @@ def ks_2sample(a, b, jitter_seed=None):
 
 @dataclasses.dataclass
 class EdgeReport:
-    test_digest: str
-    baseline_digest: str
+    test_digest: str       # EnsembleSpec.digest() of the test spec as run
+    baseline_digest: str   # ... and of the baseline spec as run
     replicas: int
     k: int
     level: float
@@ -258,17 +259,9 @@ class EdgeReport:
     rescaled_baseline: list | None = None
 
     def to_json(self):
-        return {
-            "test_digest": self.test_digest,
-            "baseline_digest": self.baseline_digest,
-            "replicas": self.replicas, "k": self.k, "level": self.level,
-            "ks_stats": self.ks_stats, "p_values": self.p_values,
-            "reject": self.reject, "rejected": self.rejected,
-            "gap_p_value": self.gap_p_value,
-        }
-
-    def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True)
+        """Every field but the raw rescaled samples."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                if not f.name.startswith("rescaled_")}
 
 
 def universality_test(test_spec, baseline_spec, k=2, replicas=1000, seed=0,
@@ -307,7 +300,7 @@ def universality_test(test_spec, baseline_spec, k=2, replicas=1000, seed=0,
         rejects.append(bool(p < level / k))
     gd, gp = ks_2sample(rt[:, 0] - rt[:, 1], rb[:, 0] - rb[:, 1], jitter_seed=seed + 101)
     return EdgeReport(
-        test_digest=t_spec.dumps(), baseline_digest=b_spec.dumps(),
+        test_digest=t_spec.digest(), baseline_digest=b_spec.digest(),
         replicas=replicas, k=k, level=level,
         ks_stats=stats, p_values=pvals, reject=rejects, rejected=any(rejects),
         gap_p_value=gp,
@@ -405,9 +398,7 @@ def lift_adjacency(G, signs):
         raise EdgeStatError("every edge needs a sign")
     Ap = np.where(signed > 0, G, 0.0)
     Am = np.where(signed < 0, G, 0.0)
-    top = np.hstack([Ap, Am])
-    bot = np.hstack([Am, Ap])
-    return np.vstack([top, bot])
+    return np.block([[Ap, Am], [Am, Ap]])
 
 
 def lift_spectrum_check(G, signs, tol=1e-8):

@@ -15,9 +15,11 @@ r is identical no matter how the replicas are scheduled.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import numbers
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -67,6 +69,13 @@ class Deformation:
     def __post_init__(self):
         _require(self.basis in ("coordinate", "random"),
                  f"deformation basis must be 'coordinate' or 'random', not {self.basis!r}")
+        for name, vals in (("taus", self.taus), ("bulk", self.bulk)):
+            # finite as a float: the bound refuses NaN, infinities and integers like 10**400
+            _require(isinstance(vals, (list, tuple)) and all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool)
+                and abs(v) <= sys.float_info.max for v in vals),
+                f"deformation {name} must be finite real numbers, not {vals!r}")
+            setattr(self, name, tuple(vals))
 
     @property
     def rank(self):
@@ -84,8 +93,7 @@ class Deformation:
         if d is None:
             return None
         _closed(d, ("taus", "bulk", "basis"), "deformation")
-        return cls(taus=tuple(d.get("taus", ())), bulk=tuple(d.get("bulk", ())),
-                   basis=d.get("basis", "coordinate"))
+        return cls(**d)
 
 
 def _frame(basis, n, r, beta, seed, block):
@@ -313,13 +321,18 @@ class EnsembleSpec:
     def N(self):
         return self.profile.n_cols
 
-    def to_json(self):
+    def to_json(self, data=True):
         d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        return dict(d, profile=self.profile.to_json(),
+        return dict(d, profile=self.profile.to_json(data),
                     deformation=self.deformation.to_json() if self.deformation else None)
 
-    def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True)
+    def digest(self):
+        """sha256 hex of the canonical JSON of the spec without the profile's
+        data (sort_keys), followed by that array's bytes as C-contiguous
+        little-endian float64: the dense variances or the circulant row."""
+        head = json.dumps(self.to_json(data=False), sort_keys=True).encode()
+        body = np.ascontiguousarray(self.profile.data, dtype="<f8").tobytes()
+        return hashlib.sha256(head + body).hexdigest()
 
     @classmethod
     def from_json(cls, d):

@@ -281,7 +281,13 @@ class VarianceProfile:
         return self
 
     # -- serialization -------------------------------------------------------
-    def to_json(self):
+    @property
+    def data(self):
+        """The stored array: the circulant row, or else the dense variances."""
+        return self.variances if self.circulant_row is None else self.circulant_row
+
+    def to_json(self, data=True):
+        """JSON document of the profile; data=False leaves out its array."""
         doc = {
             "kind": self.kind,
             "n_rows": int(self.n_rows),
@@ -291,10 +297,8 @@ class VarianceProfile:
         }
         if self.torus:
             doc["metadata"]["torus"] = dict(self.torus)
-        if self.circulant_row is not None:
-            doc["data"] = np.asarray(self.circulant_row).tolist()
-        else:
-            doc["data"] = np.asarray(self.variances).tolist()
+        if data:
+            doc["data"] = self.data.tolist()
         return doc
 
     @classmethod

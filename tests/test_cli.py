@@ -134,12 +134,11 @@ class TestScenarios:
 
 
 class TestDeterminism:
-    def _run_twice(self, tmp_path, threads_a="1", threads_b="4"):
+    def _run_twice(self, tmp_path):
         outs = []
-        for sub, threads in (("a", threads_a), ("b", threads_b)):
+        for sub in ("a", "b"):
             out = tmp_path / sub
-            code = cli.main(["--threads", threads, "run", "--config",
-                             str(tmp_path / "cfg.json"), "--out", str(out)])
+            code = cli.main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
             assert code == EXIT_PASS
             outs.append((out / "report.json").read_bytes())
         return outs
@@ -158,6 +157,26 @@ class TestDeterminism:
              "params": {"N": 30, "replicas": 100}}))
         a, b = self._run_twice(tmp_path)
         assert a == b
+
+
+EDGE_SCENARIOS = {
+    "goe-baseline": {"N": 30}, "gw": {"N": 30}, "band": {"N": 30}, "sparse": {"N": 30},
+    "block": {"D": 2, "M": 15}, "heavy": {"N": 30}, "wishart": {"M": 20, "N": 30},
+    "counterexample-blockdiag": {"N": 30},
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(EDGE_SCENARIOS))
+def test_edge_report_carries_digests_not_specs(scenario, tmp_path):
+    """An edge report.json names both specs by EnsembleSpec.digest(), so it
+    stays small whatever the profile size."""
+    params = dict(EDGE_SCENARIOS[scenario], replicas=100)
+    run(parse_config({"scenario": scenario, "out": str(tmp_path), "params": params}))
+    raw = (tmp_path / "report.json").read_bytes()
+    assert len(raw) < 4096
+    report = json.loads(raw)["payload"]["edge_report"]
+    for key in ("test_digest", "baseline_digest"):
+        assert len(report[key]) == 64 and int(report[key], 16) >= 0
 
 
 class TestSvg:
@@ -351,6 +370,12 @@ class TestSpecInputExit64:
         (dict(GOOD, entry_law="rademacher", beta=2), "draws beta in (1,)"),
         (dict(GOOD, deformation={"taus": [0.5], "basis": "radnom"}), "deformation basis"),
         (dict(GOOD, deformation={"taus": [0.5], "spikes": [1]}), "unknown deformation keys"),
+        (dict(GOOD, deformation={"taus": [math.nan]}), "deformation taus"),
+        (dict(GOOD, deformation={"bulk": ["x"]}), "deformation bulk"),
+        (dict(GOOD, deformation={"taus": [0.5], "bulk": [math.inf]}), "deformation bulk"),
+        (dict(GOOD, deformation={"taus": [True]}), "deformation taus"),
+        (dict(GOOD, deformation={"taus": 0.5}), "deformation taus"),
+        (dict(GOOD, deformation={"taus": [10 ** 400]}), "deformation taus"),
     ])
     def test_sample_malformed_spec(self, doc, message, tmp_path, capsys):
         path = tmp_path / "spec.json"
@@ -367,6 +392,8 @@ class TestSpecInputExit64:
          "must share the model and the profile shape"),
         (GOOD, GOOD, 50, "fewer than 100 replicas"),
         (dict(GOOD, entry_lw="gaussian"), GOOD, 100, "unknown ensemble spec keys"),
+        # a NaN spike once reached the tridiagonal solver, whose multisection never ended
+        (dict(GOOD, deformation={"taus": [math.nan]}), GOOD, 100, "deformation taus"),
     ])
     def test_edge_compare_malformed(self, test, baseline, replicas, message, tmp_path, capsys):
         for name, doc in (("t.json", test), ("b.json", baseline)):
@@ -573,6 +600,8 @@ USAGE_ERRORS = [
     ["diagrams", "verify", "--s", "0"],
     ["nbpath", "verify", "--n", "0"],
     ["nbpath", "verify", "--n", "-1"],
+    ["diagrams", "verify", "--spike", "nan"],
+    ["diagrams", "verify", "--spike", "inf"],
 ]
 
 

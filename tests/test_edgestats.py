@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -82,6 +83,15 @@ class TestTridiagonalTop:
     def test_k_outside_the_matrix_refused(self, k):
         with pytest.raises(EdgeStatError):
             edgestats.tridiagonal_top(np.zeros((1, 3)), np.zeros((1, 2)), k)
+
+    @pytest.mark.parametrize("which, value", [("a", np.nan), ("b", np.nan), ("a", np.inf),
+                                              ("b", -np.inf)])
+    def test_non_finite_entries_refused(self, which, value):
+        # a NaN bracket never equals itself, so multisection would never stop
+        a, b = np.zeros((2, 5)), np.ones((2, 4))
+        (a if which == "a" else b)[:, 0] = value
+        with pytest.raises(EdgeStatError, match="finite"):
+            edgestats.tridiagonal_top(a, b, 2)
 
     @pytest.mark.parametrize("beta", [1, 2])
     @pytest.mark.parametrize("deformation", [None, SPIKE])
@@ -214,11 +224,27 @@ class TestUniversality:
         with pytest.raises(EdgeStatError):
             universality_test(test, baseline, replicas=100)
 
+    @pytest.mark.parametrize("test, baseline", [
+        (ensembles.EnsembleSpec(profile=profiles.band_profile(1, 30, 8, "gaussian"),
+                                deformation=SPIKE),
+         ensembles.goe_reference_spec(30, deformation=SPIKE)),
+        (ensembles.EnsembleSpec(model="wishart", entry_law="theta_goe", theta=2.0,
+                                profile=wishart_profile(20, 30, builder="banded")),
+         ensembles.EnsembleSpec(model="wishart", profile=wishart_profile(20, 30))),
+    ])
+    def test_digests_name_the_specs_as_run(self, test, baseline):
+        rep = universality_test(test, baseline, k=1, replicas=100, seed=4)
+        for digest, spec, seed in ((rep.test_digest, test, 4), (rep.baseline_digest, baseline,
+                                                                4 + 7919)):
+            run = dataclasses.replace(spec, seed=seed)
+            assert digest == ensembles.EnsembleSpec.from_json(run.to_json()).digest()
+            assert len(digest) == 64 and int(digest, 16) >= 0
+
     def test_deterministic_given_seed(self):
         base = ensembles.goe_reference_spec(40)
         r1 = universality_test(base, base, k=1, replicas=120, seed=3)
         r2 = universality_test(base, base, k=1, replicas=120, seed=3)
-        assert r1.dumps() == r2.dumps()
+        assert r1.to_json() == r2.to_json()
 
 
 class TestBBP:

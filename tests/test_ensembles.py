@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -21,7 +23,7 @@ from irmlab.ensembles import (
     sample_wishart,
     truncate_heavy,
 )
-from irmlab.profiles import uniform_profile, wishart_profile
+from irmlab.profiles import VarianceProfile, band_profile, uniform_profile, wishart_profile
 
 
 class TestWigner:
@@ -226,8 +228,47 @@ class TestSpecAndSeeding:
                             deformation=Deformation(taus=(0.5,)), seed=9)
         doc = spec.to_json()
         back = EnsembleSpec.from_json(doc)
-        assert back.dumps() == spec.dumps()
+        assert back.to_json() == doc
+        assert back.digest() == spec.digest()
         assert np.array_equal(sample(spec, 1), sample(back, 1))
+
+
+class TestDigest:
+    """EnsembleSpec.digest: sha256 of the spec JSON without the profile data,
+    then the data as little-endian float64 bytes."""
+
+    SPEC = EnsembleSpec(profile=uniform_profile(6), deformation=Deformation(taus=(0.5,)),
+                        seed=3)
+
+    # a dense profile hashes its variances, a circulant one (band) its row
+    @pytest.mark.parametrize("spec, shape", [
+        (SPEC, (6, 6)), (EnsembleSpec(profile=band_profile(1, 16, 3, "gaussian")), (16,))])
+    def test_recomputed_from_the_json(self, spec, shape):
+        doc = spec.to_json()
+        data = np.array(doc["profile"].pop("data"), dtype="<f8")
+        assert data.shape == shape
+        head = json.dumps(doc, sort_keys=True).encode()
+        assert spec.digest() == hashlib.sha256(head + data.tobytes()).hexdigest()
+
+    def test_one_ulp_moves_the_digest(self):
+        V = uniform_profile(6).variances.copy()
+        V[2, 4] = np.nextafter(V[2, 4], 1.0)
+        moved = dataclasses.replace(self.SPEC, profile=VarianceProfile(V))
+        assert moved.digest() != self.SPEC.digest()
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 4}, {"beta": 2}, {"deformation": None},
+        {"deformation": Deformation(taus=(0.5000000001,))},
+        {"deformation": Deformation(taus=(0.5,), basis="random")},
+        {"deformation": Deformation(bulk=(0.5,))},
+    ])
+    def test_field_changes_move_the_digest(self, change):
+        assert dataclasses.replace(self.SPEC, **change).digest() != self.SPEC.digest()
+
+    def test_equal_specs_share_the_digest(self):
+        same = EnsembleSpec(profile=uniform_profile(6), deformation=Deformation(taus=[0.5]),
+                            seed=3)
+        assert same.digest() == self.SPEC.digest()
 
 
 # Every (model, entry law, beta) the ensemble table accepts, with the
