@@ -12,6 +12,7 @@ a sidecar file.  Exit codes: 0 pass, 2 check failed, 3 inconclusive
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -172,8 +173,7 @@ def _range_check(scenario, p):
 
 def _edge_scenario(test_spec, baseline_spec, p, seed, expect_rejection=False):
     rep = edgestats.universality_test(
-        test_spec, baseline_spec, k=p["k"], replicas=p["replicas"],
-        seed=seed, level=p["level"], keep_samples=True)
+        test_spec, baseline_spec, k=p["k"], replicas=p["replicas"], seed=seed, level=p["level"])
     observed = rep.rejected
     status = "rejection expected and observed" if expect_rejection and observed else (
         "no rejection (as expected)" if not expect_rejection and not observed else
@@ -469,9 +469,8 @@ def run(config):
         if config.get("csv"):
             _write_samples_csv(os.path.join(outdir, "samples.csv"), samples)
         if config.get("svg"):
-            rt, rb = np.asarray(samples["test"]), np.asarray(samples["baseline"])
-            for i in range(rt.shape[1]):
-                emit_svg({"test": rt[:, i], "baseline": rb[:, i]}, 40,
+            for i in range(samples["test"].shape[1]):
+                emit_svg({which: v[:, i] for which, v in samples.items()}, 40,
                          os.path.join(outdir, f"hist_coord{i}.svg"))
     return code
 
@@ -497,8 +496,7 @@ def _cmd_presets(args):
 
 def _cmd_sample(args):
     with open(args.spec) as fh:
-        spec = ensembles.EnsembleSpec.from_json(json.load(fh))
-    spec.seed = args.seed
+        spec = dataclasses.replace(ensembles.EnsembleSpec.from_json(json.load(fh)), seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     for r in range(args.replicas):
         X = ensembles.sample(spec, replica=r)
@@ -580,7 +578,7 @@ def _cmd_edge(args):
     samples = payload["_samples"]
     _write_samples_csv(os.path.splitext(args.out)[0] + "_samples.csv", samples)
     if args.svg:
-        emit_svg({which: np.asarray(samples[which])[:, 0] for which in samples}, 40, args.svg)
+        emit_svg({which: v[:, 0] for which, v in samples.items()}, 40, args.svg)
     return code
 
 

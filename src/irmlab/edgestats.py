@@ -90,14 +90,9 @@ def support_blocks(spec):
     """Index arrays of the connected components of the graph on which a draw
     of spec can be nonzero: the support of the profile plus the deformation,
     and for Wishart X = (H + A)(H + A)^* rows that share a column."""
-    if spec.model == "wigner":
-        A = ensembles.deformation_matrix(spec.deformation, spec.N, spec.beta, spec.seed)
-    else:
-        A = ensembles.wishart_deformation_matrix(
-            spec.deformation, spec.profile.n_rows, spec.N, spec.beta, spec.seed)
     S = spec.profile.variances != 0
-    if A is not None:
-        S |= A != 0
+    if spec.deformation_matrix is not None:
+        S |= spec.deformation_matrix != 0
     G = S if spec.model == "wigner" else S @ S.T
     blocks, seen = [], np.zeros(len(G), dtype=bool)
     for start in range(len(G)):
@@ -254,9 +249,9 @@ class EdgeReport:
     p_values: list
     reject: list
     rejected: bool
-    gap_p_value: float | None = None
-    rescaled_test: list | None = None
-    rescaled_baseline: list | None = None
+    gap_p_value: float
+    rescaled_test: np.ndarray      # (replicas, k) rescaled top-k of the test draws
+    rescaled_baseline: np.ndarray  # ... and of the baseline draws
 
     def to_json(self):
         """Every field but the raw rescaled samples."""
@@ -264,8 +259,7 @@ class EdgeReport:
                 if not f.name.startswith("rescaled_")}
 
 
-def universality_test(test_spec, baseline_spec, k=2, replicas=1000, seed=0,
-                      level=0.01, keep_samples=False):
+def universality_test(test_spec, baseline_spec, k=2, replicas=1000, seed=0, level=0.01):
     """Per-coordinate two-sample KS between rescaled top-k eigenvalues.
 
     Bonferroni across the k coordinates at the given level; an extra KS on
@@ -303,14 +297,11 @@ def universality_test(test_spec, baseline_spec, k=2, replicas=1000, seed=0,
         test_digest=t_spec.digest(), baseline_digest=b_spec.digest(),
         replicas=replicas, k=k, level=level,
         ks_stats=stats, p_values=pvals, reject=rejects, rejected=any(rejects),
-        gap_p_value=gp,
-        rescaled_test=rt[:, :k].tolist() if keep_samples else None,
-        rescaled_baseline=rb[:, :k].tolist() if keep_samples else None,
+        gap_p_value=gp, rescaled_test=rt[:, :k], rescaled_baseline=rb[:, :k],
     )
 
 
-def bbp_test(profile, tau_list, replicas=1000, seed=0, beta=1, level=0.01,
-             entry_law="gaussian", theta=1.0, keep_samples=False):
+def bbp_test(profile, tau_list, replicas=1000, seed=0, beta=1, level=0.01):
     """Spiked-profile ensemble against the deformed Gaussian baseline with the
     same spike parameters; tests the top q+1 coordinates."""
     for t in tau_list:
@@ -318,12 +309,10 @@ def bbp_test(profile, tau_list, replicas=1000, seed=0, beta=1, level=0.01,
             raise EdgeStatError("spike parameters limited to |tau| <= 5 at desk scale")
     N = profile.n_rows
     deform = ensembles.Deformation(taus=tuple(tau_list)) if tau_list else None
-    test = ensembles.EnsembleSpec(beta=beta, entry_law=entry_law, theta=theta,
-                                  profile=profile, deformation=deform)
+    test = ensembles.EnsembleSpec(beta=beta, profile=profile, deformation=deform)
     base = ensembles.goe_reference_spec(N, beta=beta, deformation=deform)
     k = len(tau_list) + 1 if tau_list else 2
-    return universality_test(test, base, k=k, replicas=replicas, seed=seed,
-                             level=level, keep_samples=keep_samples)
+    return universality_test(test, base, k=k, replicas=replicas, seed=seed, level=level)
 
 
 # ---------------------------------------------------------------------------

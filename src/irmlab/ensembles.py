@@ -20,7 +20,7 @@ import json
 import math
 import numbers
 import sys
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,7 +54,7 @@ def _closed(doc, keys, what):
 # deformations
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class Deformation:
     """Finite-rank perturbation with spike eigenvalues a_j = edge + tau_j N^(-1/3).
 
@@ -75,7 +75,7 @@ class Deformation:
                 isinstance(v, numbers.Real) and not isinstance(v, bool)
                 and abs(v) <= sys.float_info.max for v in vals),
                 f"deformation {name} must be finite real numbers, not {vals!r}")
-            setattr(self, name, tuple(vals))
+            object.__setattr__(self, name, tuple(vals))
 
     @property
     def rank(self):
@@ -112,8 +112,6 @@ def _frame(basis, n, r, beta, seed, block):
 
 def deformation_matrix(deformation, N, beta=1, seed=0):
     """Hermitian N x N matrix A = Q Lambda Q^* realizing the deformation."""
-    if deformation is None or deformation.rank == 0:
-        return None
     vals = deformation.eigenvalues(N)
     Q = _frame(deformation.basis, N, len(vals), beta, seed, 911)
     A = (Q * vals) @ Q.conj().T
@@ -122,8 +120,6 @@ def deformation_matrix(deformation, N, beta=1, seed=0):
 
 def wishart_deformation_matrix(deformation, M, N, beta=1, seed=0):
     """M x N deformation A = Q1 Lambda Q2^* with spikes at sqrt(alpha) + tau N^(-1/3)."""
-    if deformation is None or deformation.rank == 0:
-        return None
     alpha = M / N
     vals = deformation.eigenvalues(N, edge=math.sqrt(alpha))
     r = len(vals)
@@ -204,7 +200,7 @@ def sample_interpolating(N, alpha_mix, seed=0, replica=0):
     to the antisymmetric-imaginary ensemble (alpha=inf); real at alpha=0 only."""
     rng = rng_for(seed, replica, 0)
     try:
-        a2 = alpha_mix ** 2
+        a2 = float(alpha_mix) ** 2  # a float, so a huge integer overflows here, not in 1/den
     except OverflowError:  # finite alpha_mix past about 1.3e154 splits as alpha = inf
         a2 = math.inf
     den = 1.0 + a2
@@ -245,13 +241,6 @@ def assemble(profile, W, deformation_mat=None):
     return X
 
 
-def sample_wishart(profile, beta=1, deformation=None, seed=0, replica=0,
-                   entry_law="gaussian", theta=1.0):
-    """X = (H + A)(H + A)^* for a bipartite profile (M <= N)."""
-    return sample(EnsembleSpec(beta=beta, entry_law=entry_law, theta=theta, profile=profile,
-                               deformation=deformation, model="wishart", seed=seed), replica)
-
-
 def _wishart_entries(spec, replica):
     return _gaussian(rng_for(spec.seed, replica, 0),
                      (spec.profile.n_rows, spec.profile.n_cols), spec.beta)
@@ -285,7 +274,7 @@ LAWS = {
 }
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class EnsembleSpec:
     beta: int = 1
     entry_law: str = "gaussian"
@@ -304,7 +293,11 @@ class EnsembleSpec:
         for f in dataclasses.fields(self):
             kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
             value = getattr(self, f.name)
-            _require(kind is None or isinstance(value, kind) and not isinstance(value, bool),
+            # a float field refuses an integer past the float range, which a law
+            # would overflow converting it
+            _require(kind is None or isinstance(value, kind) and not isinstance(value, bool)
+                     and (f.type == "int" or isinstance(value, float)
+                          or abs(value) <= sys.float_info.max),
                      f"{f.name} must be of type {f.type}, not {value!r}")
         key = (self.model, self.entry_law)
         _require(all(isinstance(k, str) for k in key) and key in LAWS,
@@ -320,6 +313,20 @@ class EnsembleSpec:
     @property
     def N(self):
         return self.profile.n_cols
+
+    @cached_property
+    def deformation_matrix(self):
+        """The spec's deformation A, read-only and built on first use: N x N
+        for Wigner, M x N for Wishart, None without one."""
+        d = self.deformation
+        if d is None or d.rank == 0:
+            return None
+        if self.model == "wigner":
+            A = deformation_matrix(d, self.N, self.beta, self.seed)
+        else:
+            A = wishart_deformation_matrix(d, self.profile.n_rows, self.N, self.beta, self.seed)
+        A.setflags(write=False)
+        return A
 
     def to_json(self, data=True):
         d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
@@ -344,13 +351,11 @@ class EnsembleSpec:
 
 def sample(spec, replica=0):
     """Draw one realization of the ensemble described by spec."""
-    W = LAWS[spec.model, spec.entry_law][1](spec, replica)
+    X = assemble(spec.profile, LAWS[spec.model, spec.entry_law][1](spec, replica),
+                 spec.deformation_matrix)
     if spec.model == "wigner":
-        A = deformation_matrix(spec.deformation, spec.N, beta=spec.beta, seed=spec.seed)
-        return assemble(spec.profile, W, A)
-    A = wishart_deformation_matrix(spec.deformation, *W.shape, beta=spec.beta, seed=spec.seed)
-    HA = assemble(spec.profile, W, A)
-    X = HA @ HA.conj().T
+        return X
+    X = X @ X.conj().T
     return 0.5 * (X + X.conj().T)
 
 

@@ -245,8 +245,8 @@ def bipartite_check_mixing(profile, t_N, gamma, delta, horizon):
 # ---------------------------------------------------------------------------
 
 def _circulant_symbol(profile):
-    t = profile.torus
-    if profile.circulant_row is None or t is None:
+    t = profile.torus  # a circulant row always has its torus
+    if profile.circulant_row is None:
         raise ProfileError("Fourier path requires a circulant band profile")
     d, L = t["d"], t["L"]
     row = np.asarray(profile.circulant_row, dtype=float).reshape((L,) * d)

@@ -102,14 +102,13 @@ def seeded_family(seed, H, n_max):
     return out[:n_max + 1]
 
 
-def phi_ops(H, profile):
-    """(Phi_2, Phi_3): Phi_2 = diag(sum_z |H_xz|^2 - sigma^2_xz) and
-    Phi_3 = -|H|^2 o H (entrywise)."""
+def phi_ops(H, row_variances):
+    """(Phi_2, Phi_3): Phi_2 = diag(sum_z |H_xz|^2 - v_x), with v_x the
+    expected squared row sum of H, and Phi_3 = -|H|^2 o H (entrywise)."""
     H = np.asarray(H)
-    V = profile.variances if hasattr(profile, "variances") else np.asarray(profile)
-    if V.shape != H.shape:
-        raise ValueError("profile and H dimensions disagree")
-    phi2 = np.diag((np.abs(H) ** 2).sum(axis=1) - V.sum(axis=1))
+    if np.shape(row_variances) != H.shape[:1]:
+        raise ValueError("row variances and H dimensions disagree")
+    phi2 = np.diag((np.abs(H) ** 2).sum(axis=1) - row_variances)
     phi3 = -(np.abs(H) ** 2) * H
     return phi2.astype(complex), phi3.astype(complex)
 
@@ -122,7 +121,7 @@ def ek_seam_identity_residual(H, profile, n):
     pair state), so it is verified as an identity instead.
     """
     Vs = nb_powers(H, n + 1)
-    phi2, phi3 = phi_ops(H, profile)
+    phi2, phi3 = phi_ops(H, profile.variances.sum(axis=1))
     N = H.shape[0]
     R = seeded_family(phi3, H, n + 1)[n + 1]
     lhs = H @ Vs[n]
@@ -179,7 +178,7 @@ def _compose(H, phi2, phi3, n, A):
 def path_expansion_rhs(H, profile, n, A=None):
     """Right side of the Chebyshev path expansion."""
     H = np.asarray(H)
-    phi2, phi3 = phi_ops(H, profile)
+    phi2, phi3 = phi_ops(H, profile.variances.sum(axis=1))
     return _compose(H, phi2, phi3, n, None if A is None else np.asarray(A))
 
 
@@ -239,10 +238,7 @@ def verify_wishart_path_expansion(H, profile, n, A=None):
     M, N = H.shape
     alpha = M / N
     Hh, Ah = hat_matrices(H, A)
-    rowvar = bipartite_row_variances(profile)
-    phi2 = np.diag((np.abs(Hh) ** 2).sum(axis=1) - rowvar).astype(complex)
-    phi3 = -(np.abs(Hh) ** 2) * Hh
-    rhs = _compose(Hh, phi2, phi3, 2 * n, Ah)
+    rhs = _compose(Hh, *phi_ops(Hh, bipartite_row_variances(profile)), 2 * n, Ah)
     HA = H if A is None else H + np.asarray(A)
     X = HA @ HA.conj().T
     lhs = q_poly_matrix(X, n, alpha)

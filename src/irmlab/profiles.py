@@ -9,7 +9,7 @@ chain on [M] | [N].
 Builders cover the standard families: uniform (mean-field), band on a
 d-dimensional torus, randomized generalized-Wigner, sparse weighted-graph,
 block (Wegner orbital), regular-graph, and bipartite Wishart profiles.
-Profiles are immutable after construction and safe to share across workers.
+Profiles are immutable after construction.
 """
 
 from __future__ import annotations
@@ -157,6 +157,13 @@ class BandDensity:
 # profile object
 # ---------------------------------------------------------------------------
 
+def _json_object(value, what):
+    """A copy of an optional JSON object, {} for None; anything else is refused."""
+    if not isinstance(value, (dict, type(None))):
+        raise ProfileError(f"profile {what} must be an object, not {value!r}")
+    return dict(value or {})
+
+
 class VarianceProfile:
     """Matrix of entry variances; square profiles are doubly stochastic."""
 
@@ -165,8 +172,9 @@ class VarianceProfile:
         if kind not in ("square", "bipartite"):
             raise ProfileError(f"profile kind must be 'square' or 'bipartite', not {kind!r}")
         self.kind = kind
-        self.torus = dict(torus) if torus else None
-        self.metadata = dict(metadata or {})
+        torus = _json_object(torus, "torus")
+        self.torus = torus or None
+        self.metadata = _json_object(metadata, "metadata")
         self._dense = None
         self.circulant_row = None
         if variances is not None:
@@ -177,6 +185,13 @@ class VarianceProfile:
             self._dense = arr
         if circulant_row is not None:
             row = np.array(circulant_row, dtype=float)
+            d, L = torus.get("d"), torus.get("L")
+            # L >= 2 puts L^d past the row size once d passes its bit length,
+            # so an absurd d is refused before L^d is evaluated
+            if not (type(d) is int and type(L) is int and d >= 1 and L >= 2 and row.ndim == 1
+                    and d <= row.size.bit_length() and L ** d == row.size):
+                raise ProfileError(f"a circulant row needs L^d entries for torus integers "
+                                   f"d >= 1 and L >= 2, not shape {row.shape} on {torus!r}")
             row.setflags(write=False)
             self.circulant_row = row
         if self._dense is None and self.circulant_row is None:
@@ -210,18 +225,14 @@ class VarianceProfile:
         return self._dense
 
     def _materialize_circulant(self):
-        t = self.torus
-        if t is None:
-            raise ProfileError("circulant profile missing torus metadata")
-        d, L = t["d"], t["L"]
+        d, L = self.torus["d"], self.torus["L"]
         N = L ** d
         if N > 4096:
             raise ProfileError(f"dense materialization of N={N} exceeds budget")
         row = self.circulant_row.reshape((L,) * d)
         coords = np.indices((L,) * d).reshape(d, N)  # multi-index per site
         diff = (coords[:, None, :] - coords[:, :, None]) % L
-        dense = row[tuple(diff)]
-        dense = np.ascontiguousarray(dense)
+        dense = np.ascontiguousarray(row[tuple(diff)])
         dense.setflags(write=False)
         return dense
 
@@ -308,7 +319,7 @@ class VarianceProfile:
             kind, data = doc["kind"], np.array(doc["data"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ProfileError(f"profile needs a kind and numeric data: {exc!r}") from exc
-        meta = dict(doc.get("metadata", {}))
+        meta = _json_object(doc.get("metadata"), "metadata")
         torus = meta.pop("torus", None)
         storage = "circulant_row" if doc.get("storage", "dense") == "circulant" else "variances"
         return cls(kind=kind, torus=torus, metadata=meta, **{storage: data}).validate()

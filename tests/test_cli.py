@@ -517,6 +517,13 @@ MALFORMED = {
         {"scenario": "nbpath-exact", "params": {"wishart_M": 0}}), EXIT_USAGE),
     "sample theta string": (_sample_spec(dict(GOOD, entry_law="theta_goe", theta="3")),
                             EXIT_USAGE),
+    # integers past the float range in float fields
+    "sample theta past float": (_sample_spec(dict(GOOD, entry_law="theta_goe", theta=10 ** 400)),
+                                EXIT_USAGE),
+    "sample tail_df past float": (_sample_spec(
+        dict(GOOD, entry_law="heavy_tailed", tail_df=10 ** 400)), EXIT_USAGE),
+    "sample alpha_mix past float": (_sample_spec(
+        dict(GOOD, entry_law="interpolating", beta=2, alpha_mix=10 ** 400)), EXIT_USAGE),
     "spec theta string": (_spec(entry_law="theta_goe", theta="3"), ensembles.EnsembleError),
     "spec beta bool": (_spec(beta=True), ensembles.EnsembleError),
     "spec seed string": (_spec(seed="abc"), ensembles.EnsembleError),
@@ -625,6 +632,15 @@ BAD_PROFILES = {
     "negative pair": {"kind": "square", "data": NEGATIVE8.tolist()},
     "kind weird": {"kind": "weird", "data": UNIFORM8.tolist()},
     "no kind": {"data": UNIFORM8.tolist()},
+    # a circulant row needs L^d entries for torus integers d >= 1 and L >= 2
+    "circulant 5 entries on L 3": {"kind": "square", "storage": "circulant", "data": [0.2] * 5,
+                                   "metadata": {"torus": {"d": 1, "L": 3}}},
+    "circulant d string": {"kind": "square", "storage": "circulant", "data": [0.125] * 8,
+                           "metadata": {"torus": {"d": "1", "L": 8}}},
+    "circulant no torus": {"kind": "square", "storage": "circulant", "data": [0.125] * 8},
+    "metadata list": {"kind": "square", "data": UNIFORM8.tolist(), "metadata": [1, 2]},
+    "torus list": {"kind": "square", "storage": "circulant", "data": [0.125] * 8,
+                   "metadata": {"torus": [1]}},
 }
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from irmlab import ensembles
+from irmlab import edgestats, ensembles
 from irmlab.ensembles import (
     Deformation,
     EnsembleSpec,
@@ -20,7 +20,6 @@ from irmlab.ensembles import (
     sample_interpolating,
     sample_theta_goe,
     sample_wigner,
-    sample_wishart,
     truncate_heavy,
 )
 from irmlab.profiles import VarianceProfile, band_profile, uniform_profile, wishart_profile
@@ -83,6 +82,11 @@ class TestInterpolating:
         W = sample_interpolating(5, 1e300, 1)
         assert W.tobytes() == sample_interpolating(5, math.inf, 1).tobytes()
 
+    def test_integer_alpha_past_square_overflow(self):
+        # an integer alpha_mix within the float range splits as its float does
+        W = sample_interpolating(5, 10 ** 200, 1)
+        assert W.tobytes() == sample_interpolating(5, 1e200, 1).tobytes()
+
 
 class TestAssemble:
     def test_uniform_profile_scaling(self):
@@ -114,30 +118,32 @@ class TestAssemble:
         assert np.max(np.abs(diff - A)) <= 4 * np.finfo(float).eps * scale
 
 
+def _wishart(prof, seed, **kw):
+    return EnsembleSpec(model="wishart", profile=prof, seed=seed, **kw)
+
+
 class TestWishart:
     def test_trace_normalization(self):
-        prof = wishart_profile(20, 20)
-        traces = [np.trace(sample_wishart(prof, seed=0, replica=r)) / 20
-                  for r in range(400)]
+        spec = _wishart(wishart_profile(20, 20), 0)
+        traces = [np.trace(sample(spec, r)) / 20 for r in range(400)]
         assert abs(np.mean(traces) - 1.0) < 0.05
 
     def test_positive_semidefinite(self):
-        prof = wishart_profile(4, 7)
+        spec = _wishart(wishart_profile(4, 7), 3)
         for r in range(10):
-            X = sample_wishart(prof, seed=3, replica=r)
+            X = sample(spec, r)
             assert np.linalg.eigvalsh(X).min() >= -1e-10
 
     def test_scalar_case(self):
         prof = wishart_profile(1, 1)
-        X = sample_wishart(prof, seed=2)
+        X = sample(_wishart(prof, 2))
         h = np.sqrt(prof.variances) * ensembles.rng_for(2, 0, 0).standard_normal((1, 1))
         assert X.shape == (1, 1) and X[0, 0] >= 0
 
     def test_oversized_deformation_rejected(self):
-        prof = wishart_profile(3, 6)
-        bad = Deformation(bulk=(5.0,))
+        spec = _wishart(wishart_profile(3, 6), 0, deformation=Deformation(bulk=(5.0,)))
         with pytest.raises(ensembles.EnsembleError):
-            sample_wishart(prof, deformation=bad, seed=0)
+            sample(spec)
 
 
 class TestTruncation:
@@ -222,6 +228,34 @@ class TestSpecAndSeeding:
             expect = np.sort(d.eigenvalues(N))[::-1]
             assert np.allclose(vals[:2], expect, atol=1e-10)
 
+    def test_specs_are_frozen(self):
+        spec = EnsembleSpec(profile=uniform_profile(4), deformation=Deformation(taus=(0.5,)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.seed = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.deformation.taus = (1.0,)
+        with pytest.raises(ValueError):
+            spec.deformation_matrix[0, 0] = 0.0
+        assert not spec.deformation_matrix.flags.writeable
+        assert spec.deformation_matrix is spec.deformation_matrix
+
+    @pytest.mark.parametrize("model, beta", [("wigner", 2), ("wishart", 1)])
+    def test_deformation_built_once(self, model, beta, monkeypatch):
+        # top_eigenvalues reads A for the support blocks and for 5 dense draws
+        calls = []
+
+        def counted(build):
+            def wrapper(*args):
+                calls.append(build.__name__)
+                return build(*args)
+            return wrapper
+
+        for name in ("deformation_matrix", "wishart_deformation_matrix"):
+            monkeypatch.setattr(ensembles, name, counted(getattr(ensembles, name)))
+        spec = _table_spec(model, "gaussian", beta, {}, deformation=DEFORMED)
+        edgestats.top_eigenvalues(spec, 2, 5)
+        assert len(calls) == 1
+
     def test_spec_roundtrip(self):
         spec = EnsembleSpec(beta=2, entry_law="theta_goe", theta=3.0, model="wishart",
                             profile=wishart_profile(3, 5),
@@ -291,6 +325,13 @@ ACCEPTED = [
     ("wishart", "theta_goe", 1, {"theta": 3.0}, "cbea1500e3b135c6"),
     ("wishart", "theta_goe", 2, {"theta": 3.0}, "b966fb74209a4eb9"),
 ]
+# deformed draws (A built once per spec), pinned at the hashes they had when
+# sample rebuilt A on every call
+DEFORMED = Deformation(taus=(1.0,), bulk=(0.3,), basis="random")
+PINNED_DEFORMED = [
+    ("wigner", "gaussian", 2, {"deformation": DEFORMED}, "3a83025db8f34787"),
+    ("wishart", "gaussian", 1, {"deformation": DEFORMED}, "814aa6e1f6233882"),
+]
 
 
 def _table_spec(model, law, beta, kw, **extra):
@@ -307,12 +348,12 @@ class TestEnsembleTable:
 
     @pytest.mark.parametrize("model, law, beta, kw, digest", ACCEPTED)
     def test_accepted_row_draws_its_beta(self, model, law, beta, kw, digest):
-        for deformation in (None, Deformation(taus=(1.0,), bulk=(0.3,), basis="random")):
+        for deformation in (None, DEFORMED):
             X = sample(_table_spec(model, law, beta, kw, deformation=deformation), 2)
             assert X.dtype == (np.float64 if beta == 1 else np.complex128)
             assert np.array_equal(X, X.conj().T)
 
-    @pytest.mark.parametrize("model, law, beta, kw, digest", ACCEPTED)
+    @pytest.mark.parametrize("model, law, beta, kw, digest", ACCEPTED + PINNED_DEFORMED)
     def test_stream_guard(self, model, law, beta, kw, digest):
         X = sample(_table_spec(model, law, beta, kw), 2)
         assert hashlib.sha256(X.tobytes()).hexdigest()[:16] == digest

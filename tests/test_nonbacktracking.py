@@ -47,7 +47,7 @@ class TestPowers:
 
     def test_v2_closed_form(self):
         prof, H = profile_and_H(5, seed=2)
-        phi2, _ = phi_ops(H, prof)
+        phi2, _ = phi_ops(H, prof.variances.sum(axis=1))
         V2 = nb_powers(H, 2)[2]
         expect = H @ H - phi2 - np.eye(5)  # diag(sum_z |H_xz|^2) = Phi2 + I
         assert np.abs(V2 - expect).max() < 1e-12
@@ -69,19 +69,19 @@ class TestPhiOps:
     def test_phi2_zero_for_matching_variances(self):
         prof = profiles.uniform_profile(4)
         H = np.sqrt(prof.variances)  # |H_xz|^2 = sigma^2 exactly
-        phi2, _ = phi_ops(H, prof)
+        phi2, _ = phi_ops(H, prof.variances.sum(axis=1))
         assert np.abs(phi2).max() < 1e-14
 
     def test_phi3_single_entry(self):
         prof = profiles.uniform_profile(3)
         H = np.zeros((3, 3))
         H[0, 1] = H[1, 0] = 0.5
-        _, phi3 = phi_ops(H, prof)
+        _, phi3 = phi_ops(H, prof.variances.sum(axis=1))
         assert phi3[0, 1] == pytest.approx(-0.125)
 
     def test_phi2_diagonal_and_centering(self):
         prof, H = profile_and_H(5, seed=4)
-        phi2, _ = phi_ops(H, prof)
+        phi2, _ = phi_ops(H, prof.variances.sum(axis=1))
         assert np.abs(phi2 - np.diag(np.diagonal(phi2))).max() == 0.0
         # complex case: E |H_xx|^2 = sigma^2_xx, so E Phi2 = 0 entrywise;
         # real case: the doubled diagonal variance shifts the mean by
@@ -90,7 +90,7 @@ class TestPhiOps:
             vals = []
             for r in range(4000):
                 Hr = np.sqrt(prof.variances) * ensembles.sample_wigner(5, beta, 0, r)
-                p2, _ = phi_ops(Hr, prof)
+                p2, _ = phi_ops(Hr, prof.variances.sum(axis=1))
                 vals.append(np.real(np.diagonal(p2)))
             vals = np.array(vals)
             se = vals.std(axis=0) / np.sqrt(len(vals))
@@ -99,7 +99,7 @@ class TestPhiOps:
     def test_seeded_family_matches_definition(self):
         # literal definitional sum vs the transfer computation
         prof, H = profile_and_H(4, seed=5)
-        _, phi3 = phi_ops(H, prof)
+        _, phi3 = phi_ops(H, prof.variances.sum(axis=1))
         for m in range(3, 8):
             R = seeded_family(phi3, H, m)[m]
             N = 4

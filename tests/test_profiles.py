@@ -243,6 +243,20 @@ class TestSerialization:
         assert q.torus["L"] == 16
         assert np.allclose(p.variances, q.variances)
 
+    @pytest.mark.parametrize("torus", [
+        None, {"d": 1, "L": 7}, {"d": 2, "L": 3}, {"d": 0, "L": 8}, {"d": 1, "L": 1},
+        {"d": 1.0, "L": 8}, {"d": True, "L": 8},
+        {"d": 10 ** 18, "L": 8},  # refused by the row size, before 8^d is evaluated
+    ])
+    def test_circulant_row_needs_its_torus(self, torus):
+        with pytest.raises(ProfileError, match="circulant row"):
+            VarianceProfile(circulant_row=np.full(8, 0.125), torus=torus)
+
+    @pytest.mark.parametrize("field", ["torus", "metadata"])
+    def test_torus_and_metadata_are_objects(self, field):
+        with pytest.raises(ProfileError, match=f"{field} must be an object"):
+            VarianceProfile(circulant_row=np.full(8, 0.125), **{field: [1]})
+
 
 class TestValidation:
     def test_renormalize_once(self):
