@@ -6,12 +6,14 @@ intervals, and the 2-lift spectrum-split check.
 The baseline philosophy: universality statements are tested against a
 same-N GOE/GUE Monte Carlo sample rather than tabulated limiting quantiles,
 which removes finite-size-correction confounds.  Rejection level defaults
-to 0.01 with a Bonferroni split across the k tested coordinates.  A plain
-Gaussian spec (GOE/GUE, possibly with a rank-one coordinate spike) is
-sampled from its tridiagonal model, whose top k eigenvalues come from Sturm
-multisection, so each baseline replica costs O(N) memory, not a dense N x N
-draw and eigensolve.  Dense draws are solved per connected block of their
-support.
+to 0.01 with a Bonferroni split across the k tested coordinates.  A
+Gaussian spec whose every support block is a GOE/GUE (possibly with a
+rank-one coordinate spike) or a uniform Wishart in its own normalization
+is sampled from its tridiagonal model, whose top k eigenvalues come from
+Sturm multisection, so each replica costs O(N) memory, not a dense N x N
+draw and eigensolve: the GOE/GUE and Wishart baselines and the
+block-diagonal control.  Dense draws are solved per connected block of
+their support.
 
 Limitation: the same-size baseline removes GOE's own finite-size
 corrections, not those of the test profile.  With real entries a square
@@ -66,15 +68,15 @@ def spectrum(X, check_residual=False):
 def top_eigenvalues(spec, k, replicas):
     """k largest eigenvalues per replica, descending, shape (replicas, k).
 
-    A plain Gaussian spec (ensembles.has_tridiagonal_model) draws its
-    tridiagonal model and finds the top k by Sturm multisection.  Any other
+    A spec with a tridiagonal model (ensembles.has_tridiagonal_model) draws
+    it and finds the top k by Sturm multisection.  Any other
     spec draws dense matrices and solves each connected block of their
     support on its own; sampler output is exactly Hermitian, so it skips
     spectrum's check.
     """
     if ensembles.has_tridiagonal_model(spec):
         return tridiagonal_top(*ensembles.sample_tridiagonal(spec, replicas), k)
-    blocks = support_blocks(spec)
+    blocks = ensembles.support_blocks(spec)
     out = np.empty((replicas, k))
     for r in range(replicas):
         X = ensembles.sample(spec, replica=r)
@@ -84,29 +86,6 @@ def top_eigenvalues(spec, k, replicas):
             lam = np.sort(np.concatenate([np.linalg.eigvalsh(X[np.ix_(c, c)]) for c in blocks]))
         out[r] = lam[::-1][:k]
     return out
-
-
-def support_blocks(spec):
-    """Index arrays of the connected components of the graph on which a draw
-    of spec can be nonzero: the support of the profile plus the deformation,
-    and for Wishart X = (H + A)(H + A)^* rows that share a column."""
-    S = spec.profile.variances != 0
-    if spec.deformation_matrix is not None:
-        S |= spec.deformation_matrix != 0
-    G = S if spec.model == "wigner" else S @ S.T
-    blocks, seen = [], np.zeros(len(G), dtype=bool)
-    for start in range(len(G)):
-        if seen[start]:
-            continue
-        comp = np.zeros(len(G), dtype=bool)
-        comp[start] = True
-        front = comp
-        while front.any():
-            front = G[front].any(axis=0) & ~comp
-            comp |= front
-        seen |= comp
-        blocks.append(np.flatnonzero(comp))
-    return blocks
 
 
 STURM_POINTS = 15   # interior points per bracket and pass: a pass cuts it 16-fold

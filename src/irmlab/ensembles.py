@@ -10,6 +10,10 @@ Wishart model X = (H + A)(H + A)^* from an M x N bipartite profile.
 Every sampler is a pure function of (spec, seed, replica): streams derive
 from numpy SeedSequence(entropy=seed, spawn_key=(replica, block)), so replica
 r is identical no matter how the replicas are scheduled.
+
+A Gaussian spec whose every support block is a GOE/GUE or a uniform Wishart
+in its own normalization also has an O(N) tridiagonal model with the same
+eigenvalue law (has_tridiagonal_model, sample_tridiagonal).
 """
 
 from __future__ import annotations
@@ -120,18 +124,19 @@ def deformation_matrix(deformation, N, beta=1, seed=0):
 
 def wishart_deformation_matrix(deformation, M, N, beta=1, seed=0):
     """M x N deformation A = Q1 Lambda Q2^* with spikes at sqrt(alpha) + tau N^(-1/3)."""
-    alpha = M / N
-    vals = deformation.eigenvalues(N, edge=math.sqrt(alpha))
-    r = len(vals)
-    _require(r <= M, "deformation rank exceeds M")
-    Q1 = _frame(deformation.basis, M, r, beta, seed, 913)
-    Q2 = _frame(deformation.basis, N, r, beta, seed, 917)
-    A = (Q1 * vals) @ Q2.conj().T
-    norm = np.linalg.norm(A, 2)
-    tau_max = max(deformation.taus, default=0.0)
-    cap = math.sqrt(alpha) + max(tau_max, 0.0) * N ** (-1.0 / 3.0) + 1e-9
+    vals = deformation.eigenvalues(N, edge=math.sqrt(M / N))
+    Q1 = _frame(deformation.basis, M, len(vals), beta, seed, 913)
+    Q2 = _frame(deformation.basis, N, len(vals), beta, seed, 917)
+    return (Q1 * vals) @ Q2.conj().T
+
+
+def _check_wishart_deformation(deformation, M, N):
+    """Rank at most min(M, N) and ||A|| <= sqrt(alpha) + max(tau, 0) N^(-1/3):
+    Q1 and Q2 are orthonormal frames, so ||Q1 Lambda Q2^*|| = max |lambda|."""
+    _require(deformation.rank <= min(M, N), "deformation rank exceeds min(M, N)")
+    norm = float(np.max(np.abs(deformation.eigenvalues(N, edge=math.sqrt(M / N))), initial=0.0))
+    cap = math.sqrt(M / N) + max((*deformation.taus, 0.0)) * N ** (-1.0 / 3.0) + 1e-9
     _require(norm <= cap, f"deformation norm {norm:.6g} exceeds sqrt(alpha)+tau N^(-1/3)")
-    return A
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +153,11 @@ def _gaussian(rng, shape, beta):
 
 
 def _hermitian(off, diag):
-    """Hermitian matrix: off's strict upper triangle mirrored, diagonal diag."""
-    U = np.triu(off, 1)
-    W = U + U.conj().T
+    """Hermitian matrix: off's strict upper triangle mirrored, diagonal diag.
+    The in-place sum reads a buffered copy of the transpose, so it keeps the
+    bits (and the +0.0 of a signed zero) of U + U^*."""
+    W = np.triu(off, 1)
+    W += W.conj().T
     W[np.diag_indices(len(diag))] = diag
     return W
 
@@ -232,9 +239,9 @@ def truncate_heavy(W, N, zeta):
 def assemble(profile, W, deformation_mat=None):
     """X = Sigma o W + A.  Superposition holds exactly: assemble(P,W,A) -
     assemble(P,W,0) = A."""
-    V = profile.variances
-    _require(V.shape == W.shape, "profile and W dimensions disagree")
-    X = np.sqrt(V) * W
+    S = profile.sqrt_variances
+    _require(S.shape == W.shape, "profile and W dimensions disagree")
+    X = S * W
     if deformation_mat is not None:
         _require(deformation_mat.shape == X.shape, "deformation dimension mismatch")
         X = X + deformation_mat
@@ -289,7 +296,8 @@ class EnsembleSpec:
 
     def __post_init__(self):
         """Accept only numbers of the declared int/float field types, a row of
-        LAWS, in-domain parameters and a profile of the model's kind."""
+        LAWS, in-domain parameters, a profile of the model's kind and, for
+        Wishart, a deformation within rank and norm bounds."""
         for f in dataclasses.fields(self):
             kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
             value = getattr(self, f.name)
@@ -309,6 +317,8 @@ class EnsembleSpec:
         kind = "square" if self.model == "wigner" else "bipartite"
         _require(isinstance(self.profile, VarianceProfile) and self.profile.kind == kind,
                  f"a {self.model} spec needs a {kind} profile")
+        if self.model == "wishart" and self.deformation is not None:
+            _check_wishart_deformation(self.deformation, self.profile.n_rows, self.N)
 
     @property
     def N(self):
@@ -359,37 +369,101 @@ def sample(spec, replica=0):
     return 0.5 * (X + X.conj().T)
 
 
-def has_tridiagonal_model(spec):
-    """True for a plain Gaussian Wigner spec: Gaussian entries, every profile
-    entry exactly 1/N, and no deformation or a rank-one coordinate one.  Its
-    eigenvalues have the law of the tridiagonal model (sample_tridiagonal)."""
+def support_blocks(spec):
+    """Index arrays of the connected components of the graph on which a draw
+    of spec can be nonzero: the support of the profile plus the deformation,
+    and for Wishart X = (H + A)(H + A)^* rows that share a column."""
+    S = spec.profile.variances != 0
+    if spec.deformation_matrix is not None:
+        S |= spec.deformation_matrix != 0
+    G = S if spec.model == "wigner" else S @ S.T
+    blocks, seen = [], np.zeros(len(G), dtype=bool)
+    for start in range(len(G)):
+        if seen[start]:
+            continue
+        comp = np.zeros(len(G), dtype=bool)
+        comp[start] = True
+        front = comp
+        while front.any():
+            front = G[front].any(axis=0) & ~comp
+            comp |= front
+        seen |= comp
+        blocks.append(np.flatnonzero(comp))
+    return blocks
+
+
+def _model_blocks(spec):
+    """(rows, n) for each support block of a spec with a tridiagonal model,
+    else None.  Wigner: Gaussian entries, no deformation or a rank-one
+    coordinate one, and each block's n x n sub-profile exactly 1/n (a GOE/GUE
+    of size n).  Wishart: Gaussian entries, no deformation, and each block
+    of rows exactly 1/n on the n columns it reaches, rows <= n."""
     d = spec.deformation
-    return (spec.model == "wigner" and spec.entry_law == "gaussian"
-            and (d is None or d.rank == 0 or (d.rank == 1 and d.basis == "coordinate"))
-            and bool(np.all(spec.profile.variances == 1.0 / spec.N)))
+    rank = 0 if d is None else d.rank
+    spike = spec.model == "wigner" and rank == 1 and d.basis == "coordinate"
+    if spec.entry_law != "gaussian" or (rank and not spike):
+        return None
+    V = spec.profile.variances
+    sizes = []
+    for rows in support_blocks(spec):
+        cols = rows if spec.model == "wigner" else np.flatnonzero(V[rows].any(axis=0))
+        m, n = len(rows), len(cols)
+        if m > n or not np.all(V[np.ix_(rows, cols)] == 1.0 / n):
+            return None
+        sizes.append((m, n))
+    return sizes
+
+
+def has_tridiagonal_model(spec):
+    """True when the eigenvalues of spec have the law of a tridiagonal model
+    (sample_tridiagonal): a Gaussian spec whose every support block is a
+    GOE/GUE or a uniform Wishart in its own normalization."""
+    return _model_blocks(spec) is not None
 
 
 def sample_tridiagonal(spec, replicas):
-    """Diagonal a and off-diagonal b, shapes (replicas, N) and (replicas, N-1),
-    of the Dumitriu-Edelman tridiagonal beta-Hermite model of a plain Gaussian
-    spec (J. Math. Phys. 43, 2002): a ~ N(0, 2/beta) and b_i ~ chi_{beta i}/sqrt(beta)
-    for i = N-1, ..., 1, both over sqrt(N).  The Householder tridiagonalization
-    of a spec's dense draw has this law, and it fixes the first coordinate, so
-    a rank-one coordinate spike adds its eigenvalue to a[0] (Bloemendal-Virag,
-    PTRF 2013).  Replica r draws from stream (seed, r, 2), a block the dense
-    samplers do not use."""
-    _require(has_tridiagonal_model(spec), "the tridiagonal model needs a plain Gaussian spec")
-    N, beta = spec.N, spec.beta
-    df = beta * np.arange(N - 1, 0, -1)
-    a, b = np.empty((replicas, N)), np.empty((replicas, N - 1))
+    """Diagonal a and off-diagonal b, shapes (replicas, n) and (replicas, n-1)
+    for n = profile.n_rows, of the Dumitriu-Edelman tridiagonal model of each
+    support block (J. Math. Phys. 43, 2002), b = 0 at each cut between blocks.
+
+    Wigner, the beta-Hermite model of a block of size n: a ~ N(0, 2/beta) and
+    b_i ~ chi_{beta i}/sqrt(beta) for i = n-1, ..., 1, both over sqrt(n).  The
+    Householder tridiagonalization of a dense draw has this law and fixes the
+    first coordinate, so a rank-one coordinate spike adds its eigenvalue to
+    a[0] (Bloemendal-Virag, PTRF 2013).  Wishart, the beta-Laguerre model of
+    an m x n block: T = B B^T / n for the lower bidiagonal B with diagonal
+    d_j ~ chi_{beta j}/sqrt(beta), j = n, ..., n-m+1, and subdiagonal
+    s_i ~ chi_{beta i}/sqrt(beta), i = m-1, ..., 1.
+
+    Replica r draws from stream (seed, r, 2), a block the dense samplers do
+    not use: first the diagonal of every block in one call (normals, or the
+    Laguerre chi-squares), then the off-diagonal chi-squares in one call."""
+    blocks = _model_blocks(spec)
+    _require(blocks is not None, "the tridiagonal model needs a Gaussian spec with a "
+                                 "constant profile on every support block")
+    beta, wigner = spec.beta, spec.model == "wigner"
+    norm = np.repeat([float(n) for _, n in blocks], [m for m, _ in blocks])
+    inner = np.ones(len(norm) - 1, dtype=bool)
+    inner[np.cumsum([m for m, _ in blocks])[:-1] - 1] = False
+    diag_df = np.concatenate([beta * np.arange(n, n - m, -1) for m, n in blocks])
+    off_df = np.concatenate([beta * np.arange(m - 1, 0, -1) for m, _ in blocks])
+    a, b = np.empty((replicas, len(norm))), np.zeros((replicas, len(norm) - 1))
     for r in range(replicas):
         rng = rng_for(spec.seed, r, 2)
-        a[r] = rng.standard_normal(N) * math.sqrt(2.0 / beta)
-        b[r] = np.sqrt(rng.chisquare(df) / beta)
-    a /= math.sqrt(N)
-    b /= math.sqrt(N)
+        if wigner:
+            a[r] = rng.standard_normal(len(norm)) * math.sqrt(2.0 / beta)
+        else:
+            a[r] = np.sqrt(rng.chisquare(diag_df) / beta)
+        b[r, inner] = np.sqrt(rng.chisquare(off_df) / beta)
+    if not wigner:
+        d, s = a, b
+        a = d * d
+        a[:, 1:] += s * s
+        return a / norm, s * d[:, :-1] / norm[:-1]
+    a /= np.sqrt(norm)
+    b /= np.sqrt(norm[:-1])
     if spec.deformation is not None and spec.deformation.rank:
-        a[:, 0] += spec.deformation.eigenvalues(N)[0]
+        a[:, 0] += spec.deformation.eigenvalues(spec.N)[0]
     return a, b
 
 

@@ -176,6 +176,7 @@ class VarianceProfile:
         self.torus = torus or None
         self.metadata = _json_object(metadata, "metadata")
         self._dense = None
+        self._sqrt = None
         self.circulant_row = None
         if variances is not None:
             arr = np.array(variances, dtype=float)
@@ -223,6 +224,17 @@ class VarianceProfile:
         if self._dense is None:
             self._dense = self._materialize_circulant()
         return self._dense
+
+    @property
+    def sqrt_variances(self):
+        """Entrywise square root of the variances, read-only, computed once
+        for the matrix stored (validate may renormalize it)."""
+        V = self.variances
+        if self._sqrt is None or self._sqrt[0] is not V:
+            S = np.sqrt(V)
+            S.setflags(write=False)
+            self._sqrt = (V, S)
+        return self._sqrt[1]
 
     def _materialize_circulant(self):
         d, L = self.torus["d"], self.torus["L"]

@@ -350,7 +350,7 @@ class TestCliEntry:
 def _spec_doc(**kw):
     from irmlab.profiles import uniform_profile, wishart_profile
     if kw.get("model") == "wishart":
-        prof = wishart_profile(kw.pop("M", 10), 30)
+        prof = wishart_profile(kw.pop("M", 10), kw.pop("N", 30))
     else:
         prof = uniform_profile(30)
     return ensembles.EnsembleSpec(profile=prof, **kw).to_json()
@@ -376,12 +376,18 @@ class TestSpecInputExit64:
         (dict(GOOD, deformation={"taus": [True]}), "deformation taus"),
         (dict(GOOD, deformation={"taus": 0.5}), "deformation taus"),
         (dict(GOOD, deformation={"taus": [10 ** 400]}), "deformation taus"),
+        # a Wishart deformation past its norm or rank bound is refused with the spec
+        (dict(_spec_doc(model="wishart", M=3, N=6), deformation={"bulk": [5.0]}),
+         "deformation norm 5 exceeds"),
+        (dict(_spec_doc(model="wishart", M=2, N=6), deformation={"bulk": [0.1] * 3}),
+         "deformation rank exceeds"),
     ])
     def test_sample_malformed_spec(self, doc, message, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
         code = cli.main(["sample", "--spec", str(path), "--out", str(tmp_path / "draws")])
         assert code == EXIT_USAGE
+        assert not (tmp_path / "draws").exists()
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration:") and message in err
         assert "Traceback" not in err

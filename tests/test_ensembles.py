@@ -22,7 +22,8 @@ from irmlab.ensembles import (
     sample_wigner,
     truncate_heavy,
 )
-from irmlab.profiles import VarianceProfile, band_profile, uniform_profile, wishart_profile
+from irmlab.profiles import (VarianceProfile, band_profile, block_wegner_profile, uniform_profile,
+                             wishart_profile)
 
 
 class TestWigner:
@@ -141,9 +142,11 @@ class TestWishart:
         assert X.shape == (1, 1) and X[0, 0] >= 0
 
     def test_oversized_deformation_rejected(self):
-        spec = _wishart(wishart_profile(3, 6), 0, deformation=Deformation(bulk=(5.0,)))
-        with pytest.raises(ensembles.EnsembleError):
-            sample(spec)
+        # refused when the spec is built, before any frame is drawn
+        with pytest.raises(ensembles.EnsembleError, match="norm 5 exceeds"):
+            _wishart(wishart_profile(3, 6), 0, deformation=Deformation(bulk=(5.0,)))
+        with pytest.raises(ensembles.EnsembleError, match="rank exceeds"):
+            _wishart(wishart_profile(2, 6), 0, deformation=Deformation(bulk=(0.1,) * 3))
 
 
 class TestTruncation:
@@ -335,7 +338,6 @@ PINNED_DEFORMED = [
 
 
 def _table_spec(model, law, beta, kw, **extra):
-    from irmlab.profiles import block_wegner_profile
     prof = block_wegner_profile(2, 3, 0.4) if model == "wigner" else wishart_profile(4, 7, "banded")
     return EnsembleSpec(model=model, entry_law=law, beta=beta, profile=prof, seed=11, **kw, **extra)
 
@@ -415,12 +417,31 @@ class TestEnsembleTable:
 
 
 SPIKE = Deformation(taus=(0.5,))
+# two bipartite blocks, 2 x 4 and 3 x 6, every entry 1/n on its block
+TWO_BLOCKS = VarianceProfile(np.block([[np.full((2, 4), 0.25), np.zeros((2, 6))],
+                                       [np.zeros((3, 4)), np.full((3, 6), 1 / 6)]]),
+                             kind="bipartite").validate()
 
 
 class TestTridiagonalModel:
     @pytest.mark.parametrize("beta, digest", [(1, "7700b034ce425529"), (2, "786fe5d947e205e6")])
     def test_stream_guard(self, beta, digest):
         spec = ensembles.goe_reference_spec(7, beta=beta, deformation=SPIKE, seed=11)
+        a, b = ensembles.sample_tridiagonal(spec, 3)
+        assert hashlib.sha256(a[2].tobytes() + b[2].tobytes()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("spec, digest", [
+        (EnsembleSpec(profile=block_wegner_profile(2, 3, 0.0), deformation=SPIKE, seed=11),
+         "28f8b41776af787d"),
+        (EnsembleSpec(beta=2, profile=block_wegner_profile(3, 2, 0.0), seed=11),
+         "67613ed943cfd9bc"),
+        (EnsembleSpec(model="wishart", profile=TWO_BLOCKS, seed=11), "9404fb05ac052efe"),
+        (EnsembleSpec(model="wishart", beta=2, profile=wishart_profile(4, 7), seed=11),
+         "369d6b7737456bd3"),
+    ])
+    def test_block_stream_guard(self, spec, digest):
+        # multi-block Hermite and the Laguerre model, first 16 hex digits of
+        # sha256 of replica 2's diagonals (numpy 2.4, x86-64)
         a, b = ensembles.sample_tridiagonal(spec, 3)
         assert hashlib.sha256(a[2].tobytes() + b[2].tobytes()).hexdigest()[:16] == digest
 
@@ -440,7 +461,20 @@ class TestTridiagonalModel:
          False),
         (EnsembleSpec(entry_law="theta_goe", theta=2.0, profile=uniform_profile(6)), False),
         (EnsembleSpec(profile=_table_spec("wigner", "gaussian", 1, {}).profile), False),
-        (EnsembleSpec(model="wishart", profile=wishart_profile(6, 6)), False),
+        (EnsembleSpec(model="wishart", profile=wishart_profile(6, 6, "banded")), False),
+        # a Gaussian spec whose every support block has a constant profile
+        (EnsembleSpec(model="wishart", profile=wishart_profile(6, 6)), True),
+        (EnsembleSpec(model="wishart", beta=2, profile=wishart_profile(4, 6),
+                      deformation=Deformation()), True),
+        (EnsembleSpec(profile=block_wegner_profile(2, 3, 0.0), deformation=SPIKE), True),
+        (EnsembleSpec(model="wishart", profile=TWO_BLOCKS), True),
+        (EnsembleSpec(profile=block_wegner_profile(2, 3, 0.0), entry_law="theta_goe",
+                      theta=2.0), False),
+        (EnsembleSpec(model="wishart", profile=wishart_profile(4, 6),
+                      deformation=Deformation(taus=(0.5,))), False),
+        # a block with more rows than columns
+        (EnsembleSpec(model="wishart", profile=VarianceProfile(
+            np.kron(np.eye(2), np.full((3, 2), 0.5)), kind="bipartite")), False),
     ])
     def test_plain_specs_only(self, spec, plain):
         assert ensembles.has_tridiagonal_model(spec) is plain
