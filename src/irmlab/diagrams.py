@@ -27,7 +27,7 @@ Conventions that the exact tests pin down:
 The Wick oracle computes the same mixed trace moments directly from scalar
 Gaussian entry moments over all index tuples and never touches the gluing
 machinery, so the two sides of each verified identity are independent.  It
-sums the tuples in numpy blocks against one table of entry factors per call,
+sums the tuples in numpy blocks, filling the entry factors they use as it goes,
 in the scalar walk's order of operations, so it gives that walk's floats bit
 for bit (see `wick_moment`).
 """
@@ -35,8 +35,10 @@ for bit (see `wick_moment`).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -250,7 +252,7 @@ def glue(gluing):
 # reduced diagrams
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Diagram:
     n_vertices: int
     edges: tuple                 # (kind, u, v, weight)
@@ -607,19 +609,12 @@ def wick_moment(m_list, profile, A=None, beta=1):
     if not m_list:
         return float(N ** zeros)
     Amat = np.zeros_like(P) if A is None else np.asarray(A)
-    # factor table: row x N + y for the entry x <= y, column the count code
-    # (a code is at most k for a real or diagonal entry, u (k+1) + v otherwise);
-    # when every face has perimeter 1 every step is diagonal: only those rows are filled
-    complex_codes = [(u, c - u) for c in range(1, k + 1) for u in range(c + 1)]
-    table = np.zeros((N * N, (k + 1) ** 2 if beta == 2 else k + 1))
-    for x in range(N):
-        for y in range(x, N if max(m_list) > 1 else x + 1):
-            if beta == 1 or x == y:
-                for c in range(1, k + 1):
-                    table[x * N + y, c] = _entry_factor(P, Amat, beta, x, y, c)
-            else:
-                for u, v in complex_codes:
-                    table[x * N + y, u * (k + 1) + v] = _entry_factor(P, Amat, beta, x, y, (u, v))
+    # entry factors by slot code N^2 + x N + y for the entry x <= y (a code is at
+    # most k for a real or diagonal entry, u (k+1) + v otherwise), each filled the
+    # first time a block uses it: the pages of a code no tuple reaches stay untouched
+    ncodes = (k + 1) ** 2 if beta == 2 else k + 1
+    factors = np.zeros(ncodes * N * N)
+    filled = np.zeros(ncodes * N * N, dtype=bool)
     # step s of the face walks goes from index s to index nxt[s] of the tuple
     nxt, start = [], 0
     for m in m_list:
@@ -636,27 +631,79 @@ def wick_moment(m_list, profile, A=None, beta=1):
         step = 1 + k * (xs < ys) if beta == 2 else np.ones_like(xs)
         code = np.einsum("bst,bt->bs", same, step)
         first = same.argmax(axis=2) == np.arange(k)      # no earlier step on the entry
+        slot = code * (N * N) + key
+        missing = slot[~filled[slot]]
+        if missing.size:
+            for sl in set(missing.tolist()):
+                c, row = divmod(sl, N * N)
+                x, y = divmod(row, N)
+                factors[sl] = _entry_factor(P, Amat, beta, x, y,
+                                            divmod(c, k + 1) if beta == 2 and x != y else c)
+            filled[missing] = True
+        f = factors[slot]
         leaf = np.ones(len(xs))
         for s in range(k):
-            leaf *= np.where(first[:, s], table[key[:, s], code[:, s]], 1.0)
+            leaf *= np.where(first[:, s], f[:, s], 1.0)
         # a sequential running sum, as the scalar walk adds: np.sum would pair terms
         total = np.add.accumulate(np.concatenate((total[-1:], leaf)))
     return float(total[-1]) * (N ** zeros)
-
-
 
 
 # ---------------------------------------------------------------------------
 # the three verified identities
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass
+SKELETON_CACHE_SIZE = 256        # topologies kept per process (an exact-identities pass uses 56)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Topology:
+    """The tree-free gluings of one perimeter tuple, reduced: the distinct
+    diagrams in first-occurrence order, the diagram index of each kept
+    gluing in gluing order, and one connected flag per diagram."""
+    diagrams: tuple
+    index: array
+    connected: tuple
+
+
+def _shared(diagram, pool):
+    """The diagram with each of its tuples replaced by an equal one from pool
+    (added when new): cached diagrams repeat few distinct edges and faces."""
+    def share(t):
+        return pool.setdefault(t, t)
+    return dataclasses.replace(
+        diagram, edges=share(tuple(map(share, diagram.edges))),
+        face_boundaries=share(tuple(map(share, diagram.face_boundaries))),
+        marks=share(diagram.marks))
+
+
+@functools.lru_cache(maxsize=SKELETON_CACHE_SIZE)
+def _topology(perimeters, beta, allow_open):
+    """Enumerate, glue and contract once per (perimeters, beta, allow_open)
+    in the process: none of it depends on the profile or the deformation."""
+    diagrams, index, slot, shared = [], array("i"), {}, {}
+    for gl in enumerate_gluings(perimeters, beta, allow_open=allow_open):
+        gc = glue(gl)
+        if min(gc.degrees()) < 2:
+            continue  # tree-containing gluing: counted at lower perimeter
+        diagram, info = okounkov_contract(gc)
+        if not info.weight_check:
+            raise GluingError("weight conservation failed")
+        key = diagram.structure_key()
+        if key not in slot:
+            slot[key] = len(diagrams)
+            diagrams.append(_shared(diagram, shared))
+        index.append(slot[key])
+    return _Topology(tuple(diagrams), index, tuple(d.is_connected() for d in diagrams))
+
+
+@dataclasses.dataclass(frozen=True)
 class _Skeleton:
-    """One gluing enumeration at fixed perimeters: the sum of diagram values
-    over tree-free gluings, its connected part and the sum per diagram."""
-    total: float = 0.0
-    connected: float = 0.0
-    diagrams: dict = dataclasses.field(default_factory=dict)
+    """Diagram values of one perimeter tuple's topology, and their sums over
+    the kept gluings (in gluing order): all of them, and the connected ones."""
+    values: list
+    total: float
+    connected: float
 
 
 def _ribbon_face(m):
@@ -676,9 +723,10 @@ class MomentTable:
 
     A left side expands each trace factor in powers of X and reads the mixed
     moments from the Wick oracle; a right side expands each face in reduced
-    perimeters and reads skeleton sums.  Both are one basis sum, and both
-    lookups are cached on the table: each mixed moment is one oracle call and
-    each perimeter tuple is one gluing enumeration.
+    perimeters and reads skeleton sums.  Both are one basis sum.  Each mixed
+    moment is one oracle call per table.  Each perimeter tuple is one gluing
+    enumeration per process (`_topology`, shared by every table of the same
+    beta and open-ness); a table evaluates each of its distinct diagrams once.
     """
 
     def __init__(self, profile, A=None, beta=1):
@@ -687,7 +735,6 @@ class MomentTable:
         self.powers = PowerCache(profile, A)
         self._wick = {}        # sorted positive powers -> E prod_j Tr X^{k_j}
         self._skeletons = {}   # perimeter tuple -> _Skeleton
-        self._values = {}      # diagram structure key -> diagram value
 
     def _basis_sum(self, faces, value):
         """sum over one (k_j, c_j) term per face of
@@ -711,23 +758,14 @@ class MomentTable:
 
     def _skeleton(self, perimeters):
         if perimeters not in self._skeletons:
-            sk = _Skeleton()
-            for gl in enumerate_gluings(perimeters, self.beta, allow_open=self.A is not None):
-                gc = glue(gl)
-                if min(gc.degrees()) < 2:
-                    continue  # tree-containing gluing: counted at lower perimeter
-                diagram, info = okounkov_contract(gc)
-                if not info.weight_check:
-                    raise GluingError("weight conservation failed")
-                key = diagram.structure_key()
-                if key not in self._values:
-                    self._values[key] = diagram_value(diagram, self.powers)
-                val = self._values[key]
-                sk.diagrams[key] = sk.diagrams.get(key, 0.0) + val
-                sk.total += val
-                if diagram.is_connected():
-                    sk.connected += val
-            self._skeletons[perimeters] = sk
+            topo = _topology(perimeters, self.beta, self.A is not None)
+            values = [diagram_value(d, self.powers) for d in topo.diagrams]
+            total = connected = 0.0
+            for i in topo.index:
+                total += values[i]
+                if topo.connected[i]:
+                    connected += values[i]
+            self._skeletons[perimeters] = _Skeleton(values, total, connected)
         return self._skeletons[perimeters]
 
     def _chebyshev_lhs(self, n_list):
@@ -754,7 +792,13 @@ class MomentTable:
         out = {}
         for terms in itertools.product(*[_chebyshev_face(n) for n in n_list if n]):
             if terms:
-                out.update(self._skeleton(tuple(l for l, _ in terms)).diagrams)
+                ls = tuple(l for l, _ in terms)
+                topo = _topology(ls, self.beta, self.A is not None)
+                values = self._skeleton(ls).values
+                sums = [0.0] * len(values)
+                for i in topo.index:
+                    sums[i] += values[i]
+                out.update((d.structure_key(), v) for d, v in zip(topo.diagrams, sums))
         return out
 
     def cumulant(self, n_list):

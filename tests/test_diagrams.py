@@ -329,6 +329,23 @@ class TestWickOracle:
                 assert wick_moment(ms, prof, A, beta) == self.reference(ms, prof, A, beta)
 
     @pytest.mark.parametrize("beta", [1, 2])
+    def test_fills_only_the_factors_it_uses(self, monkeypatch, beta):
+        # Tr X^2 meets each entry x <= y with one count code: N (N + 1) / 2 factors
+        calls = []
+
+        def counting(*args):
+            calls.append(args[3:])
+            return entry_factor(*args)
+
+        N = 5
+        prof = nonuniform_profile(N, seed=2)
+        want = self.reference([2], prof, None, beta)
+        entry_factor = dg._entry_factor
+        monkeypatch.setattr(dg, "_entry_factor", counting)
+        assert wick_moment([2], prof, None, beta) == want
+        assert len(calls) == len(set(calls)) == N * (N + 1) // 2
+
+    @pytest.mark.parametrize("beta", [1, 2])
     def test_bits_match_over_several_blocks(self, beta):
         # 3^7 = 2187 tuples: more than two blocks, the last one partial
         assert 3 ** 7 > 2 * dg.WICK_BLOCK and 3 ** 7 % dg.WICK_BLOCK
@@ -383,6 +400,31 @@ class TestChebyshevExpansion:
 
     def test_zero_index(self):
         assert MomentTable(uniform_profile(4), None, 1).chebyshev([0]) == (4.0, 4.0)
+
+
+class TestChebyshevDiagrams:
+    # per-diagram terms of the Chebyshev right side: values and dict order
+    PINNED = [
+        (((("p", 0, 0, 1), ("p", 1, 1, 1)), ((0, 0), (1, 1)), (0, 1), 1), 1.4601921571128424),
+        (((("p", 0, 1, 1), ("p", 1, 0, 1)), ((0, 1), (0, 1)), (0, 1), 1), 1.0415334074892941),
+        (((("p", 0, 0, 1), ("p", 0, 0, 1)), ((0, 1), (0, 1)), (0, 0), 1), 0.9866757306453773),
+        (((("p", 0, 0, 2),), ((0,), (0,)), (0, 0), 1), 2.0830668149785883),
+        (((("p", 0, 0, 1), ("p", 0, 0, 1)), ((0, 1), (1, 0)), (0, 0), 1), 0.9866757306453773),
+        (((("p", 0, 1, 1), ("p", 1, 0, 1)), ((0, 1), (1, 0)), (0, 1), 1), 1.0415334074892941),
+    ]
+
+    def test_pinned_values(self):
+        got = MomentTable(nonuniform_profile(3, seed=4), None, 1).chebyshev_diagrams([2, 2])
+        assert list(got.items()) == self.PINNED
+
+    @pytest.mark.parametrize("beta", [1, 2])
+    @pytest.mark.parametrize("ns", [[3], [4], [2, 2], [2, 1]])
+    def test_terms_sum_to_right_side(self, beta, ns):
+        for A in (None, spike(3, 0.8, seed=5)):
+            table = MomentTable(nonuniform_profile(3, seed=4), A, beta)
+            _, rhs = table.chebyshev(ns)
+            assert sum(table.chebyshev_diagrams(ns).values()) == pytest.approx(rhs, rel=1e-12,
+                                                                               abs=1e-12)
 
 
 class TestCumulants:
@@ -444,6 +486,13 @@ class TestVerifyReport:
     def test_one_enumeration_per_perimeter_tuple(self, monkeypatch, args):
         # the ribbon, Chebyshev and cumulant right sides read one skeleton
         # enumeration per perimeter tuple
+        dg._topology.cache_clear()
+        calls = self.count_enumerations(monkeypatch)
+        assert verify_expansions(*args)["pass"]
+        assert calls and len(calls) == len(set(calls))
+
+    @staticmethod
+    def count_enumerations(monkeypatch):
         calls = []
 
         def counting(perimeters, *rest, **kwargs):
@@ -451,8 +500,35 @@ class TestVerifyReport:
             return enumerate_gluings(perimeters, *rest, **kwargs)
 
         monkeypatch.setattr(dg, "enumerate_gluings", counting)
-        assert verify_expansions(*args)["pass"]
+        return calls
+
+    @pytest.mark.parametrize("deformed", [False, True])
+    def test_tables_share_one_enumeration_per_tuple(self, monkeypatch, deformed):
+        # the topology of a perimeter tuple depends on beta and open-ness only
+        dg._topology.cache_clear()
+        calls = self.count_enumerations(monkeypatch)
+        sides = []
+        for N in (3, 4):
+            A = spike(N) if deformed else None
+            for prof in (uniform_profile(N), nonuniform_profile(N, seed=N)):
+                table = MomentTable(prof, A, 2)
+                sides.append((table.ribbon([4]), table.chebyshev([2, 2]), table.cumulant([2, 2])))
         assert calls and len(calls) == len(set(calls))
+        assert {(4,), (2,), (2, 2)} <= set(calls)
+        for ribbon, chebyshev, cumulant in sides:
+            for lhs, rhs in (ribbon, chebyshev, cumulant):
+                assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("tol", [1e-9, -1.0])
+    def test_cold_and_warm_cache_agree(self, tol):
+        # tol < 0 fails every check, so the report also lists the per-diagram terms
+        args = ([2, 3], nonuniform_profile(3, seed=6), spike(3, 0.9, seed=1), 1)
+        dg._topology.cache_clear()
+        cold = verify_expansions(*args, tol=tol)
+        warm = verify_expansions(*args, tol=tol)
+        assert dg._topology.cache_info().hits
+        assert cold == warm
+        assert ("per_diagram" in cold["checks"]["chebyshev"]) == (tol < 0)
 
     def test_power_independent_of_request_order(self):
         prof = nonuniform_profile(4, seed=3)
