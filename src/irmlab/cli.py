@@ -253,7 +253,7 @@ def _run_diagrams_exact(p, seed):
     rng = np.random.default_rng(seed)
     M0 = rng.uniform(0.5, 1.5, (p["N"], p["N"]))
     prof2 = profiles.VarianceProfile(
-        profiles.sinkhorn_symmetric(0.5 * (M0 + M0.T)), kind="square").validate()
+        profiles.sinkhorn_symmetric(0.5 * (M0 + M0.T)), kind="square")
     A = _spike(p["N"], p["spike"])
     checks = []
     for beta in p["betas"]:

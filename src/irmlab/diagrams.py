@@ -402,8 +402,7 @@ class PowerCache:
     """
 
     def __init__(self, profile, A=None):
-        self.P = np.asarray(profile.variances if hasattr(profile, "variances") else profile,
-                            dtype=float)
+        self.P = np.asarray(profile.variances, dtype=float)
         self.A = None if A is None else np.asarray(A)
         self.N = self.P.shape[0]
         self._p = [self.P]
@@ -598,7 +597,7 @@ def wick_moment(m_list, profile, A=None, beta=1):
     float is the same, bit for bit, as that of the scalar walk over the
     tuples with a dict of entry counts (kept as the reference in the tests).
     """
-    P = np.asarray(profile.variances if hasattr(profile, "variances") else profile, dtype=float)
+    P = np.asarray(profile.variances, dtype=float)
     N = P.shape[0]
     orig = [int(m) for m in m_list]
     zeros = sum(1 for m in orig if m == 0)

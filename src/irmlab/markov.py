@@ -47,7 +47,7 @@ class MixingReport:
     b2_pass: bool
     worst_b1: tuple          # (x, y, value)
     worst_b2: tuple          # (n, x, y, value)
-    certificate: str         # exhaustive | spectral-gap | fourier
+    certificate: str         # exhaustive | spectral-gap (lambda_* from the symbol when circulant)
     horizon_limited: bool
     gamma_observed: float
     delta_observed: float
@@ -114,7 +114,7 @@ def _mixing_powers(P, t_N, stop):
 
 def transition_powers(profile, n_max):
     """Yield (n, P^n) for n = 1..n_max in float64 with row-sum drift monitoring."""
-    P = profile.transition_matrix() if isinstance(profile, VarianceProfile) else np.asarray(profile, float)
+    P = profile.variances if isinstance(profile, VarianceProfile) else np.asarray(profile, float)
     yield from _mixing_powers(P, 1, n_max)[1]
 
 
@@ -201,17 +201,17 @@ def _certify(profile, t_N, gamma, delta, horizon):
         M, N = profile.n_rows, profile.n_cols
         P, side = profile.bipartite_transition(), np.repeat([float(M), float(N)], [M, N])
     else:
-        P = profile.transition_matrix()
+        P = profile.variances
         side = np.full(len(P), float(len(P)))
     scan = _mixing_scan(P, side, t_N, gamma, delta, horizon, lazy=bipartite)
 
-    circulant = profile.circulant_row is not None
     lam = _lambda_star(P * np.sqrt(side / side[:, None]), drop=2 if bipartite else 1,
-                       symbol=_circulant_symbol(profile)[0] if circulant else None)
+                       symbol=None if profile.circulant_row is None
+                       else _circulant_symbol(profile)[0])
     certificate = "exhaustive"
     horizon_limited = True
     if lam is not None:
-        certificate = "fourier" if circulant else "spectral-gap"
+        certificate = "spectral-gap"
         s = float(side.max())
         c = 1.0 + lam if bipartite else 1.0
         if lam < 1.0 and c * (1.0 - 1.0 / s) * lam ** (horizon + 1) <= delta / s:

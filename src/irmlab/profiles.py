@@ -9,14 +9,17 @@ chain on [M] | [N].
 Builders cover the standard families: uniform (mean-field), band on a
 d-dimensional torus, randomized generalized-Wigner, sparse weighted-graph,
 block (Wegner orbital), regular-graph, and bipartite Wishart profiles.
-Profiles are immutable after construction.
+Every profile is checked once, when it is built (a builder, a file, or
+the constructor directly), and is immutable after construction.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import types
 
 import numpy as np
 
@@ -45,9 +48,10 @@ class BandDensity:
     """Radial probability density on R^d used to shape band profiles.
 
     Built-in family: 'gaussian', 'bump' (compact support in the unit ball),
-    'power_law' (tail (1+r)^{-d-alpha}).  All built-ins are even.  The
-    attributes alpha_stable / decay_T / decay_K record the small-frequency
-    exponent and the decay exponents used by the mixing envelope.
+    'power_law' (tail (1+r)^{-d-alpha}).  A density is evaluated at |x|, so
+    it is even by construction.  The attributes alpha_stable / decay_T /
+    decay_K record the small-frequency exponent and the decay exponents used
+    by the mixing envelope.
     """
 
     def __init__(self, name, radial, d, alpha_stable, decay_T, decay_K, params=None):
@@ -118,10 +122,6 @@ class BandDensity:
         r = np.sqrt(np.sum(x * x, axis=-1))
         return self._radial(r)
 
-    def is_even(self):
-        pts = np.random.default_rng(0).uniform(-3, 3, size=(64, self.d))
-        return bool(np.max(np.abs(self(pts) - self(-pts))) < 1e-12)
-
     def mass(self, n_nodes=400):
         """Quadrature of f over R^d (radial Gauss-Legendre), for validation.
 
@@ -164,52 +164,98 @@ def _json_object(value, what):
     return dict(value or {})
 
 
+def _reflect(grid):
+    """A torus array at -x: each axis flipped and rolled by one, so the
+    origin stays in place and offset v moves to L - v."""
+    for ax in range(grid.ndim):
+        grid = np.roll(np.flip(grid, axis=ax), 1, axis=ax)
+    return grid
+
+
+def _checked(V, kind, mirror):
+    """V, read-only, once its entries are finite and non-negative and its
+    sums hold: unit row sums, and for a square profile V equal to mirror(V),
+    its transpose; column sums alpha for a bipartite one.  Sums off by more
+    than VALIDATE_TOL are renormalized once, by more than RENORM_TOL refused."""
+    if not (np.isfinite(V).all() and np.min(V) >= 0):
+        raise ProfileError("variance entries must be finite and non-negative")
+    if kind == "square":
+        defect = np.max(np.abs(V.sum(axis=1) - 1.0))
+        if defect > RENORM_TOL:
+            worst = int(np.argmax(np.abs(V.sum(axis=1) - 1.0)))
+            raise ProfileError(
+                f"row sums off by {defect:.3e} (worst row {worst}); rejected")
+        if defect > VALIDATE_TOL:
+            V = V / V.sum(axis=1, keepdims=True)
+            V = 0.5 * (V + mirror(V))
+        if np.max(np.abs(V - mirror(V))) > VALIDATE_TOL:
+            raise ProfileError("square profile not symmetric")
+    else:
+        M, N = V.shape
+        a = M / N
+        rdef = np.max(np.abs(V.sum(axis=1) - 1.0))
+        cdef = np.max(np.abs(V.sum(axis=0) - a))
+        if rdef > VALIDATE_TOL or cdef > VALIDATE_TOL:
+            if rdef > RENORM_TOL or cdef > RENORM_TOL:
+                raise ProfileError(
+                    f"bipartite sums off (rows {rdef:.3e}, cols {cdef:.3e})")
+            V = V / V.sum(axis=1, keepdims=True)
+            cdef = np.max(np.abs(V.sum(axis=0) - a))
+            if cdef > RENORM_TOL:
+                raise ProfileError(f"column sums off by {cdef:.3e}")
+    V.setflags(write=False)
+    return V
+
+
 class VarianceProfile:
-    """Matrix of entry variances; square profiles are doubly stochastic."""
+    """Matrix of entry variances; square profiles are doubly stochastic.
+
+    A profile is checked once, when it is built: a square profile is
+    symmetric with unit row sums, a bipartite one has unit row sums and
+    column sums alpha, every entry finite and non-negative.  A circulant row
+    is checked as a 1 x N matrix, even under x -> -x, without building the
+    dense one.  Sums off by at most RENORM_TOL are renormalized once.  After
+    construction the profile is immutable: attributes cannot be reassigned,
+    torus and metadata are read-only mappings and every array is read-only.
+    """
 
     def __init__(self, variances=None, kind="square", circulant_row=None, torus=None,
                  metadata=None):
         if kind not in ("square", "bipartite"):
             raise ProfileError(f"profile kind must be 'square' or 'bipartite', not {kind!r}")
-        self.kind = kind
         torus = _json_object(torus, "torus")
-        self.torus = torus or None
-        self.metadata = _json_object(metadata, "metadata")
-        self._dense = None
-        self._sqrt = None
-        self.circulant_row = None
-        if variances is not None:
-            arr = np.array(variances, dtype=float)
-            if arr.ndim != 2:
-                raise ProfileError("dense variances must be a matrix")
-            arr.setflags(write=False)
-            self._dense = arr
-        if circulant_row is not None:
-            row = np.array(circulant_row, dtype=float)
-            d, L = torus.get("d"), torus.get("L")
-            # L >= 2 puts L^d past the row size once d passes its bit length,
-            # so an absurd d is refused before L^d is evaluated
-            if not (type(d) is int and type(L) is int and d >= 1 and L >= 2 and row.ndim == 1
-                    and d <= row.size.bit_length() and L ** d == row.size):
-                raise ProfileError(f"a circulant row needs L^d entries for torus integers "
-                                   f"d >= 1 and L >= 2, not shape {row.shape} on {torus!r}")
-            row.setflags(write=False)
-            self.circulant_row = row
-        if self._dense is None and self.circulant_row is None:
-            raise ProfileError("profile needs dense variances or a circulant row")
+        metadata = _json_object(metadata, "metadata")
+        if (variances is None) == (circulant_row is None):
+            raise ProfileError("profile needs either dense variances or a circulant row")
+        attrs = self.__dict__
+        attrs.update(kind=kind, torus=types.MappingProxyType(torus) if torus else None,
+                     metadata=types.MappingProxyType(metadata), circulant_row=None)
+        if circulant_row is None:
+            V = np.array(variances, dtype=float)
+            if V.ndim != 2 or V.size == 0 or kind == "square" and V.shape[0] != V.shape[1]:
+                raise ProfileError(f"dense variances must be a non-empty {kind} matrix, "
+                                   f"not shape {V.shape}")
+            attrs.update(variances=_checked(V, kind, np.transpose),
+                         n_rows=V.shape[0], n_cols=V.shape[1])
+            return
+        row = np.array(circulant_row, dtype=float)
+        d, L = torus.get("d"), torus.get("L")
+        # L >= 2 puts L^d past the row size once d passes its bit length,
+        # so an absurd d is refused before L^d is evaluated
+        if not (type(d) is int and type(L) is int and d >= 1 and L >= 2 and row.ndim == 1
+                and d <= row.size.bit_length() and L ** d == row.size and kind == "square"):
+            raise ProfileError(f"a circulant row needs a square kind and L^d entries for "
+                               f"torus integers d >= 1 and L >= 2, not shape {row.shape} "
+                               f"on {torus!r}")
+        row = _checked(row.reshape(1, -1), kind,
+                       lambda V: _reflect(V.reshape((L,) * d)).reshape(1, -1))
+        attrs.update(circulant_row=row.reshape(-1), n_rows=row.size, n_cols=row.size)
 
-    # -- shape ----------------------------------------------------------
-    @property
-    def n_rows(self):
-        if self._dense is not None:
-            return self._dense.shape[0]
-        return self.circulant_row.size
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a VarianceProfile is immutable; cannot set {name!r}")
 
-    @property
-    def n_cols(self):
-        if self._dense is not None:
-            return self._dense.shape[1]
-        return self.circulant_row.size
+    def __delattr__(self, name):
+        raise AttributeError(f"a VarianceProfile is immutable; cannot delete {name!r}")
 
     @property
     def alpha(self):
@@ -218,25 +264,9 @@ class VarianceProfile:
         return self.n_rows / self.n_cols
 
     # -- storage ---------------------------------------------------------
-    @property
+    @functools.cached_property
     def variances(self):
-        """Dense variance matrix (materialized on demand for circulant storage)."""
-        if self._dense is None:
-            self._dense = self._materialize_circulant()
-        return self._dense
-
-    @property
-    def sqrt_variances(self):
-        """Entrywise square root of the variances, read-only, computed once
-        for the matrix stored (validate may renormalize it)."""
-        V = self.variances
-        if self._sqrt is None or self._sqrt[0] is not V:
-            S = np.sqrt(V)
-            S.setflags(write=False)
-            self._sqrt = (V, S)
-        return self._sqrt[1]
-
-    def _materialize_circulant(self):
+        """Dense variance matrix, read-only (built on first use from a circulant row)."""
         d, L = self.torus["d"], self.torus["L"]
         N = L ** d
         if N > 4096:
@@ -248,11 +278,14 @@ class VarianceProfile:
         dense.setflags(write=False)
         return dense
 
-    # -- chain ------------------------------------------------------------
-    def transition_matrix(self):
-        """Row-stochastic kernel of the profile chain (equals the variances)."""
-        return self.variances
+    @functools.cached_property
+    def sqrt_variances(self):
+        """Entrywise square root of the variances, read-only."""
+        S = np.sqrt(self.variances)
+        S.setflags(write=False)
+        return S
 
+    # -- chain ------------------------------------------------------------
     def bipartite_transition(self):
         """Block kernel on [M] | [N]: rows [M] jump by sigma^2, rows [N] by its
         alpha^{-1}-scaled transpose."""
@@ -266,41 +299,8 @@ class VarianceProfile:
         P.setflags(write=False)
         return P
 
-    # -- validation --------------------------------------------------------
     def validate(self):
-        V = np.array(self.variances, dtype=float)
-        if not (np.isfinite(V).all() and np.min(V) >= 0):
-            raise ProfileError("variance entries must be finite and non-negative")
-        if self.kind == "square":
-            if V.shape[0] != V.shape[1]:
-                raise ProfileError("square profile must be square")
-            defect = np.max(np.abs(V.sum(axis=1) - 1.0))
-            if defect > RENORM_TOL:
-                worst = int(np.argmax(np.abs(V.sum(axis=1) - 1.0)))
-                raise ProfileError(
-                    f"row sums off by {defect:.3e} (worst row {worst}); rejected")
-            if defect > VALIDATE_TOL:
-                V = V / V.sum(axis=1, keepdims=True)
-                V = 0.5 * (V + V.T)
-                V.setflags(write=False)
-                self._dense = V
-            if np.max(np.abs(V - V.T)) > VALIDATE_TOL:
-                raise ProfileError("square profile not symmetric")
-        else:
-            M, N = V.shape
-            a = M / N
-            rdef = np.max(np.abs(V.sum(axis=1) - 1.0))
-            cdef = np.max(np.abs(V.sum(axis=0) - a))
-            if rdef > VALIDATE_TOL or cdef > VALIDATE_TOL:
-                if rdef > RENORM_TOL or cdef > RENORM_TOL:
-                    raise ProfileError(
-                        f"bipartite sums off (rows {rdef:.3e}, cols {cdef:.3e})")
-                V = V / V.sum(axis=1, keepdims=True)
-                V.setflags(write=False)
-                self._dense = V
-                cdef = np.max(np.abs(V.sum(axis=0) - a))
-                if cdef > RENORM_TOL:
-                    raise ProfileError(f"column sums off by {cdef:.3e}")
+        """The profile itself: it was checked when it was built."""
         return self
 
     # -- serialization -------------------------------------------------------
@@ -326,7 +326,7 @@ class VarianceProfile:
 
     @classmethod
     def from_json(cls, doc):
-        """The profile a JSON document describes, validated: files are input."""
+        """The profile a JSON document describes, checked like any other."""
         try:
             kind, data = doc["kind"], np.array(doc["data"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
@@ -334,7 +334,7 @@ class VarianceProfile:
         meta = _json_object(doc.get("metadata"), "metadata")
         torus = meta.pop("torus", None)
         storage = "circulant_row" if doc.get("storage", "dense") == "circulant" else "variances"
-        return cls(kind=kind, torus=torus, metadata=meta, **{storage: data}).validate()
+        return cls(kind=kind, torus=torus, metadata=meta, **{storage: data})
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -355,7 +355,7 @@ def uniform_profile(N):
     if N < 1:
         raise ProfileError("N must be >= 1")
     V = np.full((N, N), 1.0 / N)
-    return VarianceProfile(V, kind="square", metadata={"family": "uniform"}).validate()
+    return VarianceProfile(V, kind="square", metadata={"family": "uniform"})
 
 
 def band_profile(d, L, W, density):
@@ -373,8 +373,6 @@ def band_profile(d, L, W, density):
         density = BandDensity.by_name(density, d=d)
     if density.d != d:
         raise ProfileError("density dimension does not match d")
-    if not density.is_even():
-        raise ProfileError("band profile requires an even density")
     N = L ** d
     if N > 2 ** 22:
         raise ProfileError("lattice size exceeds memory budget")
@@ -403,17 +401,13 @@ def band_profile(d, L, W, density):
     # enforce exact evenness under v -> -v mod L (finite image sums are only
     # symmetric up to the truncated tail)
     grid = row.reshape((L,) * d)
-    rev = grid
-    for ax in range(d):
-        rev = np.roll(np.flip(rev, axis=ax), 1, axis=ax)
-    row = (0.5 * (grid + rev)).reshape(-1)
+    row = (0.5 * (grid + _reflect(grid))).reshape(-1)
     row = row / row.sum()
     torus = {"d": d, "L": L, "W": W, "density": density.name,
              "alpha_stable": density.alpha_stable,
              "decay_T": density.decay_T, "decay_K": density.decay_K}
-    prof = VarianceProfile(circulant_row=row, kind="square",
+    return VarianceProfile(circulant_row=row, kind="square",
                            torus=torus, metadata={"family": "band"})
-    return prof
 
 
 def _shell_points(d, s):
@@ -475,7 +469,7 @@ def generalized_wigner_profile(N, c, C, seed=0, max_rounds=50):
         raise ConvergenceError("entry-cap rebalancing did not converge")
     P = c / N + (1.0 - c) * T
     prof = VarianceProfile(P, kind="square",
-                           metadata={"family": "gw", "c": c, "C": C}).validate()
+                           metadata={"family": "gw", "c": c, "C": C})
     V = prof.variances
     if np.min(V) <= c / N * (1 - 1e-9) or np.max(V) >= C / N * (1 + 1e-9):
         raise ConvergenceError("generalized-Wigner band constraint violated")
@@ -501,7 +495,7 @@ def sparse_profile(p, w, d):
             f"row sums of p*w deviate from d={d}: worst row {worst} "
             f"(sum {sums[worst]:.12g})")
     return VarianceProfile(pw / d, kind="square",
-                           metadata={"family": "sparse", "d": d}).validate()
+                           metadata={"family": "sparse", "d": d})
 
 
 def block_wegner_profile(D, M, lam):
@@ -527,7 +521,7 @@ def block_wegner_profile(D, M, lam):
                 V[sl, nb * M:(nb + 1) * M] = lam / (2.0 * M)
     return VarianceProfile(V, kind="square",
                            metadata={"family": "block", "D": D, "M": M,
-                                     "lambda": lam}).validate()
+                                     "lambda": lam})
 
 
 def regular_graph_profile(adjacency, d):
@@ -538,7 +532,7 @@ def regular_graph_profile(adjacency, d):
         worst = int(np.argmax(np.abs(degs - d)))
         raise ProfileError(f"graph not {d}-regular (vertex {worst} has degree {degs[worst]:g})")
     return VarianceProfile(A / d, kind="square",
-                           metadata={"family": "regular", "d": d}).validate()
+                           metadata={"family": "regular", "d": d})
 
 
 def random_regular_adjacency(N, d, seed=0, max_tries=2000):
@@ -607,4 +601,4 @@ def wishart_profile(M, N, builder="uniform", eps=0.9):
     else:
         raise ProfileError(f"unknown wishart builder {builder!r}")
     return VarianceProfile(V, kind="bipartite",
-                           metadata={"family": "wishart", "builder": builder}).validate()
+                           metadata={"family": "wishart", "builder": builder})

@@ -638,6 +638,7 @@ BAD_PROFILES = {
     "negative pair": {"kind": "square", "data": NEGATIVE8.tolist()},
     "kind weird": {"kind": "weird", "data": UNIFORM8.tolist()},
     "no kind": {"data": UNIFORM8.tolist()},
+    "bipartite empty": {"kind": "bipartite", "data": [[]]},
     # a circulant row needs L^d entries for torus integers d >= 1 and L >= 2
     "circulant 5 entries on L 3": {"kind": "square", "storage": "circulant", "data": [0.2] * 5,
                                    "metadata": {"torus": {"d": 1, "L": 3}}},

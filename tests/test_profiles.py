@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from irmlab import profiles
+from irmlab.ensembles import EnsembleSpec
 from irmlab.profiles import (
     BandDensity,
     ProfileError,
@@ -50,9 +51,6 @@ class TestBandDensity:
     def test_power_law_normalized(self, alpha):
         f = BandDensity.power_law(alpha, d=1)
         assert abs(f.mass(n_nodes=200) - 1.0) < 1e-8
-
-    def test_even(self):
-        assert BandDensity.gaussian(2).is_even()
 
 
 class TestBand:
@@ -252,6 +250,25 @@ class TestSerialization:
         with pytest.raises(ProfileError, match="circulant row"):
             VarianceProfile(circulant_row=np.full(8, 0.125), torus=torus)
 
+    @pytest.mark.parametrize("kw", [{"kind": "bipartite"}, {"variances": np.eye(8)}])
+    def test_circulant_row_alone_and_square(self, kw):
+        with pytest.raises(ProfileError, match="circulant row"):
+            VarianceProfile(circulant_row=np.full(8, 0.125), torus={"d": 1, "L": 8}, **kw)
+
+    def test_circulant_defect_renormalizes_the_row(self):
+        doc = band_profile(1, 16, 4, "gaussian").to_json()
+        doc["data"] = (np.array(doc["data"]) * (1 + 1e-8)).tolist()
+        q = VarianceProfile.from_json(doc)
+        assert np.array_equal(q.data, q.circulant_row)
+        assert np.array_equal(q.variances[0], q.circulant_row)
+        assert abs(q.circulant_row.sum() - 1.0) <= 1e-12
+
+    def test_large_circulant_loads_without_dense_build(self):
+        spec = EnsembleSpec(profile=band_profile(1, 8192, 64, "gaussian"))
+        back = EnsembleSpec.from_json(json.loads(json.dumps(spec.to_json())))
+        assert back.digest() == spec.digest()
+        assert "variances" not in vars(back.profile)  # N > 4096 has no dense matrix
+
     @pytest.mark.parametrize("field", ["torus", "metadata"])
     def test_torus_and_metadata_are_objects(self, field):
         with pytest.raises(ProfileError, match=f"{field} must be an object"):
@@ -283,6 +300,29 @@ class TestValidation:
         # let an all-NaN profile through
         with pytest.raises(ProfileError, match="finite"):
             VarianceProfile(np.full(shape, bad), kind=kind).validate()
+
+    @pytest.mark.parametrize("V, kind", [(np.full((4, 4), 0.5), "square"),
+                                         (np.full((4, 4), np.nan), "square"),
+                                         (np.zeros((1, 0)), "bipartite")])
+    def test_refused_at_construction(self, V, kind):
+        with pytest.raises(ProfileError):
+            VarianceProfile(V, kind=kind)
+
+    def test_uneven_circulant_row_refused(self):
+        with pytest.raises(ProfileError, match="symmetric"):
+            VarianceProfile(circulant_row=[0.5, 0.3, 0.0, 0.2], torus={"d": 1, "L": 4})
+
+    def test_immutable(self):
+        p = band_profile(1, 8, 2, "gaussian")
+        for name in ("kind", "metadata", "variances", "circulant_row"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, None)
+        for mapping in (p.metadata, p.torus):
+            with pytest.raises(TypeError):
+                mapping["family"] = "uniform"
+        for arr in (p.variances, p.sqrt_variances, p.circulant_row):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
 
     @pytest.mark.parametrize("builder", ["uniform", "gw", "band", "block"])
     def test_symmetry_and_sums_invariant(self, builder):
