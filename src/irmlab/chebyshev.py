@@ -1,6 +1,6 @@
-"""Chebyshev machinery: scalar/matrix evaluation, exact conversion identities,
-product-coefficient combinatorics, hard-edge scaling, and the polynomial
-families attached to the Marchenko-Pastur law.
+"""Chebyshev machinery: scalar evaluation, exact conversion identities,
+product-coefficient combinatorics, and the polynomial families attached to
+the Marchenko-Pastur law.
 
 All combinatorial identities run in exact rational arithmetic; floats appear
 only in evaluation.  T~ denotes the rescaled first-kind polynomial
@@ -33,9 +33,6 @@ class PolySeries:
         for c in reversed(self.coefficients):
             acc = acc * x + (float(c) if not isinstance(x, Fraction) else c)
         return acc
-
-    def degree(self):
-        return len(self.coefficients) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -135,41 +132,6 @@ def orthogonality_check(n_max):
 
 
 # ---------------------------------------------------------------------------
-# matrix traces
-# ---------------------------------------------------------------------------
-
-def matrix_U_trace(X, n_list, method="recurrence"):
-    """Tr U_n(X/2) for each n in n_list.
-
-    'recurrence' iterates the three-term recurrence with two frontier
-    matrices; 'eigen' evaluates sum_i U_n(lambda_i / 2) directly.  The two
-    paths agree to relative 1e-8 and serve as each other's cross-check.
-    """
-    X = np.asarray(X)
-    if np.max(np.abs(X - X.conj().T)) > 1e-8 * max(1.0, float(np.max(np.abs(X)))):
-        raise ChebDomainError("matrix_U_trace requires a Hermitian matrix")
-    n_list = list(n_list)
-    n_max = max(n_list)
-    if method == "eigen":
-        lam = np.linalg.eigvalsh(X)
-        return [float(sum(cheb_eval("U", n, l / 2.0) for l in lam)) for n in n_list]
-    N = X.shape[0]
-    want = set(n_list)
-    out = {}
-    prev = np.eye(N, dtype=X.dtype)
-    cur = X.copy()
-    if 0 in want:
-        out[0] = float(N)
-    if 1 in want:
-        out[1] = float(np.real(np.trace(X)))
-    for n in range(2, n_max + 1):
-        prev, cur = cur, X @ cur - prev
-        if n in want:
-            out[n] = float(np.real(np.trace(cur)))
-    return [out[n] for n in n_list]
-
-
-# ---------------------------------------------------------------------------
 # product coefficients  U_{m1} ... U_{mt} = sum_k c({m}; k) U_k
 # ---------------------------------------------------------------------------
 
@@ -196,53 +158,6 @@ def product_coeff_identity(m_list):
     lhs = sum(c * (k + 1) for k, c in coeffs.items())
     rhs = math.prod(int(m) + 1 for m in m_list)
     return lhs == rhs, lhs, rhs
-
-
-# ---------------------------------------------------------------------------
-# hard-edge scaling and standard bounds
-# ---------------------------------------------------------------------------
-
-def hard_edge_limit(t, y):
-    """lim U_{[tM]}(1 + y/(2M^2)) / (tM + 1) = sin(t sqrt(-y)) / (t sqrt(-y));
-    the y > 0 branch continues as sinh."""
-    if t <= 0:
-        raise ChebDomainError("t must be positive")
-    if y == 0:
-        return 1.0
-    if y < 0:
-        z = t * math.sqrt(-y)
-        return math.sin(z) / z
-    z = t * math.sqrt(y)
-    return math.sinh(z) / z
-
-
-def u_bound(n, x):
-    """Upper envelope min(2n, sqrt(2)/sqrt(-2x)) for |U_n(1+x)| on -1 <= x <= 0.
-
-    With 1 + x = cos(theta), |U_n| <= 1/sin(theta) and
-    sin(theta) = sqrt(-2x) sqrt(1 + x/2) >= sqrt(-x) on the stated range, so
-    the sqrt(2) factor is required (at x = -1, |U_n(0)| = 1 > 1/sqrt(2)).
-    """
-    if not -1.0 <= x <= 0.0:
-        raise ChebDomainError("bound valid on -1 <= x <= 0")
-    cap = math.inf if x == 0 else math.sqrt(2.0) / math.sqrt(-2.0 * x)
-    return min(2.0 * max(n, 1), cap)
-
-
-def u_lower_growth_constant(n_values=None, x_values=None):
-    """Empirical fit of C in U_n(1+x)/(n+1) >= exp(C n sqrt(x)) on [0, 0.1)."""
-    if n_values is None:
-        n_values = [20, 50, 100, 200]
-    if x_values is None:
-        x_values = [1e-4, 1e-3, 1e-2, 0.05, 0.09]
-    best = math.inf
-    for n in n_values:
-        for x in x_values:
-            val = cheb_eval("U", n, 1.0 + x) / (n + 1)
-            if val <= 1.0 or math.isinf(val):
-                continue
-            best = min(best, math.log(val) / (n * math.sqrt(x)))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +192,8 @@ def mp_moment_quadrature(alpha, k, n_nodes=400):
 
 @lru_cache(maxsize=None)
 def _cmp_row(m, alpha):
+    """(C_MP(m, 0), ..., C_MP(m, m)): mu_m at n = 0, (m/n) sum over
+    compositions for 1 <= n <= m.  Exact rationals."""
     mus = mp_moments(alpha, m)
     out = [mus[m]]
     conv = [Fraction(0)] * (m + 1)
@@ -291,14 +208,6 @@ def _cmp_row(m, alpha):
         conv = nxt
         out.append(Fraction(m, n) * conv[m])
     return tuple(out)
-
-
-def cmp_coeff(m, n, alpha):
-    """C_MP(m, n): mu_m at n = 0, (m/n) sum over compositions for 1 <= n <= m,
-    zero for n > m.  Exact rationals."""
-    if n > m:
-        return Fraction(0)
-    return _cmp_row(m, Fraction(alpha))[n]
 
 
 def p_poly(n, alpha):

@@ -175,15 +175,6 @@ class GluedComplex:
     def n_faces(self):
         return len(self.face_steps)
 
-    @property
-    def euler_characteristic(self):
-        return self.n_vertices - self.n_edges + self.n_faces
-
-    @property
-    def genus(self):
-        # orientable reading of chi = 2 - 2g for a connected complex
-        return (2 - self.euler_characteristic) // 2
-
     def degrees(self):
         deg = [0] * self.n_vertices
         for _, u, v in self.edges:
@@ -544,15 +535,6 @@ def catalan_corrections(m):
         return Fraction(0)
     k = m // 2
     return (Fraction(1, 2) - Fraction(1, k + 1)) * math.comb(2 * k, k)
-
-
-def b_prime(n):
-    """b'_0 = -1/2, b'_2 = 1, zero otherwise."""
-    if n == 0:
-        return Fraction(-1, 2)
-    if n == 2:
-        return Fraction(1)
-    return Fraction(0)
 
 
 # ---------------------------------------------------------------------------

@@ -43,36 +43,13 @@ class EdgeStatError(ValueError):
 # spectra
 # ---------------------------------------------------------------------------
 
-def spectrum(X, check_residual=False):
-    """Eigenvalues of a Hermitian matrix, sorted descending.
-
-    Uses the dense symmetric eigensolver (tridiagonalization + implicit
-    shifts via LAPACK).  With check_residual the extreme pairs are verified
-    against ||Xv - lambda v|| <= 1e-8 ||X||.
-    """
-    X = np.asarray(X)
-    scale = float(np.max(np.abs(X))) if X.size else 0.0
-    if np.max(np.abs(X - X.conj().T)) > 1e-8 * max(1.0, scale):
-        raise EdgeStatError("spectrum requires a Hermitian matrix")
-    if check_residual:
-        vals, vecs = np.linalg.eigh(X)
-        norm = max(scale, float(np.max(np.abs(vals))), 1e-300)
-        for idx in (0, len(vals) - 1):
-            r = np.linalg.norm(X @ vecs[:, idx] - vals[idx] * vecs[:, idx])
-            if r > 1e-8 * norm * math.sqrt(X.shape[0]):
-                raise EdgeStatError(f"eigenpair residual {r:.3e} too large")
-        return vals[::-1].copy()
-    return np.linalg.eigvalsh(X)[::-1].copy()
-
-
 def top_eigenvalues(spec, k, replicas):
     """k largest eigenvalues per replica, descending, shape (replicas, k).
 
     A spec with a tridiagonal model (ensembles.has_tridiagonal_model) draws
-    it and finds the top k by Sturm multisection.  Any other
-    spec draws dense matrices and solves each connected block of their
-    support on its own; sampler output is exactly Hermitian, so it skips
-    spectrum's check.
+    it and finds the top k by Sturm multisection.  Any other spec draws
+    dense matrices and solves each connected block of their support on its
+    own.
     """
     if ensembles.has_tridiagonal_model(spec):
         return tridiagonal_top(*ensembles.sample_tridiagonal(spec, replicas), k)

@@ -118,14 +118,6 @@ def transition_powers(profile, n_max):
     yield from _mixing_powers(P, 1, n_max)[1]
 
 
-def dense_power(profile, n):
-    """P^n as a dense array (convenience wrapper over transition_powers)."""
-    out = None
-    for k, Pn in transition_powers(profile, n):
-        out = Pn
-    return out
-
-
 # ---------------------------------------------------------------------------
 # mixing checks
 # ---------------------------------------------------------------------------
@@ -259,48 +251,6 @@ def band_transition_row(profile, n):
     symbol, d, L = _circulant_symbol(profile)
     row = np.fft.ifftn(symbol ** n)
     return np.real(row).reshape(-1)
-
-
-def band_transition_fourier(profile, n, x):
-    """p_n(0, x) for a circulant profile; x is a flat site index or multi-index."""
-    row = band_transition_row(profile, n)
-    t = profile.torus
-    if np.ndim(x) > 0:
-        idx = int(np.ravel_multi_index(tuple(int(c) % t["L"] for c in x), (t["L"],) * t["d"]))
-    else:
-        idx = int(x)
-    return float(row[idx])
-
-
-def band_mixing_envelope(profile, n, constants=None):
-    """Envelope C * W^{-d} * n^{-d/alpha} + C' * n * W^{-K} for |p_n(0,x) - 1/N|.
-
-    Constants are calibrated empirically at small n (max over x for
-    n <= n_cal) and then frozen; calibrate_envelope returns them.
-    """
-    t = profile.torus
-    if t is None:
-        raise ProfileError("envelope defined for band profiles")
-    if constants is None:
-        constants = calibrate_envelope(profile)
-    C, Cp = constants
-    d, W = t["d"], t["W"]
-    alpha = t.get("alpha_stable", 2.0)
-    K = t.get("decay_K", 50.0)
-    return C * W ** (-d) * float(n) ** (-d / alpha) + Cp * float(n) * W ** (-float(K))
-
-
-def calibrate_envelope(profile, n_cal=8):
-    """Freeze (C, C') from the maximal deviation over n <= n_cal."""
-    t = profile.torus
-    d, L, W = t["d"], t["L"], t["W"]
-    alpha = t.get("alpha_stable", 2.0)
-    N = L ** d
-    C = 0.0
-    for n in range(1, n_cal + 1):
-        dev = float(np.max(np.abs(band_transition_row(profile, n) - 1.0 / N)))
-        C = max(C, dev * W ** d * n ** (d / alpha))
-    return (C, 1.0)
 
 
 def band_decay_slope(profile, n_values):

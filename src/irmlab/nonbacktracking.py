@@ -113,22 +113,6 @@ def phi_ops(H, row_variances):
     return phi2.astype(complex), phi3.astype(complex)
 
 
-def ek_seam_identity_residual(H, profile, n):
-    """Residual of H V_n = V_{n+1} + (I + Phi_2) V_{n-1} + underline(Phi_3 V_{n+1}).
-
-    This is the three-term-with-corrections relation behind the recursion; it
-    cannot be used constructively at the matrix level (the seam exposes the
-    pair state), so it is verified as an identity instead.
-    """
-    Vs = nb_powers(H, n + 1)
-    phi2, phi3 = phi_ops(H, profile.variances.sum(axis=1))
-    N = H.shape[0]
-    R = seeded_family(phi3, H, n + 1)[n + 1]
-    lhs = H @ Vs[n]
-    rhs = Vs[n + 1] + (np.eye(N) + phi2) @ Vs[n - 1] + R
-    return float(np.abs(lhs - rhs).max())
-
-
 # ---------------------------------------------------------------------------
 # Wigner path expansion
 # ---------------------------------------------------------------------------
@@ -244,20 +228,3 @@ def verify_wishart_path_expansion(H, profile, n, A=None):
     lhs = q_poly_matrix(X, n, alpha)
     return float(np.abs(lhs - rhs[:M, :M]).max())
 
-
-def bipartite_alternation_defect(Hh, M, n_max):
-    """Max mass in the forbidden corners of V_n for the hat matrix: even powers
-    must preserve sides, odd powers must swap them."""
-    S = Hh.shape[0]
-    Vs = nb_powers(Hh, n_max)
-    worst = 0.0
-    for n, V in enumerate(Vs):
-        mm = np.abs(V[:M, :M]).max() if M else 0.0
-        mn = np.abs(V[:M, M:]).max() if M < S else 0.0
-        nm = np.abs(V[M:, :M]).max() if M < S else 0.0
-        nn = np.abs(V[M:, M:]).max()
-        if n % 2 == 0:
-            worst = max(worst, mn, nm)
-        else:
-            worst = max(worst, mm, nn)
-    return worst

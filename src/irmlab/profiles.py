@@ -50,8 +50,8 @@ class BandDensity:
     Built-in family: 'gaussian', 'bump' (compact support in the unit ball),
     'power_law' (tail (1+r)^{-d-alpha}).  A density is evaluated at |x|, so
     it is even by construction.  The attributes alpha_stable / decay_T /
-    decay_K record the small-frequency exponent and the decay exponents used
-    by the mixing envelope.
+    decay_K record the small-frequency exponent and the decay exponents; a
+    band profile keeps them in its torus.
     """
 
     def __init__(self, name, radial, d, alpha_stable, decay_T, decay_K, params=None):
@@ -62,7 +62,6 @@ class BandDensity:
         self.decay_T = float(decay_T)
         self.decay_K = float(decay_K)
         self.params = dict(params or {})
-        self._norm = None
 
     # -- constructors --------------------------------------------------
     @classmethod
@@ -164,6 +163,20 @@ def _json_object(value, what):
     return dict(value or {})
 
 
+def _frozen(value):
+    """A read-only deep copy of a JSON value: objects as read-only mappings, arrays as tuples."""
+    if isinstance(value, (dict, types.MappingProxyType)):
+        return types.MappingProxyType({k: _frozen(v) for k, v in value.items()})
+    return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
+
+
+def _thawed(value):
+    """The plain JSON value (dicts and lists) of a _frozen one."""
+    if isinstance(value, types.MappingProxyType):
+        return {k: _thawed(v) for k, v in value.items()}
+    return list(map(_thawed, value)) if isinstance(value, tuple) else value
+
+
 def _reflect(grid):
     """A torus array at -x: each axis flipped and rolled by one, so the
     origin stays in place and offset v moves to L - v."""
@@ -216,7 +229,7 @@ class VarianceProfile:
     is checked as a 1 x N matrix, even under x -> -x, without building the
     dense one.  Sums off by at most RENORM_TOL are renormalized once.  After
     construction the profile is immutable: attributes cannot be reassigned,
-    torus and metadata are read-only mappings and every array is read-only.
+    torus and metadata are deeply read-only and every array is read-only.
     """
 
     def __init__(self, variances=None, kind="square", circulant_row=None, torus=None,
@@ -228,8 +241,8 @@ class VarianceProfile:
         if (variances is None) == (circulant_row is None):
             raise ProfileError("profile needs either dense variances or a circulant row")
         attrs = self.__dict__
-        attrs.update(kind=kind, torus=types.MappingProxyType(torus) if torus else None,
-                     metadata=types.MappingProxyType(metadata), circulant_row=None)
+        attrs.update(kind=kind, torus=_frozen(torus) if torus else None,
+                     metadata=_frozen(metadata), circulant_row=None)
         if circulant_row is None:
             V = np.array(variances, dtype=float)
             if V.ndim != 2 or V.size == 0 or kind == "square" and V.shape[0] != V.shape[1]:
@@ -316,10 +329,10 @@ class VarianceProfile:
             "n_rows": int(self.n_rows),
             "n_cols": int(self.n_cols),
             "storage": "dense" if self.circulant_row is None else "circulant",
-            "metadata": dict(self.metadata),
+            "metadata": _thawed(self.metadata),
         }
         if self.torus:
-            doc["metadata"]["torus"] = dict(self.torus)
+            doc["metadata"]["torus"] = _thawed(self.torus)
         if data:
             doc["data"] = self.data.tolist()
         return doc

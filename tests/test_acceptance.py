@@ -135,8 +135,30 @@ def test_criterion_3_cumulants_connected():
             for prof in (profiles.uniform_profile(3), nonuniform_profile(3, seed=5)):
                 lhs, rhs = dg.MomentTable(prof, None, beta).cumulant(list(ns))
                 worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    ok = worst <= 1e-9
-    _line(3, ok, f"cumulant = connected diagrams at s=2, N=3 (worst {worst:.2e})")
+
+    # every connected tree-free diagram obeys the envelope in gamma * t_N at
+    # the first t_N the mixing certificate (gamma 1.5, delta 0.05) accepts
+    envelope = []
+    for prof in (profiles.block_wegner_profile(2, 3, 0.3),
+                 profiles.band_profile(1, 5, 1, "gaussian")):
+        t = 1
+        while not markov.check_mixing(prof, t, 1.5, 0.05, max(4 * t, 64)).passed:
+            t += 1
+        powers = dg.PowerCache(prof)
+        ratio, count = 0.0, 0
+        for perims in ((4,), (6,), (8,), (2, 2), (2, 4), (4, 4)):
+            for gl in dg.enumerate_gluings(perims, 1):
+                diagram, info = dg.okounkov_contract(dg.glue(gl))
+                if info.had_tree or not diagram.is_connected():
+                    continue
+                bound = dg.diagram_envelope(diagram, sum(perims), 1.5, t, prof.n_rows)
+                ratio = max(ratio, abs(dg.F_direct(diagram, perims, powers)) / bound)
+                count += 1
+        envelope.append((prof.metadata["family"], t, ratio, count))
+    ok = worst <= 1e-9 and all(ratio <= 1.0 for _, _, ratio, _ in envelope)
+    detail = "; ".join(f"{family} t_N={t} worst |F|/envelope {ratio:.2f} over {count}"
+                       for family, t, ratio, count in envelope)
+    _line(3, ok, f"cumulant = connected diagrams at s=2, N=3 (worst {worst:.2e}); {detail}")
 
 
 def test_criterion_4_path_expansions():

@@ -8,8 +8,6 @@ from irmlab import chebyshev as ch
 from irmlab.chebyshev import (
     T_to_power,
     cheb_eval,
-    hard_edge_limit,
-    matrix_U_trace,
     mp_moment_quadrature,
     mp_moments,
     orthogonality_check,
@@ -18,7 +16,6 @@ from irmlab.chebyshev import (
     product_coeffs,
     q_poly,
     q_vs_chebyshev_grid,
-    u_bound,
     un_pn_identity_exact,
 )
 
@@ -58,6 +55,12 @@ class TestScalarEval:
         assert cheb_eval("U", 5, -0.4) == pytest.approx(-cheb_eval("U", 5, 0.4))
         assert cheb_eval("T", 6, -1.7) == pytest.approx(cheb_eval("T", 6, 1.7))
 
+    def test_finite_m_convergence(self):
+        # hard-edge scaling: U_M(1 + y/(2M^2)) / (M + 1) -> sin(sqrt(-y)) / sqrt(-y)
+        M, y = 2000, -4.0
+        val = cheb_eval("U", M, 1.0 + y / (2 * M * M)) / (M + 1.0)
+        assert abs(val - math.sin(2.0) / 2.0) <= 1e-3
+
 
 class TestConversions:
     def test_t2_coefficients(self):
@@ -80,48 +83,6 @@ class TestConversions:
         assert rep["passed"]
 
 
-class TestMatrixTrace:
-    def test_zero_matrix(self):
-        tr = matrix_U_trace(np.zeros((5, 5)), [0, 1, 2, 3, 4])
-        # U_n(0) pattern: 1, 0, -1, 0, 1
-        assert tr == [5.0, 0.0, -5.0, 0.0, 5.0]
-
-    def test_two_identity(self):
-        X = 2.0 * np.eye(4)
-        tr = matrix_U_trace(X, [3])
-        assert tr[0] == pytest.approx(4 * 4)  # U_3(1) = 4 per eigenvalue
-
-    def test_tr_u0_u1_exact(self):
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((6, 6))
-        X = X + X.T
-        t0, t1 = matrix_U_trace(X, [0, 1])
-        assert t0 == 6.0
-        assert t1 == pytest.approx(np.trace(X))
-
-    def test_dual_paths_agree(self):
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((6, 6))
-        X = (X + X.T) / 4.0
-        a = matrix_U_trace(X, [9], method="eigen")[0]
-        b = matrix_U_trace(X, [9], method="recurrence")[0]
-        assert abs(a - b) < 1e-10 * max(1.0, abs(a))
-
-    def test_dual_paths_large(self):
-        rng = np.random.default_rng(2)
-        X = rng.standard_normal((120, 120))
-        X = (X + X.T) / math.sqrt(2 * 120)
-        for n in (50, 200):
-            a = matrix_U_trace(X, [n], method="eigen")[0]
-            b = matrix_U_trace(X, [n], method="recurrence")[0]
-            assert abs(a - b) <= 1e-8 * max(1.0, abs(a), abs(b))
-
-    def test_non_hermitian_rejected(self):
-        X = np.arange(9.0).reshape(3, 3)
-        with pytest.raises(ch.ChebDomainError):
-            matrix_U_trace(X, [2])
-
-
 class TestProductCoeffs:
     def test_pair_of_ones(self):
         assert product_coeffs([1, 1]) == {0: 1, 2: 1}  # and 1*1 + 1*3 = 4
@@ -140,32 +101,6 @@ class TestProductCoeffs:
             ms = rng.integers(1, 16, size=int(rng.integers(1, 5))).tolist()
             ok, _, _ = product_coeff_identity(ms)
             assert ok
-
-
-class TestHardEdge:
-    def test_at_zero(self):
-        assert hard_edge_limit(1.0, 0.0) == 1.0
-
-    def test_sine_zero(self):
-        assert hard_edge_limit(1.0, -math.pi ** 2) == pytest.approx(0.0, abs=1e-15)
-
-    def test_finite_m_convergence(self):
-        M, t, y = 2000, 1.0, -4.0
-        val = cheb_eval("U", 2000, 1.0 + y / (2 * M * M)) / 2001.0
-        assert abs(val - math.sin(2.0) / 2.0) <= 1e-3
-
-    def test_upper_bound_holds(self):
-        for n in (1, 5, 20, 100):
-            for x in np.linspace(-1.0, 0.0, 41):
-                assert abs(cheb_eval("U", n, 1.0 + x)) <= u_bound(n, x) + 1e-9
-
-    def test_lower_growth_constant_positive(self):
-        C = ch.u_lower_growth_constant()
-        assert 0.0 < C < 2.0
-        # the fitted constant certifies the growth bound on its grid
-        for n in (50, 200):
-            for x in (1e-3, 0.05):
-                assert cheb_eval("U", n, 1 + x) / (n + 1) >= math.exp(C * n * math.sqrt(x)) * (1 - 1e-9)
 
 
 class TestMPFamily:
@@ -189,9 +124,8 @@ class TestMPFamily:
 
     def test_cmp_edge_cases(self):
         a = Fraction(1, 4)
-        assert ch.cmp_coeff(3, 0, a) == mp_moments(a, 3)[3]
-        assert ch.cmp_coeff(2, 3, a) == 0
-        assert ch.cmp_coeff(4, 4, a) == 1
+        assert ch._cmp_row(3, a)[0] == mp_moments(a, 3)[3]
+        assert ch._cmp_row(4, a)[4] == 1
 
     def test_q2_value(self):
         q = q_poly(2, Fraction(1, 4))

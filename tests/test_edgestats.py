@@ -15,7 +15,6 @@ from irmlab.edgestats import (
     lift_spectrum_check,
     random_edge_signs,
     rescale_edge,
-    spectrum,
     tail_estimate,
     tails_compatible,
     universality_test,
@@ -23,24 +22,6 @@ from irmlab.edgestats import (
 )
 from irmlab.profiles import (block_wegner_profile, random_regular_adjacency, uniform_profile,
                              wishart_profile)
-
-
-class TestSpectrum:
-    def test_diagonal(self):
-        assert np.allclose(spectrum(np.diag([1.0, 2.0, 3.0])), [3, 2, 1])
-
-    def test_two_by_two(self):
-        X = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(spectrum(X), [1, -1])
-
-    def test_residual_check_runs(self):
-        W = ensembles.sample_wigner(100, 1, 0) / math.sqrt(100)
-        vals = spectrum(W, check_residual=True)
-        assert vals[0] >= vals[-1]
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(EdgeStatError):
-            spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def _tridiagonal_eigs(a, b):

@@ -6,13 +6,9 @@ from irmlab.markov import (
     MixingDomainError,
     NumericalDegradationError,
     band_decay_slope,
-    band_mixing_envelope,
-    band_transition_fourier,
     band_transition_row,
     bipartite_check_mixing,
-    calibrate_envelope,
     check_mixing,
-    dense_power,
     transition_powers,
 )
 from irmlab.profiles import (
@@ -48,7 +44,7 @@ class TestPowers:
     def test_cycle_two_step_return(self):
         # C_4 walk: p_2(0, 0) = 1/2 (two-step enumeration of the 2-regular walk)
         p = cycle_profile(4)
-        P2 = dense_power(p, 2)
+        P2 = dict(transition_powers(p, 2))[2]
         assert abs(P2[0, 0] - 0.5) < 1e-15
 
     def test_rows_stochastic_and_symmetric(self):
@@ -266,33 +262,8 @@ class TestFourier:
         for n in (1, 5, 40, 200):
             assert abs(band_transition_row(p, n).sum() - 1.0) < 1e-12
 
-    def test_single_entry_lookup(self):
-        p = band_profile(2, 8, 2, "gaussian")
-        row = band_transition_row(p, 3)
-        assert band_transition_fourier(p, 3, (1, 2)) == pytest.approx(row[1 * 8 + 2])
-
 
 class TestEnvelope:
-    def test_envelope_dominates_after_calibration(self):
-        p = band_profile(1, 64, 8, "gaussian")
-        consts = calibrate_envelope(p)
-        N = 64
-        for n in range(9, 257, 8):
-            dev = np.max(np.abs(band_transition_row(p, n) - 1.0 / N))
-            assert dev <= band_mixing_envelope(p, n, consts) * (1 + 1e-9)
-
-    def test_envelope_decreasing_in_n(self):
-        p = band_profile(1, 64, 8, "gaussian")
-        consts = calibrate_envelope(p)
-        vals = [band_mixing_envelope(p, n, consts) for n in range(1, 60)]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-    def test_wide_band_envelope_small_at_n1(self):
-        L = 16
-        p = band_profile(1, L, L, "gaussian")
-        consts = calibrate_envelope(p, n_cal=1)
-        assert band_mixing_envelope(p, 1, consts) < 2.0 / L + 1e-3
-
     def test_decay_slope_diffusive(self):
         # geometry chosen so n in [4, 256] sits inside the diffusive window
         # (L/W large enough that the spectral gap has not taken over)

@@ -4,9 +4,6 @@ import pytest
 from irmlab import ensembles, nonbacktracking as nb, profiles
 from irmlab.nonbacktracking import (
     NbBudgetError,
-    bipartite_alternation_defect,
-    ek_seam_identity_residual,
-    hat_matrices,
     nb_powers,
     phi_ops,
     q_poly_matrix,
@@ -116,14 +113,6 @@ class TestPhiOps:
             assert np.abs(R - brute).max() < 1e-12
 
 
-class TestSeamIdentity:
-    @pytest.mark.parametrize("beta", [1, 2])
-    def test_ek_identity(self, beta):
-        prof, H = profile_and_H(5, beta=beta, seed=6)
-        for n in range(1, 7):
-            assert ek_seam_identity_residual(H, prof, n) < 1e-12
-
-
 class TestWignerExpansion:
     def test_base_case(self):
         prof, H = profile_and_H(5, seed=0)
@@ -194,8 +183,3 @@ class TestWishartExpansion:
         # Q_2(x) = x^2 - (2 + alpha) x + 1
         expect = np.diag([1 - 2.25 + 1, 4 - 4.5 + 1])
         assert np.abs(Q2 - expect).max() < 1e-14
-
-    def test_alternation_blocks(self):
-        prof, H = self.wishart_H(3, 5, seed=2)
-        Hh, _ = hat_matrices(H)
-        assert bipartite_alternation_defect(Hh, 3, 6) == 0.0

@@ -324,6 +324,25 @@ class TestValidation:
             with pytest.raises(ValueError):
                 arr[0] = 0.5
 
+    def test_nested_metadata_frozen(self):
+        doc = uniform_profile(3).to_json()
+        doc["metadata"] = {"source": {"run": 1, "tags": ["a", {"b": 2}]}}
+        p = VarianceProfile.from_json(doc)
+        spec = EnsembleSpec(profile=p)
+        digest = spec.digest()
+        with pytest.raises(TypeError):
+            p.metadata["source"]["run"] = 2
+        with pytest.raises(TypeError):
+            p.metadata["source"]["tags"][1]["b"] = 3
+        with pytest.raises(AttributeError):
+            p.metadata["source"]["tags"].append("c")
+        doc["metadata"]["source"]["run"] = 2  # the profile holds a copy
+        assert spec.digest() == digest
+        back = p.to_json()
+        assert back["metadata"] == {"source": {"run": 1, "tags": ["a", {"b": 2}]}}
+        assert json.loads(json.dumps(back)) == back
+        assert EnsembleSpec(profile=VarianceProfile.from_json(back)).digest() == digest
+
     @pytest.mark.parametrize("builder", ["uniform", "gw", "band", "block"])
     def test_symmetry_and_sums_invariant(self, builder):
         if builder == "uniform":
