@@ -258,9 +258,10 @@ def _run_diagrams_exact(p, seed):
     checks = []
     for beta in p["betas"]:
         for pr in (prof, prof2):
+            table = diagrams.MomentTable(pr, A, beta)
             for m in range(1, p["max_m"] + 1):
-                checks.append(diagrams.verify_expansions([m], pr, A, beta, tol=p["tol"]))
-            checks.append(diagrams.verify_expansions([2, 2], pr, A, beta, tol=p["tol"]))
+                checks.append(table.verify([m], p["tol"]))
+            checks.append(table.verify([2, 2], p["tol"]))
     ok = all(c["pass"] for c in checks)
     return (EXIT_PASS if ok else EXIT_FAIL), {
         "n_checks": len(checks), "all_pass": ok,

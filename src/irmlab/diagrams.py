@@ -27,9 +27,9 @@ Conventions that the exact tests pin down:
 The Wick oracle computes the same mixed trace moments directly from scalar
 Gaussian entry moments over all index tuples and never touches the gluing
 machinery, so the two sides of each verified identity are independent.  It
-sums the tuples in numpy blocks, filling the entry factors they use as it goes,
-in the scalar walk's order of operations, so it gives that walk's floats bit
-for bit (see `wick_moment`).
+sums the tuples in numpy blocks of rows, one row per tuple index, filling the
+entry factors they use as it goes, in the scalar walk's order of operations, so
+it gives that walk's floats bit for bit (see `wick_moment`).
 """
 
 from __future__ import annotations
@@ -541,7 +541,7 @@ def catalan_corrections(m):
 # Wick oracle
 # ---------------------------------------------------------------------------
 
-WICK_BLOCK = 1024               # index tuples per numpy block: bounds the oracle's memory
+WICK_BLOCK = 1024               # most index tuples per numpy block: bounds the oracle's memory
 
 
 def _entry_factor(P, A, beta, x, y, c):
@@ -565,6 +565,37 @@ def _entry_factor(P, A, beta, x, y, c):
     return float(np.real(val))
 
 
+def _checked_inputs(profile, A, beta):
+    """The variance matrix and the deformation (zeros for None) of an identity,
+    once the profile is square and A is a finite N x N matrix, Hermitian, and
+    real at beta = 1: otherwise the Wick oracle, which reads the upper triangle
+    of A only, and the diagram side would evaluate different ensembles."""
+    P = np.asarray(profile.variances, dtype=float)
+    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+        raise GluingError(f"the identities need a square profile, not shape {P.shape}")
+    if A is None:
+        return P, np.zeros_like(P)
+    A = np.asarray(A)
+    if A.shape != P.shape:
+        raise GluingError(f"deformation of shape {A.shape} on a profile of shape {P.shape}")
+    if not np.isfinite(A).all():
+        raise GluingError("deformation entries must be finite")
+    if not np.array_equal(A, A.conj().T):
+        raise GluingError("deformation must be Hermitian")
+    if beta == 1 and np.imag(A).any():
+        raise GluingError("deformation must be real at beta = 1")
+    return P, A
+
+
+def _low_digits(N, k):
+    """Digits L of a tuple block: the largest L <= k with N^L <= WICK_BLOCK,
+    at least one (N = 1 gives L = k, one block)."""
+    L = 1
+    while L < k and N ** (L + 1) <= WICK_BLOCK:
+        L += 1
+    return L
+
+
 def wick_moment(m_list, profile, A=None, beta=1):
     """Exact E[prod_j Tr X^{m_j}] for Gaussian entries, X = Sigma o W + A.
 
@@ -572,14 +603,27 @@ def wick_moment(m_list, profile, A=None, beta=1):
     factorizes over distinct entries into scalar moments ((t-1)!! real
     pairs, t! circular complex pairs).  Independent of the gluing pipeline.
 
-    The tuples are summed in numpy blocks of WICK_BLOCK, in lexicographic
-    order of (face 0's indices, face 1's indices, ...).  Each tuple's product
-    takes the entry factors in the order the entries first occur along the
-    face walks, and the tuple values are added one after another, so the
+    The k = sum m_j indices of a tuple are its digits in base N, in
+    lexicographic order of (face 0's indices, face 1's indices, ...).  The
+    tuples are summed in blocks: a block fixes the k - L high digits and
+    runs through all N^L values of the low L (`_low_digits`).  It is held as
+    k rows of N^L entries, one row per tuple index, in the smallest unsigned
+    dtype that holds a factor slot: the low rows are a digit table built
+    once per call, the high rows constants of the block.
+
+    Step s of the face walks runs from index s to index nxt[s] and lies on
+    the entry key[s] = min * N + max.  One pass over the steps compares row
+    key[s] with the later rows: it adds the count codes of the later steps
+    on the same entry to the slot of step s and clears their first-occurrence
+    flags.  A first occurrence then holds the slot code * N^2 + key of its
+    entry's factor, every other step slot 0, which holds 1.0.  Each tuple
+    multiplies its gathered factors in step order (a factor 1.0 is exact),
+    so it takes the entry factors in the order the entries first occur along
+    the face walks, and the tuple values are added one after another: the
     float is the same, bit for bit, as that of the scalar walk over the
     tuples with a dict of entry counts (kept as the reference in the tests).
     """
-    P = np.asarray(profile.variances, dtype=float)
+    P, Amat = _checked_inputs(profile, A, beta)
     N = P.shape[0]
     orig = [int(m) for m in m_list]
     zeros = sum(1 for m in orig if m == 0)
@@ -589,42 +633,49 @@ def wick_moment(m_list, profile, A=None, beta=1):
         raise BudgetError(f"wick oracle needs N^{k} = {N ** k} tuples; over budget")
     if not m_list:
         return float(N ** zeros)
-    Amat = np.zeros_like(P) if A is None else np.asarray(A)
     # entry factors by slot code N^2 + x N + y for the entry x <= y (a code is at
     # most k for a real or diagonal entry, u (k+1) + v otherwise), each filled the
     # first time a block uses it: the pages of a code no tuple reaches stay untouched
     ncodes = (k + 1) ** 2 if beta == 2 else k + 1
     factors = np.zeros(ncodes * N * N)
     filled = np.zeros(ncodes * N * N, dtype=bool)
+    factors[0], filled[0] = 1.0, True        # code 0: no step is on the entry
+    dt = np.min_scalar_type(ncodes * N * N)
     # step s of the face walks goes from index s to index nxt[s] of the tuple
     nxt, start = [], 0
     for m in m_list:
         nxt += list(range(start + 1, start + m)) + [start]
         start += m
+    L = _low_digits(N, k)
+    xs = np.empty((k, N ** L), dtype=dt)
+    xs[k - L:] = np.arange(N ** L) // N ** np.arange(L - 1, -1, -1)[:, None] % N
     total = np.zeros(1)
-    for lo in range(0, N ** k, WICK_BLOCK):
-        xs = np.stack(np.unravel_index(np.arange(lo, min(lo + WICK_BLOCK, N ** k)), (N,) * k),
-                      axis=1)
-        ys = xs[:, nxt]
+    for high in itertools.product(range(N), repeat=k - L):
+        xs[:k - L] = np.array(high, dtype=dt)[:, None]
+        ys = xs[nxt]
         key = np.minimum(xs, ys) * N + np.maximum(xs, ys)
-        same = key[:, :, None] == key[:, None, :]        # [tuple, s, t]: steps s, t on one entry
-        # a step adds 1 to its entry's code, or k + 1 at beta 2 when it runs x -> y, x < y
-        step = 1 + k * (xs < ys) if beta == 2 else np.ones_like(xs)
-        code = np.einsum("bst,bt->bs", same, step)
-        first = same.argmax(axis=2) == np.arange(k)      # no earlier step on the entry
-        slot = code * (N * N) + key
-        missing = slot[~filled[slot]]
-        if missing.size:
+        # a step adds 1 to its entry's code, or k + 1 at beta 2 when it runs x -> y, x < y;
+        # inc holds that times N^2, so key + inc is the slot of a step alone on its entry
+        inc = (xs < ys) * dt.type(k * N * N) + dt.type(N * N) if beta == 2 else \
+            np.full_like(key, N * N)
+        slot = key + inc
+        first = np.ones(key.shape, dtype=bool)
+        for s in range(k - 1):
+            eq = key[s + 1:] == key[s]
+            slot[s] += (eq * inc[s + 1:]).sum(axis=0, dtype=dt)
+            first[s + 1:] &= ~eq
+        slot *= first
+        hit = filled[slot]
+        if not hit.all():
+            missing = slot[~hit]
             for sl in set(missing.tolist()):
                 c, row = divmod(sl, N * N)
                 x, y = divmod(row, N)
                 factors[sl] = _entry_factor(P, Amat, beta, x, y,
                                             divmod(c, k + 1) if beta == 2 and x != y else c)
             filled[missing] = True
-        f = factors[slot]
-        leaf = np.ones(len(xs))
-        for s in range(k):
-            leaf *= np.where(first[:, s], f[:, s], 1.0)
+        # multiply.reduce over axis 0 multiplies the rows one after another, in step order
+        leaf = np.multiply.reduce(factors[slot], axis=0)
         # a sequential running sum, as the scalar walk adds: np.sum would pair terms
         total = np.add.accumulate(np.concatenate((total[-1:], leaf)))
     return float(total[-1]) * (N ** zeros)
@@ -708,9 +759,11 @@ class MomentTable:
     moment is one oracle call per table.  Each perimeter tuple is one gluing
     enumeration per process (`_topology`, shared by every table of the same
     beta and open-ness); a table evaluates each of its distinct diagrams once.
+    A malformed profile or deformation raises GluingError here.
     """
 
     def __init__(self, profile, A=None, beta=1):
+        _checked_inputs(profile, A, beta)
         self.profile, self.A, self.beta = profile, A, beta
         self.N = profile.n_rows
         self.powers = PowerCache(profile, A)
@@ -806,6 +859,32 @@ class MomentTable:
         return lhs, self._basis_sum([_chebyshev_face(n) for n in n_list],
                                     lambda ls: self._skeleton(ls).connected)
 
+    def verify(self, m_list, tol=1e-9):
+        """Check the three exact identities at the given perimeters.
+
+        (1) moment expansion with Catalan corrections,
+        (2) Chebyshev-moment diagram expansion,
+        (3) cumulants = connected diagrams (s >= 2 only).
+        Returns a report dict with per-identity values and worst deviation.
+        Checks on one table share its mixed moments and diagram values.
+        """
+        report = {"perimeters": list(m_list), "beta": self.beta,
+                  "deformed": self.A is not None, "checks": {}}
+        sides = {"ribbon": self.ribbon, "chebyshev": self.chebyshev}
+        if len(m_list) >= 2:
+            sides["cumulant"] = self.cumulant
+        for name, side in sides.items():
+            lhs, rhs = side(m_list)
+            report["checks"][name] = {
+                "lhs": lhs, "rhs": rhs, "abs_err": abs(lhs - rhs),
+                "pass": bool(abs(lhs - rhs) <= tol * max(1.0, abs(lhs)))}
+        if not report["checks"]["chebyshev"]["pass"]:
+            top = sorted(self.chebyshev_diagrams(m_list).items(), key=lambda kv: -abs(kv[1]))[:20]
+            report["checks"]["chebyshev"]["per_diagram"] = [
+                {"diagram": repr(k), "value": v} for k, v in top]
+        report["pass"] = all(c["pass"] for c in report["checks"].values())
+        return report
+
 
 def _partitions(items):
     items = list(items)
@@ -820,27 +899,6 @@ def _partitions(items):
 
 
 def verify_expansions(m_list, profile, A=None, beta=1, tol=1e-9):
-    """Check the three exact identities at the given perimeters.
-
-    (1) moment expansion with Catalan corrections,
-    (2) Chebyshev-moment diagram expansion,
-    (3) cumulants = connected diagrams (s >= 2 only).
-    Returns a report dict with per-identity values and worst deviation.
-    """
-    table = MomentTable(profile, A, beta)
-    report = {"perimeters": list(m_list), "beta": beta,
-              "deformed": A is not None, "checks": {}}
-    sides = {"ribbon": table.ribbon, "chebyshev": table.chebyshev}
-    if len(m_list) >= 2:
-        sides["cumulant"] = table.cumulant
-    for name, side in sides.items():
-        lhs, rhs = side(m_list)
-        report["checks"][name] = {
-            "lhs": lhs, "rhs": rhs, "abs_err": abs(lhs - rhs),
-            "pass": bool(abs(lhs - rhs) <= tol * max(1.0, abs(lhs)))}
-    if not report["checks"]["chebyshev"]["pass"]:
-        top = sorted(table.chebyshev_diagrams(m_list).items(), key=lambda kv: -abs(kv[1]))[:20]
-        report["checks"]["chebyshev"]["per_diagram"] = [
-            {"diagram": repr(k), "value": v} for k, v in top]
-    report["pass"] = all(c["pass"] for c in report["checks"].values())
-    return report
+    """Check the three exact identities at the given perimeters on a new
+    table (see `MomentTable.verify`)."""
+    return MomentTable(profile, A, beta).verify(m_list, tol)

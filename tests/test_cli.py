@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from irmlab import cli, edgestats, ensembles
+from irmlab import cli, diagrams, edgestats, ensembles
 from irmlab.cli import (
     ConfigError,
     EXIT_FAIL,
@@ -101,6 +101,22 @@ class TestScenarios:
         assert run(cfg) == EXIT_PASS
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["payload"]["all_pass"]
+
+    def test_diagrams_exact_one_wick_call_per_moment(self, monkeypatch):
+        # one table per (beta, profile) serves all its perimeters, so the
+        # preset's 28 checks compute each mixed moment once: 28 oracle calls,
+        # where a table per check made 56
+        calls = []
+        wick_moment = diagrams.wick_moment
+
+        def counting(m_list, profile, A=None, beta=1):
+            calls.append((tuple(m_list), id(profile), beta))
+            return wick_moment(m_list, profile, A, beta)
+
+        monkeypatch.setattr(diagrams, "wick_moment", counting)
+        code, payload = cli.run_scenario("diagrams-exact", list_presets()["diagrams-exact"], 0)
+        assert code == EXIT_PASS and payload["n_checks"] == 28
+        assert len(calls) == len(set(calls)) == 28
 
     def test_nbpath_exact_small(self, tmp_path):
         cfg = parse_config({"scenario": "nbpath-exact", "seed": 1,

@@ -23,7 +23,8 @@ from irmlab.diagrams import (
     verify_expansions,
     wick_moment,
 )
-from irmlab.profiles import sinkhorn_symmetric, uniform_profile, VarianceProfile
+from irmlab.profiles import (sinkhorn_symmetric, uniform_profile, VarianceProfile,
+                             wishart_profile)
 
 
 def nonuniform_profile(N, seed=0):
@@ -310,17 +311,18 @@ class TestWickOracle:
         return total * N ** (len(m_list) - len(ms))
 
     @staticmethod
-    def deformations(N):
+    def deformations(N, beta):
+        """None, a spike and a real symmetric A; a complex Hermitian one at beta 2."""
         rng = np.random.default_rng(N)
         R = rng.standard_normal((N, N))
         C = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        return [None, spike(N, 1.1), R + R.T, C + C.conj().T]
+        return [None, spike(N, 1.1), R + R.T] + ([C + C.conj().T] if beta == 2 else [])
 
     @pytest.mark.parametrize("beta", [1, 2])
     @pytest.mark.parametrize("N", [2, 3])
     def test_bits_match_scalar_reference(self, N, beta):
         prof = nonuniform_profile(N, seed=N)
-        for A in self.deformations(N):
+        for A in self.deformations(N, beta):
             for ms in ([1], [2], [3], [4], [5], [6], [2, 2], [1, 2], [0, 3], [2, 0, 2]):
                 assert wick_moment(ms, prof, A, beta) == self.reference(ms, prof, A, beta)
 
@@ -343,11 +345,99 @@ class TestWickOracle:
 
     @pytest.mark.parametrize("beta", [1, 2])
     def test_bits_match_over_several_blocks(self, beta):
-        # 3^7 = 2187 tuples: more than two blocks, the last one partial
-        assert 3 ** 7 > 2 * dg.WICK_BLOCK and 3 ** 7 % dg.WICK_BLOCK
+        # 3^7 = 2187 tuples in blocks of 3^L <= WICK_BLOCK: at least three blocks
+        assert 3 ** dg._low_digits(3, 7) <= dg.WICK_BLOCK
+        assert 3 ** 7 >= 3 * 3 ** dg._low_digits(3, 7)
         prof = nonuniform_profile(3, seed=5)
-        for A in self.deformations(3):
+        for A in self.deformations(3, beta):
             assert wick_moment([7], prof, A, beta) == self.reference([7], prof, A, beta)
+
+    # float.hex of wick_moment before the oracle moved to digit-table blocks:
+    # (N, profile, spike, beta, perimeters, value); many blocks at N = 4,
+    # k = 8, and one block of one tuple at N = 1
+    PINNED = [
+        (4, "uniform", 0.0, 1, (8,), "0x1.2594000000000p+8"),
+        (4, "uniform", 1.1, 1, (8,), "0x1.9e1be46f96308p+9"),
+        (4, "sinkhorn", 0.0, 1, (8,), "0x1.2ee893eab9ca2p+8"),
+        (4, "sinkhorn", 1.1, 1, (8,), "0x1.db6d6305532ecp+9"),
+        (4, "uniform", 0.0, 2, (8,), "0x1.2750000000000p+6"),
+        (4, "uniform", 1.1, 2, (8,), "0x1.214a886ef9d18p+8"),
+        (4, "sinkhorn", 0.0, 2, (8,), "0x1.2a18b6110fe02p+6"),
+        (4, "sinkhorn", 1.1, 2, (8,), "0x1.36fc02813ed36p+8"),
+        (4, "uniform", 0.0, 1, (2, 4), "0x1.8f00000000000p+6"),
+        (4, "uniform", 1.1, 1, (2, 4), "0x1.8d9c727dcbdf5p+7"),
+        (4, "sinkhorn", 0.0, 1, (2, 4), "0x1.9613bfcc550b0p+6"),
+        (4, "sinkhorn", 1.1, 1, (2, 4), "0x1.a4e9628e509f1p+7"),
+        (4, "uniform", 0.0, 2, (2, 4), "0x1.4a00000000000p+5"),
+        (4, "uniform", 1.1, 2, (2, 4), "0x1.894c66d373b15p+6"),
+        (4, "sinkhorn", 0.0, 2, (2, 4), "0x1.4b71d47cb77a7p+5"),
+        (4, "sinkhorn", 1.1, 2, (2, 4), "0x1.94cdd340acbf6p+6"),
+        (4, "uniform", 0.0, 1, (3, 3), "0x1.4100000000000p+5"),
+        (4, "uniform", 1.1, 1, (3, 3), "0x1.8e7d944aa5409p+6"),
+        (4, "sinkhorn", 0.0, 1, (3, 3), "0x1.49ded0bb7d880p+5"),
+        (4, "sinkhorn", 1.1, 1, (3, 3), "0x1.b53cca84e357bp+6"),
+        (4, "uniform", 0.0, 2, (3, 3), "0x1.8600000000000p+3"),
+        (4, "uniform", 1.1, 2, (3, 3), "0x1.6e35454152b09p+5"),
+        (4, "sinkhorn", 0.0, 2, (3, 3), "0x1.8b4852fcbed6ep+3"),
+        (4, "sinkhorn", 1.1, 2, (3, 3), "0x1.80b0f34ea875bp+5"),
+        (4, "sinkhorn", 1.1, 2, (0,), "0x1.0000000000000p+2"),
+        (1, "uniform", 0.0, 1, (4,), "0x1.8000000000000p+3"),
+        (1, "uniform", 1.1, 1, (4,), "0x1.bfbedfa43fe5ep+4"),
+        (1, "uniform", 0.0, 2, (4,), "0x1.8000000000000p+1"),
+        (1, "uniform", 1.1, 2, (4,), "0x1.772bd3c361135p+3"),
+        (1, "uniform", 0.0, 1, (2, 0, 2), "0x1.8000000000000p+3"),
+        (1, "uniform", 1.1, 1, (2, 0, 2), "0x1.bfbedfa43fe5ep+4"),
+        (1, "uniform", 0.0, 2, (2, 0, 2), "0x1.8000000000000p+1"),
+        (1, "uniform", 1.1, 2, (2, 0, 2), "0x1.772bd3c361135p+3"),
+        (1, "uniform", 0.0, 1, (0,), "0x1.0000000000000p+0"),
+    ]
+
+    @pytest.mark.parametrize("N, name, a, beta, ms, want", PINNED)
+    def test_pinned_bits(self, N, name, a, beta, ms, want):
+        prof = uniform_profile(N) if name == "uniform" else nonuniform_profile(N, seed=N)
+        assert wick_moment(list(ms), prof, spike(N, a) if a else None, beta).hex() == want
+
+
+class TestMalformedInputs:
+    """The identities refuse what would give a false verdict, NaN on both
+    sides or a bare numpy error, at table construction and in the oracle."""
+
+    @staticmethod
+    def refused(profile, A, beta, match):
+        with pytest.raises(GluingError, match=match):
+            MomentTable(profile, A, beta)
+        with pytest.raises(GluingError, match=match):
+            wick_moment([2], profile, A, beta)
+
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_non_square_profile(self, beta):
+        self.refused(wishart_profile(2, 3), None, beta, "square profile")
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (3,), (3, 3, 1)])
+    def test_deformation_shape(self, shape):
+        self.refused(uniform_profile(3), np.zeros(shape), 1, "shape")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_non_finite_deformation(self, bad, beta):
+        self.refused(uniform_profile(3), spike(3, bad), beta, "finite")
+
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_non_hermitian_deformation(self, beta):
+        A = spike(3, 0.5)
+        A[0, 1] = 0.7
+        self.refused(uniform_profile(3), A, beta, "Hermitian")
+        C = np.zeros((3, 3), dtype=complex)
+        C[0, 1] = C[1, 0] = 0.5j
+        self.refused(uniform_profile(3), C, 2, "Hermitian")
+
+    def test_complex_deformation_at_beta_1(self):
+        C = np.zeros((3, 3), dtype=complex)
+        C[0, 1], C[1, 0] = 0.5j, -0.5j
+        self.refused(uniform_profile(3), C, 1, "real at beta = 1")
+        # the same matrix at beta 2, and a complex dtype with real entries at beta 1, pass
+        assert verify_expansions([2, 2], uniform_profile(3), C, 2)["pass"]
+        assert verify_expansions([3], uniform_profile(3), spike(3).astype(complex), 1)["pass"]
 
 
 class TestRibbonExpansion:
