@@ -271,14 +271,14 @@ def q_eval(n, alpha, x):
     return cur
 
 
-def q_vs_chebyshev_grid(n, alpha, n_points=21):
+def q_vs_chebyshev_grid(n, alpha):
     """Max pointwise relative error of Q_n(x) against
     alpha^(n/2) (U_n(z) + sqrt(alpha) U_{n-1}(z)), z = (x-(1+alpha))/(2 sqrt(alpha)),
-    on a deterministic midpoint grid inside the MP bulk."""
+    on a deterministic 21-point midpoint grid inside the MP bulk."""
     a = float(alpha)
     lam_minus, lam_plus = (1 - math.sqrt(a)) ** 2, (1 + math.sqrt(a)) ** 2
-    i = np.arange(n_points)
-    xs = lam_minus + (lam_plus - lam_minus) * (2 * i + 1) / (2.0 * n_points)
+    i = np.arange(21)
+    xs = lam_minus + (lam_plus - lam_minus) * (2 * i + 1) / 42.0
     lhs = q_eval(n, a, xs)
     z = (xs - (1.0 + a)) / (2.0 * math.sqrt(a))
     rhs = a ** (n / 2.0) * (np.array([cheb_eval("U", n, zz) for zz in z])

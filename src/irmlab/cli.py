@@ -66,20 +66,25 @@ def list_presets():
     return {name: dict(params) for name, params in SCENARIOS.items()}
 
 
-def load_config(path):
-    with open(path) as fh:
-        text = fh.read()
-    if path.endswith(".toml"):
+def read_document(path, toml=False):
+    """The JSON document in the file at path (TOML when toml is set).  A file
+    that is not UTF-8 or does not parse is invalid input, not a traceback."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if toml:
         try:
             import tomllib
         except ImportError as exc:  # python 3.10 without tomllib
             raise ConfigError("TOML configs need Python >= 3.11") from exc
-        doc = tomllib.loads(text)
-    else:
-        if not text.strip():
-            raise ConfigError("empty config file")
-        doc = json.loads(text)
-    return parse_config(doc)
+    try:  # UnicodeDecodeError, JSONDecodeError and TOMLDecodeError are ValueErrors
+        text = raw.decode("utf-8")
+        return tomllib.loads(text) if toml else json.loads(text)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def load_config(path):
+    return parse_config(read_document(path, toml=path.endswith(".toml")))
 
 
 def parse_config(doc):
@@ -102,13 +107,17 @@ def parse_config(doc):
         val = top[key] = doc.get(key, default)
         if type(val) is not type(default):
             raise ConfigError(f"{key} must be of type {type(default).__name__}, not {val!r}")
+    if top["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, not {top['seed']}")
     return {"scenario": scenario, "params": params, **top}
 
 
 def _range_check(scenario, p):
     """Check values, never coerce: a number where the preset holds one, then
-    the ranges, then integers and finite floats (after the range checks, so
-    a check that owns a message about them reports it)."""
+    the ranges no builder, spec or certificate owns, then integers and finite
+    floats (after the range checks, so a check that owns a message about them
+    reports it).  k, replicas and level are universality_test's to refuse,
+    the profile and entry-law parameters their builders' and EnsembleSpec's."""
     def need(cond, msg):
         if not cond:
             raise ConfigError(f"{scenario}: {msg}")
@@ -118,46 +127,29 @@ def _range_check(scenario, p):
         kind = type(preset[key])
         need(type(val) in ((int, float) if kind in (int, float) else (kind,)),
              f"{key} must be of type {kind.__name__}, not {val!r}")
-    if "replicas" in p:
-        need(p["replicas"] >= 100, "replicas must be >= 100")
     if "N" in p:
         need(p["N"] >= 2, "N must be >= 2")
-    for key in ("max_m", "n", "seeds", "wishart_n", "wishart_M"):
+    for key in ("max_m", "n", "seeds", "wishart_n", "wishart_M", "trials"):
         if key in p:
             need(p[key] >= 1, f"{key} must be >= 1")  # a count of 0 would check nothing
-    if "k" in p:
-        # k coordinates of a spectrum of size M (Wishart), D*M (block) or N
-        size = p["M"] if scenario == "wishart" else p["D"] * p["M"] if "D" in p else p["N"]
-        need(1 <= p["k"] <= size, f"need 1 <= k <= {size} (the matrix size)")
-    if "level" in p:
-        need(0 < p["level"] < 1, "level must lie in (0, 1)")
-    if scenario == "gw":
-        need(0 < p["c"] <= 1 <= p["C"], "need 0 < c <= 1 <= C")
-    if scenario == "sparse":
-        need(p["theta"] >= 1, "theta must be >= 1")
-    if scenario == "block":
-        need(0 <= p["lam"] <= 1, "lambda must lie in [0,1]")
     if scenario == "heavy":
-        need(0 < p["zeta"] < 1 / 3, "zeta must lie in (0, 1/3)")
         need(p["df"] > 4, "df must exceed 4")
     if scenario == "lift2":
         need(p["d"] in (2, 4, 8), "d must be one of 2, 4, 8")
         need(p["N"] <= 64, "lift check capped at N = 64")
-    if scenario == "wishart":
-        need(p["M"] <= p["N"], "need M <= N")
-    if scenario == "mixing-audit":
-        need(0 < p["delta"] < 0.1, "delta must lie in (0, 0.1)")
-        need(0 < p["gamma"] < math.inf, "gamma must be finite and positive")
-        need(1 <= p["t"] <= p["horizon"], "need 1 <= t <= horizon")
-        need(type(p["t"]) is int and type(p["horizon"]) is int,
-             "need integers 1 <= t_N <= horizon")
+    if scenario == "mixing-audit":  # refused before a profile is built
+        try:
+            markov.check_domain(p["t"], p["gamma"], p["delta"], p["horizon"])
+        except markov.MixingDomainError as exc:
+            raise ConfigError(f"{scenario}: {exc}") from exc
     if "betas" in p:
         need(all(b in (1, 2) and type(b) is int for b in p["betas"]), "betas must be 1 or 2")
     for key, val in p.items():
         if type(preset[key]) is int:
             need(type(val) is int, f"{key} must be an integer, not {val!r}")
         if type(preset[key]) is float:
-            need(math.isfinite(val), f"{key} must be finite, not {val!r}")
+            # an integer past the float range is not finite either
+            need(abs(val) <= sys.float_info.max, f"{key} must be finite, not {val!r}")
     if "max_m" in p:
         # the largest perimeters set the cost: refuse them before the smaller checks run
         top = p["max_m"]
@@ -432,7 +424,8 @@ def _write_samples_csv(path, samples):
 
 # malformed input: reported on stderr with exit code 64, never a traceback
 INVALID_INPUT = (ConfigError, profiles.ProfileError, ensembles.EnsembleError,
-                 edgestats.EdgeStatError, markov.MixingDomainError, diagrams.BudgetError)
+                 edgestats.EdgeStatError, markov.MixingDomainError, diagrams.BudgetError,
+                 diagrams.GluingError)
 
 
 def _invalid(exc):
@@ -496,8 +489,8 @@ def _cmd_presets(args):
 
 
 def _cmd_sample(args):
-    with open(args.spec) as fh:
-        spec = dataclasses.replace(ensembles.EnsembleSpec.from_json(json.load(fh)), seed=args.seed)
+    spec = dataclasses.replace(ensembles.EnsembleSpec.from_json(read_document(args.spec)),
+                               seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     for r in range(args.replicas):
         X = ensembles.sample(spec, replica=r)
@@ -514,7 +507,7 @@ def _cmd_mixing(args):
          "horizon": args.horizon}
     _range_check("mixing-audit", p)
     if args.profile:
-        prof = profiles.VarianceProfile.load(args.profile)
+        prof = profiles.VarianceProfile.from_json(read_document(args.profile))
     elif args.preset:
         prof = _profile_preset(args.preset, args.N, args.seed)
     else:
@@ -550,7 +543,6 @@ def _cmd_cheb(args):
 
 
 def _cmd_diagrams(args):
-    _range_check("diagrams-exact", {"spike": args.spike})
     rep = diagrams.verify_expansions([args.n] * args.s, profiles.uniform_profile(args.N),
                                      _spike(args.N, args.spike), args.beta)
     print(json.dumps(rep, sort_keys=True))
@@ -568,10 +560,8 @@ def _cmd_nbpath(args):
 
 
 def _cmd_edge(args):
-    specs = []
-    for path in (args.test, args.baseline):
-        with open(path) as fh:
-            specs.append(ensembles.EnsembleSpec.from_json(json.load(fh)))
+    specs = [ensembles.EnsembleSpec.from_json(read_document(path))
+             for path in (args.test, args.baseline)]
     p = {"k": args.k, "replicas": args.replicas, "level": 0.01}
     code, payload = _edge_scenario(*specs, p, args.seed)
     with open(args.out, "w") as fh:
@@ -600,6 +590,14 @@ def count(text):
     return n
 
 
+def seed(text):
+    """A seed: numpy's generators take no negative integer."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {n}")
+    return n
+
+
 def main(argv=None):
     ap = _Parser(prog="irmlab")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -607,7 +605,7 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="run a scenario from a config file")
     p_run.set_defaults(func=_cmd_run)
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", type=seed, default=None)
     p_run.add_argument("--out", default=None)
 
     sub.add_parser("presets", help="list scenarios and defaults").set_defaults(
@@ -617,7 +615,7 @@ def main(argv=None):
     p_sample.set_defaults(func=_cmd_sample)
     p_sample.add_argument("--spec", required=True, help="EnsembleSpec JSON file")
     p_sample.add_argument("--replicas", type=count, default=1)
-    p_sample.add_argument("--seed", type=int, default=0)
+    p_sample.add_argument("--seed", type=seed, default=0)
     p_sample.add_argument("--out", default=".")
     p_sample.add_argument("--eigs-only", action="store_true")
 
@@ -631,7 +629,7 @@ def main(argv=None):
     p_mix.add_argument("--gamma", type=float, required=True)
     p_mix.add_argument("--delta", type=float, required=True)
     p_mix.add_argument("--horizon", type=int, required=True)
-    p_mix.add_argument("--seed", type=int, default=0)
+    p_mix.add_argument("--seed", type=seed, default=0)
 
     p_cheb = sub.add_parser("cheb", help="exact polynomial verification suites")
     p_cheb.set_defaults(func=_cmd_cheb)
@@ -639,7 +637,7 @@ def main(argv=None):
     p_cheb.add_argument("--suite", choices=["orthogonality", "product", "wishart-poly"],
                         required=True)
     p_cheb.add_argument("--max", type=count, default=20)
-    p_cheb.add_argument("--seed", type=int, default=0)
+    p_cheb.add_argument("--seed", type=seed, default=0)
 
     p_diag = sub.add_parser("diagrams", help="exact diagram-identity verification")
     p_diag.set_defaults(func=_cmd_diagrams)
@@ -665,14 +663,14 @@ def main(argv=None):
     p_edge.add_argument("--baseline", required=True, help="EnsembleSpec JSON")
     p_edge.add_argument("--k", type=int, default=2)
     p_edge.add_argument("--replicas", type=int, default=300)
-    p_edge.add_argument("--seed", type=int, default=0)
+    p_edge.add_argument("--seed", type=seed, default=0)
     p_edge.add_argument("--out", default="report.json")
     p_edge.add_argument("--svg", default=None)
 
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except INVALID_INPUT + (json.JSONDecodeError, OSError) as exc:
+    except INVALID_INPUT + (OSError,) as exc:
         return _invalid(exc)
 
 

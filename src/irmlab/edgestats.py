@@ -257,26 +257,27 @@ def universality_test(test_spec, baseline_spec, k=2, replicas=1000, seed=0, leve
     )
 
 
-def bbp_test(profile, tau_list, replicas=1000, seed=0, beta=1, level=0.01):
-    """Spiked-profile ensemble against the deformed Gaussian baseline with the
-    same spike parameters; tests the top q+1 coordinates."""
+def bbp_test(profile, tau_list, replicas=1000, seed=0):
+    """Spiked real profile ensemble against the deformed GOE baseline with the
+    same spike parameters; tests the top q+1 coordinates at level 0.01."""
     for t in tau_list:
         if abs(t) > 5:
             raise EdgeStatError("spike parameters limited to |tau| <= 5 at desk scale")
     N = profile.n_rows
     deform = ensembles.Deformation(taus=tuple(tau_list)) if tau_list else None
-    test = ensembles.EnsembleSpec(beta=beta, profile=profile, deformation=deform)
-    base = ensembles.goe_reference_spec(N, beta=beta, deformation=deform)
+    test = ensembles.EnsembleSpec(profile=profile, deformation=deform)
+    base = ensembles.goe_reference_spec(N, deformation=deform)
     k = len(tau_list) + 1 if tau_list else 2
-    return universality_test(test, base, k=k, replicas=replicas, seed=seed, level=level)
+    return universality_test(test, base, k=k, replicas=replicas, seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # tails
 # ---------------------------------------------------------------------------
 
-def wilson_interval(successes, n, z=1.959963984540054):
+def wilson_interval(successes, n):
     """95% Wilson score interval for a binomial proportion."""
+    z = 1.959963984540054
     if n == 0:
         return (0.0, 1.0)
     phat = successes / n

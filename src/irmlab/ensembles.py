@@ -169,9 +169,8 @@ def sample_wigner(N, beta=1, seed=0, replica=0):
     return _hermitian(off, rng.standard_normal(N) * math.sqrt(2.0 / beta))
 
 
-def sample_rademacher(N, beta=1, seed=0, replica=0):
+def sample_rademacher(N, seed=0, replica=0):
     """Symmetric sign matrix with the Wigner normalization (diag +-sqrt(2))."""
-    _require(beta == 1, "rademacher entries implemented for beta=1")
     rng = rng_for(seed, replica, 0)
     S = np.where(rng.random((N, N)) < 0.5, 1.0, -1.0)
     return _hermitian(S, np.where(rng.random(N) < 0.5, 1.0, -1.0) * math.sqrt(2.0))
@@ -199,7 +198,7 @@ def sample_theta_goe(N, theta, seed=0, replica=0):
 def sample_theta_rademacher(N, theta, seed=0, replica=0):
     """Sparsified sign matrix sqrt(theta) Bern(1/theta) x Rademacher: the
     weighted signed Erdos-Renyi reading of the sparse model."""
-    return _sparsify(sample_rademacher(N, 1, seed, replica), theta, seed, replica, mirror=True)
+    return _sparsify(sample_rademacher(N, seed, replica), theta, seed, replica, mirror=True)
 
 
 def sample_interpolating(N, alpha_mix, seed=0, replica=0):
@@ -260,7 +259,7 @@ def _wishart_entries(spec, replica):
 # ---------------------------------------------------------------------------
 LAWS = {
     ("wigner", "gaussian"): ((1, 2), lambda s, r: sample_wigner(s.N, s.beta, s.seed, r), None),
-    ("wigner", "rademacher"): ((1,), lambda s, r: sample_rademacher(s.N, 1, s.seed, r), None),
+    ("wigner", "rademacher"): ((1,), lambda s, r: sample_rademacher(s.N, s.seed, r), None),
     ("wigner", "theta_goe"): ((1,), lambda s, r: sample_theta_goe(s.N, s.theta, s.seed, r),
                               lambda s: _check_theta(s.theta)),
     ("wigner", "theta_rademacher"): (
@@ -467,10 +466,10 @@ def sample_tridiagonal(spec, replicas):
     return a, b
 
 
-def goe_reference_spec(N, beta=1, deformation=None, seed=0):
-    """Same-size GOE/GUE baseline (uniform profile, Gaussian entries)."""
+def goe_reference_spec(N, beta=1, deformation=None):
+    """Same-size GOE/GUE baseline (uniform profile, Gaussian entries, seed 0)."""
     return EnsembleSpec(beta=beta, entry_law="gaussian",
-                        profile=uniform_profile(N), deformation=deformation, seed=seed)
+                        profile=uniform_profile(N), deformation=deformation)
 
 
 # ---------------------------------------------------------------------------

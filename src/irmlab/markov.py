@@ -47,7 +47,7 @@ class MixingReport:
     b2_pass: bool
     worst_b1: tuple          # (x, y, value)
     worst_b2: tuple          # (n, x, y, value)
-    certificate: str         # exhaustive | spectral-gap (lambda_* from the symbol when circulant)
+    certificate: str         # spectral-gap (lambda_* from the symbol when circulant)
     horizon_limited: bool
     gamma_observed: float
     delta_observed: float
@@ -122,7 +122,8 @@ def transition_powers(profile, n_max):
 # mixing checks
 # ---------------------------------------------------------------------------
 
-def _check_domain(t_N, gamma, delta, horizon):
+def check_domain(t_N, gamma, delta, horizon):
+    """Refuse mixing parameters outside the admissible ranges."""
     if not (0.0 < delta < 0.1):
         raise MixingDomainError("delta must lie in (0, 0.1)")
     if not (0.0 < gamma < math.inf):
@@ -165,14 +166,9 @@ def _mixing_scan(P, side, t_N, gamma, delta, horizon, lazy=False):
 
 
 def _lambda_star(P, drop=1, symbol=None):
-    """Largest |eigenvalue| of P after its `drop` largest, read off the
-    Fourier symbol when one is given; None when P is not symmetric."""
-    if symbol is not None:
-        ev = np.abs(symbol).ravel()
-    elif np.max(np.abs(P - P.T)) > 1e-9:
-        return None
-    else:
-        ev = np.abs(np.linalg.eigvalsh(P))
+    """Largest |eigenvalue| of the symmetric P after its `drop` largest, read
+    off the Fourier symbol when one is given."""
+    ev = np.abs(symbol).ravel() if symbol is not None else np.abs(np.linalg.eigvalsh(P))
     return float(np.sort(ev)[-1 - drop]) if ev.size > drop else 0.0
 
 
@@ -187,7 +183,7 @@ def _certify(profile, t_N, gamma, delta, horizon):
     so the tail closes once c (1 - 1/s) lambda_*^(horizon+1) <= delta/s for
     the largest side s.
     """
-    _check_domain(t_N, gamma, delta, horizon)
+    check_domain(t_N, gamma, delta, horizon)
     bipartite = profile.kind == "bipartite"
     if bipartite:
         M, N = profile.n_rows, profile.n_cols
@@ -200,19 +196,14 @@ def _certify(profile, t_N, gamma, delta, horizon):
     lam = _lambda_star(P * np.sqrt(side / side[:, None]), drop=2 if bipartite else 1,
                        symbol=None if profile.circulant_row is None
                        else _circulant_symbol(profile)[0])
-    certificate = "exhaustive"
-    horizon_limited = True
-    if lam is not None:
-        certificate = "spectral-gap"
-        s = float(side.max())
-        c = 1.0 + lam if bipartite else 1.0
-        if lam < 1.0 and c * (1.0 - 1.0 / s) * lam ** (horizon + 1) <= delta / s:
-            horizon_limited = False
+    s = float(side.max())
+    c = 1.0 + lam if bipartite else 1.0
+    horizon_limited = not (lam < 1.0 and c * (1.0 - 1.0 / s) * lam ** (horizon + 1) <= delta / s)
 
     return MixingReport(
         t_N=t_N, gamma=gamma, delta=delta, horizon=horizon,
         b2_pass=scan["b2_examined"] and not horizon_limited,
-        certificate=certificate, horizon_limited=horizon_limited, bipartite=bipartite,
+        certificate="spectral-gap", horizon_limited=horizon_limited, bipartite=bipartite,
         thouless_flag=None if bipartite else bool(t_N <= max(1, int(len(side) ** (1.0 / 3.0)))),
         **scan,
     )

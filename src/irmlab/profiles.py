@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import types
 
@@ -105,13 +104,14 @@ class BandDensity:
                    decay_T=d + alpha, decay_K=d + 1.0, params={"alpha": alpha})
 
     @classmethod
-    def by_name(cls, name, d=1, alpha=1.0):
+    def by_name(cls, name, d=1):
+        """The named density; 'power_law' has stable exponent 1."""
         if name == "gaussian":
             return cls.gaussian(d)
         if name == "bump":
             return cls.bump(d)
         if name == "power_law":
-            return cls.power_law(alpha, d)
+            return cls.power_law(1.0, d)
         raise ProfileError(f"unknown band density {name!r}")
 
     # -- evaluation ----------------------------------------------------
@@ -349,15 +349,6 @@ class VarianceProfile:
         storage = "circulant_row" if doc.get("storage", "dense") == "circulant" else "variances"
         return cls(kind=kind, torus=torus, metadata=meta, **{storage: data})
 
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
-
 
 # ---------------------------------------------------------------------------
 # builders
@@ -443,26 +434,28 @@ def _shell_points(d, s):
     return sorted(pts)
 
 
-def sinkhorn_symmetric(M, tol=1e-12, max_iter=10000):
-    """Balance a positive symmetric matrix to doubly stochastic form."""
+def sinkhorn_symmetric(M):
+    """Balance a positive symmetric matrix to doubly stochastic form: row
+    sums within 1e-12 in at most 10,000 sweeps."""
     A = np.array(M, dtype=float)
     if np.min(A) <= 0:
         raise ProfileError("Sinkhorn balancing needs strictly positive entries")
-    for _ in range(max_iter):
+    for _ in range(10000):
         A /= A.sum(axis=1, keepdims=True)
         A = 0.5 * (A + A.T)
         defect = np.max(np.abs(A.sum(axis=1) - 1.0))
-        if defect < tol:
+        if defect < 1e-12:
             return A
-    raise ConvergenceError(f"Sinkhorn did not reach {tol:g} in {max_iter} iterations")
+    raise ConvergenceError("Sinkhorn did not reach 1e-12 in 10000 iterations")
 
 
-def generalized_wigner_profile(N, c, C, seed=0, max_rounds=50):
+def generalized_wigner_profile(N, c, C, seed=0):
     """Random symmetric doubly stochastic profile with c/N < sigma^2_ij < C/N.
 
     Construction: P = c*J + (1-c)*T with T a random symmetric doubly
     stochastic matrix (symmetric Sinkhorn balancing of a positive random
-    matrix), clipped and rebalanced until the band constraint holds.
+    matrix), clipped and rebalanced (at most 50 rounds) until the band
+    constraint holds.
     """
     if not (0 < c <= 1 <= C):
         raise ProfileError("need 0 < c <= 1 <= C")
@@ -473,7 +466,7 @@ def generalized_wigner_profile(N, c, C, seed=0, max_rounds=50):
     T = 0.5 * (T + T.T)
     T = sinkhorn_symmetric(T)
     cap = (C - c) / ((1.0 - c) * N)
-    for _ in range(max_rounds):
+    for _ in range(50):
         if np.max(T) <= cap * (1.0 - 1e-9):
             break
         T = np.minimum(T, cap * (1.0 - 1e-6))
@@ -548,12 +541,13 @@ def regular_graph_profile(adjacency, d):
                            metadata={"family": "regular", "d": d})
 
 
-def random_regular_adjacency(N, d, seed=0, max_tries=2000):
-    """Random simple d-regular graph via stub pairing with swap repair."""
+def random_regular_adjacency(N, d, seed=0):
+    """Random simple d-regular graph via stub pairing with swap repair (at
+    most 2,000 pairings)."""
     if (N * d) % 2 != 0 or d >= N:
         raise ProfileError("need N*d even and d < N")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(2000):
         stubs = np.repeat(np.arange(N), d)
         rng.shuffle(stubs)
         edges = [(int(stubs[2 * i]), int(stubs[2 * i + 1])) for i in range(len(stubs) // 2)]
@@ -569,8 +563,8 @@ def random_regular_adjacency(N, d, seed=0, max_tries=2000):
     raise ConvergenceError("could not realize a simple regular graph")
 
 
-def _repair_edges(edges, rng, max_swaps=20000):
-    # swap endpoints until no loops or multi-edges remain
+def _repair_edges(edges, rng):
+    # swap endpoints until no loops or multi-edges remain (at most 20,000 swaps)
     def bad_index(es, seen):
         for i, (u, v) in enumerate(es):
             key = (min(u, v), max(u, v))
@@ -578,7 +572,7 @@ def _repair_edges(edges, rng, max_swaps=20000):
                 return i
         return -1
 
-    for _ in range(max_swaps):
+    for _ in range(20000):
         seen = {}
         for u, v in edges:
             key = (min(u, v), max(u, v))
@@ -595,22 +589,21 @@ def _repair_edges(edges, rng, max_swaps=20000):
     return None
 
 
-def wishart_profile(M, N, builder="uniform", eps=0.9):
+def wishart_profile(M, N, builder="uniform"):
     """Bipartite profile with unit row sums and column sums alpha = M/N.
 
     'uniform' gives sigma^2_ij = 1/N.  'banded' concentrates mass near the
-    diagonal band i/M = j/N through a balanced cosine kernel (exact sums).
+    diagonal band i/M = j/N through the balanced cosine kernel
+    (1 + 0.9 cos(2 pi (i/M - j/N)))/N (exact sums).
     """
     if M > N:
         raise ProfileError("need M <= N")
     if builder == "uniform":
         V = np.full((M, N), 1.0 / N)
     elif builder == "banded":
-        if not 0 <= eps < 1:
-            raise ProfileError("banded builder needs 0 <= eps < 1")
         i = np.arange(M)[:, None] / M
         j = np.arange(N)[None, :] / N
-        V = (1.0 + eps * np.cos(2.0 * math.pi * (i - j))) / N
+        V = (1.0 + 0.9 * np.cos(2.0 * math.pi * (i - j))) / N
     else:
         raise ProfileError(f"unknown wishart builder {builder!r}")
     return VarianceProfile(V, kind="bipartite",

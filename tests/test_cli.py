@@ -64,6 +64,20 @@ class TestConfig:
         cfg = load_config(str(p))
         assert cfg["scenario"] == "mixing-audit"
 
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is Python 3.11+")
+    def test_toml_config_equals_json_twin(self, tmp_path):
+        doc = {"scenario": "mixing-audit", "seed": 3, "out": "results", "csv": True,
+               "params": {"preset": "band", "N": 32, "t": 4, "gamma": 2.0,
+                          "delta": 0.05, "horizon": 96}}
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        (tmp_path / "c.toml").write_text(
+            'scenario = "mixing-audit"\nseed = 3\nout = "results"\ncsv = true\n\n'
+            '[params]\npreset = "band"\nN = 32\nt = 4\ngamma = 2.0\n'
+            'delta = 0.05\nhorizon = 96\n')
+        cfg = load_config(str(tmp_path / "c.toml"))
+        assert cfg == load_config(str(tmp_path / "c.json"))
+        assert cfg["params"]["N"] == 32 and cfg["csv"] is True
+
 
 class TestScenarios:
     def test_mixing_audit_uniform(self, tmp_path):
@@ -275,7 +289,7 @@ class TestCliEntry:
         (["--profile-preset", "uniform", "--t", "1", "--horizon", "10",
           "--delta", "0.5"], "delta must lie in (0, 0.1)"),
         (["--profile-preset", "uniform", "--t", "20", "--horizon", "10",
-          "--delta", "0.05"], "need 1 <= t <= horizon"),
+          "--delta", "0.05"], "need integers 1 <= t_N <= horizon"),
         (["--profile-preset", "nope", "--t", "1", "--horizon", "10",
           "--delta", "0.05"], "unknown profile preset 'nope'"),
         (["--profile-preset", "uniform", "--t", "1", "--horizon", "10",
@@ -537,6 +551,10 @@ MALFORMED = {
         {"scenario": "nbpath-exact", "params": {"wishart_n": -1}}), EXIT_USAGE),
     "config nbpath wishart_M zero": (_run_config(
         {"scenario": "nbpath-exact", "params": {"wishart_M": 0}}), EXIT_USAGE),
+    "config lift2 trials zero": (_run_config({"scenario": "lift2", "params": {"trials": 0}}),
+                                 EXIT_USAGE),
+    "config C past float": (_run_config({"scenario": "gw", "params": {"C": 10 ** 400}}),
+                            EXIT_USAGE),
     "sample theta string": (_sample_spec(dict(GOOD, entry_law="theta_goe", theta="3")),
                             EXIT_USAGE),
     # integers past the float range in float fields
@@ -612,8 +630,26 @@ def _exit_code(argv):
         return exc.code
 
 
-# command lines argparse refuses, counts that would make a verdict vacuous and
-# diagram input over the enumeration budget: exit 64, never 2 (a failed check)
+NOT_UTF8 = b'{"scenario": "\xff\xfe"}'
+
+
+def _input_files(tmp_path):
+    """A good spec, a good diagrams config, one with a negative seed,
+    documents that are not UTF-8 or do not parse, and an output directory."""
+    (tmp_path / "out").mkdir()
+    (tmp_path / "spec.json").write_text(json.dumps(GOOD))
+    cfg = {"scenario": "diagrams-exact", "params": {"N": 2, "max_m": 2}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    (tmp_path / "negative.json").write_text(json.dumps(dict(cfg, seed=-1)))
+    (tmp_path / "latin1.json").write_bytes(NOT_UTF8)
+    (tmp_path / "broken.json").write_text('{"beta": 1,')
+    (tmp_path / "broken.toml").write_text('scenario = "lift2"\n[params\nN = 16\n')
+
+
+# command lines argparse refuses, counts that would make a verdict vacuous,
+# diagram input over the enumeration budget, negative seeds (numpy's
+# generators take none) and input files that are not UTF-8 or do not parse:
+# exit 64, never 2 (a failed check) or a traceback
 USAGE_ERRORS = [
     ["mixing", "check", "--profile-preset", "uniform"],
     ["--threads", "abc", "presets"],
@@ -631,17 +667,33 @@ USAGE_ERRORS = [
     ["nbpath", "verify", "--n", "-1"],
     ["diagrams", "verify", "--spike", "nan"],
     ["diagrams", "verify", "--spike", "inf"],
+    ["run", "--config", "TMP/cfg.json", "--seed", "-1", "--out", "TMP/out"],
+    ["run", "--config", "TMP/negative.json", "--out", "TMP/out"],
+    ["mixing", "check", "--profile-preset", "gw", "--N", "16", "--t", "1", "--gamma", "2.0",
+     "--delta", "0.05", "--horizon", "16", "--seed", "-1"],
+    ["cheb", "verify", "--suite", "product", "--seed", "-1"],
+    ["sample", "--spec", "TMP/spec.json", "--seed", "-1", "--out", "TMP/draws"],
+    ["edge", "compare", "--test", "TMP/spec.json", "--baseline", "TMP/spec.json", "--k", "1",
+     "--replicas", "100", "--seed", "-1", "--out", "TMP/out/report.json"],
+    ["run", "--config", "TMP/latin1.json", "--out", "TMP/out"],
+    ["run", "--config", "TMP/broken.toml", "--out", "TMP/out"],
+    ["mixing", "check", "--profile", "TMP/latin1.json", "--t", "1", "--gamma", "1.0",
+     "--delta", "0.05", "--horizon", "10"],
+    ["sample", "--spec", "TMP/latin1.json", "--out", "TMP/draws"],
+    ["sample", "--spec", "TMP/broken.json", "--out", "TMP/draws"],
+    ["edge", "compare", "--test", "TMP/latin1.json", "--baseline", "TMP/spec.json", "--k", "1",
+     "--replicas", "100", "--out", "TMP/out/report.json"],
 ]
 
 
 @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
 def test_usage_error_exit_64(argv, tmp_path, capsys):
-    (tmp_path / "spec.json").write_text(json.dumps(GOOD))
+    _input_files(tmp_path)
     assert _exit_code([a.replace("TMP", str(tmp_path)) for a in argv]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "error: " in err or err.startswith("invalid configuration:")
     assert "Traceback" not in err
-    assert not (tmp_path / "draws").exists()
+    assert not (tmp_path / "draws").exists() and not (tmp_path / "out" / "report.json").exists()
 
 
 UNIFORM8 = np.full((8, 8), 1 / 8)

@@ -63,7 +63,8 @@ class TestTridiagonalTop:
         yield np.tile(block, (2, 1)), np.tile(np.tile([0.7, 1.1, 0.0], 4)[:-1], (2, 1))
         for beta in (1, 2):
             for deformation in (None, SPIKE):
-                spec = ensembles.goe_reference_spec(40, beta, deformation, seed=beta)
+                spec = dataclasses.replace(ensembles.goe_reference_spec(40, beta, deformation),
+                                           seed=beta)
                 yield ensembles.sample_tridiagonal(spec, 5)
                 spec = ensembles.EnsembleSpec(beta=beta, profile=HERMITE_12_20,
                                               deformation=deformation, seed=beta)

@@ -426,7 +426,8 @@ TWO_BLOCKS = VarianceProfile(np.block([[np.full((2, 4), 0.25), np.zeros((2, 6))]
 class TestTridiagonalModel:
     @pytest.mark.parametrize("beta, digest", [(1, "7700b034ce425529"), (2, "786fe5d947e205e6")])
     def test_stream_guard(self, beta, digest):
-        spec = ensembles.goe_reference_spec(7, beta=beta, deformation=SPIKE, seed=11)
+        spec = dataclasses.replace(ensembles.goe_reference_spec(7, beta=beta, deformation=SPIKE),
+                                   seed=11)
         a, b = ensembles.sample_tridiagonal(spec, 3)
         assert hashlib.sha256(a[2].tobytes() + b[2].tobytes()).hexdigest()[:16] == digest
 
@@ -446,9 +447,10 @@ class TestTridiagonalModel:
         assert hashlib.sha256(a[2].tobytes() + b[2].tobytes()).hexdigest()[:16] == digest
 
     def test_spike_shifts_first_diagonal_entry(self):
-        plain = ensembles.goe_reference_spec(9, beta=2, seed=4)
-        spiked = ensembles.goe_reference_spec(9, beta=2, deformation=SPIKE, seed=4)
-        (a0, b0), (a1, b1) = (ensembles.sample_tridiagonal(s, 5) for s in (plain, spiked))
+        plain = ensembles.goe_reference_spec(9, beta=2)
+        spiked = ensembles.goe_reference_spec(9, beta=2, deformation=SPIKE)
+        (a0, b0), (a1, b1) = (ensembles.sample_tridiagonal(dataclasses.replace(s, seed=4), 5)
+                              for s in (plain, spiked))
         assert np.array_equal(b0, b1) and np.array_equal(a0[:, 1:], a1[:, 1:])
         assert np.array_equal(a1[:, 0], a0[:, 0] + SPIKE.eigenvalues(9)[0])
 

@@ -227,10 +227,12 @@ class TestWishart:
 
 class TestSerialization:
     def test_dense_roundtrip(self, tmp_path):
+        # a profile file as `mixing check --profile` reads it
+        from irmlab.cli import read_document
         p = block_wegner_profile(2, 3, 0.4)
         path = tmp_path / "prof.json"
-        p.save(str(path))
-        q = VarianceProfile.load(str(path))
+        path.write_text(json.dumps(p.to_json()))
+        q = VarianceProfile.from_json(read_document(str(path)))
         assert np.allclose(p.variances, q.variances)
         assert q.kind == "square"
 
