@@ -5,12 +5,20 @@ The short-to-long mixing check has two parts: an averaged short-time bound
 uniform bound (|p_n(x,y) - 1/N| <= delta/N for all n >= t).  One certificate
 serves the chain on [N] of a square profile and the two-sided chain on
 [M] | [N] of a bipartite one, with targets and bounds divided by the size of
-the target's side.  Binary doubling forms the short-time sum and P^t in
-O(log t) float64 products, and single steps cover only the scan window
-[t, horizon].  A spectral certificate closes the tail beyond the horizon
-(Cauchy-Schwarz on the eigenvector expansion of the reversible chain), with
-lambda_* read off the Fourier symbol for circulant (band) profiles, whose
-p_n rows are also available in O(N log N) without dense powers.
+the target's side.  One scan reads every chain, and each chain steps its
+powers across the window [t, horizon] in the form its profile has:
+
+- dense square: P^t and the short-time sum by binary doubling in O(log t)
+  float64 products, then one product per step;
+- bipartite: the same doubling, then P^n held as its two nonzero blocks
+  (M x M and N x N at even n, M x N and N x M at odd n) and stepped by block
+  products;
+- circulant (band): row 0 of P^n and of the short-time sum from the Fourier
+  symbol in O(N log N), so the dense matrix is never built.
+
+A spectral certificate closes the tail beyond the horizon (Cauchy-Schwarz on
+the eigenvector expansion of the reversible chain), with lambda_* read off
+the Fourier symbol for circulant profiles.
 """
 
 from __future__ import annotations
@@ -84,11 +92,11 @@ def _check_drift(Pn, n):
         raise NumericalDegradationError(f"row-sum drift {drift:.3e} at power {n}")
 
 
-def _mixing_powers(P, t_N, stop):
-    """(S, powers) for a row-stochastic P: S = sum_{n<=t_N} P^n by binary
+def _doubled(P, t_N):
+    """(S, P^t_N) for a row-stochastic P: S = sum_{n<=t_N} P^n by binary
     doubling (S_2k = S_k + P^k S_k, P^2k = P^k P^k, one step per set bit of
-    t_N), powers yielding (n, P^n) for t_N <= n <= stop.  Powers are products,
-    not Q Lambda^n Q^T, so a uniform kernel of size 2^k stays exact."""
+    t_N).  Powers are products, not Q Lambda^n Q^T, so a uniform kernel of
+    size 2^k stays exact."""
     _check_drift(P, 1)
     S = Pk = P
     k = 1
@@ -102,20 +110,83 @@ def _mixing_powers(P, t_N, stop):
             k += 1
             _check_drift(Pk, k)
             S = S + Pk
+    return S, Pk
 
-    def scan(Pn):
-        for n in range(t_N, stop + 1):
-            if n > t_N:
-                Pn = Pn @ P
-                _check_drift(Pn, n)
-            yield n, Pn
-    return S, scan(Pk)
+
+def _stepped(P, Pn, t_N, stop):
+    """Yield (n, P^n) for t_N <= n <= stop, from Pn = P^t_N."""
+    for n in range(t_N, stop + 1):
+        if n > t_N:
+            Pn = Pn @ P
+            _check_drift(Pn, n)
+        yield n, Pn
 
 
 def transition_powers(profile, n_max):
     """Yield (n, P^n) for n = 1..n_max in float64 with row-sum drift monitoring."""
     P = profile.variances if isinstance(profile, VarianceProfile) else np.asarray(profile, float)
-    yield from _mixing_powers(P, 1, n_max)[1]
+    _check_drift(P, 1)
+    yield from _stepped(P, P, 1, n_max)
+
+
+# ---------------------------------------------------------------------------
+# the chain in its own form
+# ---------------------------------------------------------------------------
+# Each form returns (avg, powers).  avg is the short-time average
+# (1/t) sum_{n<=t} p_n: the whole matrix, or row 0 of a circulant.  powers
+# yields (n, blocks) for t <= n <= stop; a block (B, x0, y0) holds the
+# entries of P^n at rows x0.. and columns y0.., all of its columns on one
+# side.  Entries outside the blocks are structural zeros, or (circulant)
+# translates of row 0.
+
+def _dense_chain(P, t_N, stop):
+    S, Pt = _doubled(P, t_N)
+    return S / t_N, ((n, [(Pn, 0, 0)]) for n, Pn in _stepped(P, Pt, t_N, stop))
+
+
+def _bipartite_chain(P, M, t_N, stop):
+    """The two-sided chain on [M] | [N]: P^n is (X, Y), its rows of [M] and of
+    [N], with columns on the other side at odd n and on the same side at even
+    n.  With V the M x N block of P, a step to odd n multiplies X by V and Y
+    by V^T/alpha, a step to even n X by V^T/alpha and Y by V."""
+    S, Pt = _doubled(P, t_N)
+    right = np.ascontiguousarray(P[:M, M:]), np.ascontiguousarray(P[M:, :M])
+
+    def powers():
+        X, Y = (Pt[:M, M:], Pt[M:, :M]) if t_N % 2 else (Pt[:M, :M], Pt[M:, M:])
+        for n in range(t_N, stop + 1):
+            if n > t_N:
+                X, Y = X @ right[1 - n % 2], Y @ right[n % 2]
+                _check_drift(X, n)
+                _check_drift(Y, n)
+            yield n, [(X, 0, M * (n % 2)), (Y, M, M * (1 - n % 2))]
+    return S / t_N, powers()
+
+
+def _fourier_row(coefficients, shape):
+    """Row 0 of the circulant kernel on the torus `shape` with the given Fourier
+    coefficients (on rfftn's half spectrum): for symbol^n, the row p_n(0, .)."""
+    return np.fft.irfftn(coefficients, s=shape, axes=range(len(shape))).reshape(-1)
+
+
+def _circulant_symbol(profile):
+    """(symbol, shape): the Fourier symbol of a circulant profile's kernel on
+    rfftn's half spectrum, real because the row is even, and the torus shape."""
+    if profile.circulant_row is None:
+        raise ProfileError("Fourier path requires a circulant band profile")
+    shape = (profile.torus["L"],) * profile.torus["d"]
+    return np.fft.rfftn(profile.circulant_row.reshape(shape)).real, shape
+
+
+def _circulant_chain(symbol, shape, t_N, stop):
+    avg = _fourier_row(sum(symbol ** n for n in range(1, t_N + 1)), shape)[None, :] / t_N
+
+    def powers():
+        for n in range(t_N, stop + 1):
+            row = _fourier_row(symbol ** n, shape)[None, :]
+            _check_drift(row, n)
+            yield n, [(row, 0, 0)]
+    return avg, powers()
 
 
 # ---------------------------------------------------------------------------
@@ -133,43 +204,57 @@ def check_domain(t_N, gamma, delta, horizon):
         raise MixingDomainError("need integers 1 <= t_N <= horizon")
 
 
-def _mixing_scan(P, side, t_N, gamma, delta, horizon, lazy=False):
-    """Short- and long-time bounds of the chain P with target 1/side[y] at y.
+def _worst(blocks, side, ratio):
+    """(r, x, y, p): the largest r = ratio(p, s_y) over the blocks' entries
+    p(x, y), first in the row-major order of the whole matrix.  The ratio of
+    these chains is symmetric in exact arithmetic (s_y p(x, y) = s_x p(y, x)),
+    so the mirror with x <= y is reported, with p read there: coordinates that
+    rounding cannot flip."""
+    peaks = []
+    for B, x0, y0 in blocks:
+        r = ratio(B, side[y0:y0 + B.shape[1]])
+        i, j = np.unravel_index(np.argmax(r), r.shape)
+        peaks.append((-float(r[i, j]), x0 + int(i), y0 + int(j)))
+    r, x, y = min(peaks)
+    x, y = min(x, y), max(x, y)
+    for B, x0, y0 in blocks:
+        if 0 <= x - x0 < B.shape[0] and 0 <= y - y0 < B.shape[1]:
+            return -r, x, y, float(B[x - x0, y - y0])
+
+
+def _peak(B, s, delta):
+    """max |p - 1/s| / (delta/s) over the block, from its largest and smallest
+    entries: |fl(p - 1/s)| / (delta/s) is monotone on each side of 1/s, so this
+    is the float an entrywise pass gives."""
+    return max(abs(float(B.max()) - 1.0 / s), abs(float(B.min()) - 1.0 / s)) / (delta / s)
+
+
+def _mixing_scan(avg, powers, side, gamma, delta, lazy=False):
+    """Short- and long-time bounds of a chain with target 1/side[y] at y.
 
     The short-time average is held against gamma/side, the long-time p_n
-    (lazy: p_n + p_{n+1}, t_N <= n <= horizon) against 1/side +- delta/side.
+    (lazy: p_n + p_{n+1}, read block by block) against 1/side +- delta/side.
     Returns the MixingReport fields these determine.
     """
-    S, powers = _mixing_powers(P, t_N, horizon + lazy)
+    b1_ratio, *worst_b1 = _worst([(avg, 0, 0)], side, lambda B, s: B / (gamma / s))
     if lazy:
-        powers = ((n, Pn + Pm) for (n, Pn), (_, Pm) in itertools.pairwise(powers))
-    avg = S / t_N
-    ratio = avg / (gamma / side)
-    x, y = np.unravel_index(np.argmax(ratio), ratio.shape)
-    worst_b1 = (int(x), int(y), float(avg[x, y]))
-    b1_ratio = float(ratio[x, y])
-    worst_b2 = (t_N, 0, 0, 0.0)
-    b2_ratio = 0.0
-    target, bound, ratio = 1.0 / side, delta / side, np.empty_like(P)
-    for n, Pn in powers:
-        np.abs(np.subtract(Pn, target, out=ratio), out=ratio)
-        ratio /= bound
-        m = float(ratio.max())
-        if m > b2_ratio:
-            x, y = np.unravel_index(np.argmax(ratio), ratio.shape)
-            b2_ratio = m
-            worst_b2 = (n, int(x), int(y), float(abs(Pn[x, y] - target[y])))
-    return dict(worst_b1=worst_b1, worst_b2=worst_b2,
+        powers = ((n, Bn + Bm) for (n, Bn), (_, Bm) in itertools.pairwise(powers))
+    b2_ratio = -1.0  # below every ratio, so the first n always sets worst_b2
+    for n, blocks in powers:
+        if max(_peak(B, side[y0], delta) for B, _, y0 in blocks) > b2_ratio:
+            b2_ratio, x, y, p = _worst(blocks, side,
+                                       lambda B, s: np.abs(B - 1.0 / s) / (delta / s))
+            worst_b2 = (n, x, y, abs(p - 1.0 / float(side[y])))
+    return dict(worst_b1=tuple(worst_b1), worst_b2=worst_b2,
                 b1_pass=b1_ratio <= 1 + 1e-12, b2_examined=b2_ratio <= 1 + 1e-12,
                 gamma_observed=worst_b1[2] * float(side[worst_b1[1]]),
                 delta_observed=worst_b2[3] * float(side[worst_b2[2]]))
 
 
-def _lambda_star(P, drop=1, symbol=None):
-    """Largest |eigenvalue| of the symmetric P after its `drop` largest, read
-    off the Fourier symbol when one is given."""
-    ev = np.abs(symbol).ravel() if symbol is not None else np.abs(np.linalg.eigvalsh(P))
-    return float(np.sort(ev)[-1 - drop]) if ev.size > drop else 0.0
+def _lambda_star(ev, drop=1):
+    """Largest modulus among the eigenvalues ev after the `drop` largest."""
+    ev = np.sort(np.abs(np.ravel(ev)))
+    return float(ev[-1 - drop]) if ev.size > drop else 0.0
 
 
 def _certify(profile, t_N, gamma, delta, horizon):
@@ -177,8 +262,9 @@ def _certify(profile, t_N, gamma, delta, horizon):
 
     The period-2 bipartite chain holds the lazy sums p_n + p_{n+1} to its
     long-time bound.  lambda_* is read from D P D^{-1}, D = diag(side)^{-1/2},
-    past the unit-modulus eigenvalues (1, and -1 when bipartite).  With
-    pi = 1/(2 side) and c = 1 + lambda_* for lazy sums (1 for p_n),
+    past the unit-modulus eigenvalues (1, and -1 when bipartite), or from the
+    Fourier symbol of a circulant profile.  With pi = 1/(2 side) and
+    c = 1 + lambda_* for lazy sums (1 for p_n),
     |p(x,y) - 1/side_y| <= c lambda_*^n sqrt(pi_y/pi_x (1-2pi_x)(1-2pi_y)),
     so the tail closes once c (1 - 1/s) lambda_*^(horizon+1) <= delta/s for
     the largest side s.
@@ -188,14 +274,20 @@ def _certify(profile, t_N, gamma, delta, horizon):
     if bipartite:
         M, N = profile.n_rows, profile.n_cols
         P, side = profile.bipartite_transition(), np.repeat([float(M), float(N)], [M, N])
+        chain = _bipartite_chain(P, M, t_N, horizon + 1)
+        lam = _lambda_star(np.linalg.eigvalsh(P * np.sqrt(side / side[:, None])), drop=2)
+    elif profile.circulant_row is not None:
+        symbol, shape = _circulant_symbol(profile)
+        side = np.full(profile.n_rows, float(profile.n_rows))
+        chain = _circulant_chain(symbol, shape, t_N, horizon)
+        lam = _lambda_star(symbol)
     else:
         P = profile.variances
         side = np.full(len(P), float(len(P)))
-    scan = _mixing_scan(P, side, t_N, gamma, delta, horizon, lazy=bipartite)
+        chain = _dense_chain(P, t_N, horizon)
+        lam = _lambda_star(np.linalg.eigvalsh(P))
+    scan = _mixing_scan(*chain, side, gamma, delta, lazy=bipartite)
 
-    lam = _lambda_star(P * np.sqrt(side / side[:, None]), drop=2 if bipartite else 1,
-                       symbol=None if profile.circulant_row is None
-                       else _circulant_symbol(profile)[0])
     s = float(side.max())
     c = 1.0 + lam if bipartite else 1.0
     horizon_limited = not (lam < 1.0 and c * (1.0 - 1.0 / s) * lam ** (horizon + 1) <= delta / s)
@@ -224,33 +316,21 @@ def bipartite_check_mixing(profile, t_N, gamma, delta, horizon):
 
 
 # ---------------------------------------------------------------------------
-# Fourier fast path for circulant band profiles
+# Fourier rows of circulant band profiles
 # ---------------------------------------------------------------------------
-
-def _circulant_symbol(profile):
-    t = profile.torus  # a circulant row always has its torus
-    if profile.circulant_row is None:
-        raise ProfileError("Fourier path requires a circulant band profile")
-    d, L = t["d"], t["L"]
-    row = np.asarray(profile.circulant_row, dtype=float).reshape((L,) * d)
-    symbol = np.fft.fftn(row)
-    return symbol, d, L
-
 
 def band_transition_row(profile, n):
     """Row p_n(0, .) of a circulant profile via the Fourier symbol (O(N log N))."""
-    symbol, d, L = _circulant_symbol(profile)
-    row = np.fft.ifftn(symbol ** n)
-    return np.real(row).reshape(-1)
+    symbol, shape = _circulant_symbol(profile)
+    return _fourier_row(symbol ** n, shape)
 
 
 def band_decay_slope(profile, n_values):
     """Log-log slope of max_x |p_n(0,x) - 1/N| against n (least squares)."""
-    t = profile.torus
-    N = t["L"] ** t["d"]
-    devs = []
-    for n in n_values:
-        devs.append(max(float(np.max(np.abs(band_transition_row(profile, n) - 1.0 / N))), 1e-300))
+    symbol, shape = _circulant_symbol(profile)
+    N = profile.n_rows
+    devs = [max(float(np.max(np.abs(_fourier_row(symbol ** n, shape) - 1.0 / N))), 1e-300)
+            for n in n_values]
     lx = np.log(np.asarray(n_values, dtype=float))
     ly = np.log(np.asarray(devs))
     slope = float(np.polyfit(lx, ly, 1)[0])

@@ -272,6 +272,13 @@ class TestCliEntry:
                          "--delta", "0.05", "--horizon", "32"])
         assert code == EXIT_PASS
 
+    def test_mixing_command_band_past_dense_budget(self, capsys):
+        # N = 8192 has no dense matrix: the scan runs on the Fourier row
+        code = cli.main(["mixing", "check", "--profile-preset", "band", "--N", "8192",
+                         "--t", "8", "--gamma", "2", "--delta", "0.05", "--horizon", "64"])
+        assert code in (EXIT_PASS, EXIT_FAIL, cli.EXIT_INCONCLUSIVE)
+        assert json.loads(capsys.readouterr().out)["worst_b1"][0] == 0
+
     def test_mixing_command_prints_audit_report(self, tmp_path, capsys):
         params = {"preset": "band", "N": 32, "t": 32, "gamma": 2.0,
                   "delta": 0.05, "horizon": 160}

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -146,9 +148,12 @@ class TestEngineOracle:
         delta_obs = max(np.abs(Q - 1.0 / N).max() for Q in Pn[t_N - 1:]) * N
         self.assert_agrees(rep, gamma_obs, delta_obs, gamma, delta)
 
+    # the last four shapes are ones where the block products of the scan round
+    # differently from the full (M+N)^2 product that sequential_powers forms
     @pytest.mark.parametrize("t_N", T_VALUES)
     @pytest.mark.parametrize("M, N, builder", [
-        (3, 6, "uniform"), (4, 8, "banded"), (5, 5, "banded"), (3, 9, "banded")])
+        (3, 6, "uniform"), (4, 8, "banded"), (5, 5, "banded"), (3, 9, "banded"),
+        (50, 100, "banded"), (100, 150, "banded"), (150, 400, "banded"), (200, 300, "banded")])
     def test_bipartite_wishart(self, M, N, builder, t_N):
         p = wishart_profile(M, N, builder=builder)
         gamma, delta, horizon = 1.5, 0.05, t_N + 12
@@ -161,6 +166,87 @@ class TestEngineOracle:
         self.assert_agrees(rep, gamma_obs, delta_obs, gamma, delta)
 
 
+FOURIER_GRIDS = [(1, 16), (1, 64), (1, 512), (1, 4096), (2, 8), (2, 16), (2, 64)]
+# (t_N, gamma, delta, horizon); the second is the mixing-certify band-n512 case
+FOURIER_CASES = [(1, 1.0, 0.05, 6), (8, 2.0, 0.05, 8), (3, 1.5, 0.09, 7), (5, 3.0, 0.02, 8)]
+
+
+def fourier_band(d, L):
+    return band_profile(d, L, max(1, L // 8), "gaussian")
+
+
+@functools.lru_cache(maxsize=None)
+def dense_band_oracle(d, L):
+    """(gamma_at, delta_at, lam) of fourier_band(d, L): the short-time
+    N max (1/t) sum_{n<=t} P^n for each t and the long-time N max |P^n - 1/N|
+    for each n, up to the largest horizon, from sequential products of the
+    dense P, and lambda_* from eigvalsh.  The powers are streamed, not kept,
+    so N = 4096 holds four dense matrices at most."""
+    P = fourier_band(d, L).variances
+    N = len(P)
+    gamma_at, delta_at = {}, {}
+    Pn, S = P, P.copy()
+    for n in range(1, max(c[3] for c in FOURIER_CASES) + 1):
+        if n > 1:
+            Pn = Pn @ P
+            S += Pn
+        gamma_at[n] = float(S.max()) / n * N
+        # max |p - 1/N| is reached at the largest or the smallest entry
+        delta_at[n] = max(float(Pn.max()) - 1.0 / N, 1.0 / N - float(Pn.min())) * N
+    lam = float(np.sort(np.abs(np.linalg.eigvalsh(P)))[-2])
+    return gamma_at, delta_at, lam
+
+
+class TestFourierScan:
+    """The Fourier scan of a circulant profile against the dense engine's
+    verdicts on sequential dense powers of the same profile."""
+
+    @pytest.mark.parametrize("case", FOURIER_CASES)
+    @pytest.mark.parametrize("d, L", FOURIER_GRIDS)
+    def test_matches_dense(self, d, L, case):
+        gamma_at, delta_at, lam = dense_band_oracle(d, L)
+        t_N, gamma, delta, horizon = case
+        p = fourier_band(d, L)
+        rep = check_mixing(p, *case)
+        assert "variances" not in vars(p)
+        N = L ** d
+        gamma_obs = gamma_at[t_N]
+        delta_obs = max(delta_at[n] for n in range(t_N, horizon + 1))
+        TestEngineOracle.assert_agrees(rep, gamma_obs, delta_obs, gamma, delta)
+        closed = lam < 1.0 and (1.0 - 1.0 / N) * lam ** (horizon + 1) <= delta / N
+        assert rep.horizon_limited == (not closed)
+        assert rep.worst_b1[0] == 0 and rep.worst_b2[1] == 0
+        if N <= 512:  # the dense engine itself, on a dense copy of the profile
+            dense = check_mixing(profiles.VarianceProfile(fourier_band(d, L).variances), *case)
+            fields = ("b1_pass", "b2_examined", "refuted", "passed", "horizon_limited")
+            assert [getattr(rep, f) for f in fields] == [getattr(dense, f) for f in fields]
+
+
+class TestWorstCoordinates:
+    """Worst coordinates do not follow summation order: the mirror with x <= y
+    on bipartite chains, whose ratios are symmetric in exact arithmetic (at
+    t_N = 8 the argmax of the full ratio matrix is at [42, 5]).  TestFourierScan
+    checks x = 0 on circulants."""
+
+    @pytest.mark.parametrize("t_N", range(1, 17))
+    def test_bipartite_mirror(self, t_N):
+        rep = check_mixing(wishart_profile(32, 64, "banded"), t_N, 2.0, 0.05, 64)
+        assert rep.worst_b1[0] <= rep.worst_b1[1]
+        assert rep.worst_b2[1] <= rep.worst_b2[2]
+
+
+class TestPaperScale:
+    """Band profiles past the dense budget are certified from their row."""
+
+    @pytest.mark.parametrize("d, L, W", [(1, 65536, 8192), (2, 128, 16)])
+    def test_band_past_dense_budget(self, d, L, W):
+        p = band_profile(d, L, W, "gaussian")
+        rep = check_mixing(p, 8, 2.0, 0.05, 64)
+        assert "variances" not in vars(p)
+        assert rep.worst_b1[0] == 0 and rep.worst_b2[1] == 0
+        assert 0.0 <= rep.delta_observed and 0.0 < rep.gamma_observed
+
+
 class TestSharpTailBound:
     @pytest.mark.parametrize("name", ["gw", "band", "block", "regular"])
     def test_bound_dominates_dense_powers(self, name):
@@ -171,7 +257,7 @@ class TestSharpTailBound:
              "regular": lambda: regular_graph_profile(random_regular_adjacency(N, 4, seed=1), 4),
              }[name]()
         P = p.variances
-        lam = markov._lambda_star(P)
+        lam = markov._lambda_star(np.linalg.eigvalsh(P))
         assert lam < 1.0
         # the bound holds for an exactly doubly stochastic kernel; the built
         # kernel carries its row-sum defect (Sinkhorn tolerance for gw) and the
@@ -204,7 +290,7 @@ class TestSharpTailBound:
         p = band_profile(d, L, W, "gaussian")
         P = p.variances
         ev = np.sort(np.abs(np.linalg.eigvalsh(P)))
-        lam = markov._lambda_star(P, symbol=markov._circulant_symbol(p)[0])
+        lam = markov._lambda_star(markov._circulant_symbol(p)[0])
         assert abs(lam - ev[-2]) <= 1e-12
 
 
