@@ -425,7 +425,7 @@ def _write_samples_csv(path, samples):
 # malformed input: reported on stderr with exit code 64, never a traceback
 INVALID_INPUT = (ConfigError, profiles.ProfileError, ensembles.EnsembleError,
                  edgestats.EdgeStatError, markov.MixingDomainError, diagrams.BudgetError,
-                 diagrams.GluingError)
+                 diagrams.GluingError, nonbacktracking.NbBudgetError)
 
 
 def _invalid(exc):

@@ -3,23 +3,24 @@
 Pipeline: polygons with marked first corners are glued along a pairing of
 their directed sides (opposite orientation only in the complex case beta=2,
 same or opposite in the real case beta=1); unglued sides are open edges
-carrying deformation powers.  The glued complex is reduced in one pass over
-its face walks: pendant (Catalan-tree) edges are collapsed, then each walk
-is cut at its kept corners (degree >= 3, or marked).  A run of steps between
-two kept corners crosses one chain of edges through unmarked divalent
-vertices, which becomes one diagram edge: its weight is the run's length and
-it points from the run's first corner to its last.  The reduced diagram is
-evaluated as a sum over vertex labelings of products of n-step transition
-probabilities (interior edges, weight w gives p_w) and deformation powers
-A^w (open edges).
+carrying deformation powers.  A glued complex with a vertex of degree one
+contains a Catalan tree; the contraction takes the tree-free ones only.  It
+cuts each face walk at its kept corners (degree >= 3, or marked).  A run of
+steps between two kept corners crosses one chain of edges through unmarked
+divalent vertices, which becomes one diagram edge: its weight is the run's
+length and it points from the run's first corner to its last.  The reduced
+diagram is evaluated as a sum over vertex labelings of products of n-step
+transition probabilities (interior edges, weight w gives p_w) and deformation
+powers A^w (open edges).
 
 Conventions that the exact tests pin down:
 
-* a face of perimeter zero contributes an isolated marked vertex worth a
-  factor N;
-* gluings that collapse any tree do not appear in the skeleton sum at their
-  own perimeter; they are accounted by the binomial prefactors at lower
-  perimeter (the half-binomial applies at l = 0);
+* the tree convention lives at the sum level: gluings that contain a tree
+  do not appear in the skeleton sum at their own perimeter; they are
+  accounted by the binomial prefactors at lower perimeter (the half-binomial
+  applies at l = 0);
+* a face of perimeter zero is still a factor N in those sums, never a
+  diagram;
 * mixed chains (interior + open through an unmarked divalent vertex) are
   combinatorially impossible; the contraction asserts this, and that every
   run crosses a chain without repeating an edge.
@@ -167,14 +168,6 @@ class GluedComplex:
     face_steps: list             # per face: step labels in order
     marks: list                  # per face: vertex class of the marked corner
 
-    @property
-    def n_edges(self):
-        return len(self.edges)
-
-    @property
-    def n_faces(self):
-        return len(self.face_steps)
-
     def degrees(self):
         deg = [0] * self.n_vertices
         for _, u, v in self.edges:
@@ -187,7 +180,7 @@ def glue(gluing):
     """Realize the polygon gluing; vertex identifications via union-find."""
     if any(m < 1 for m in gluing.perimeters):
         raise GluingError("glue needs positive perimeters (zero faces are "
-                          "handled as trivial factors by the sum level)")
+                          "factors N at the sum level)")
     faces, gamma, k = _faces_and_gamma(gluing.perimeters)
     seen = set()
     for (s, t) in gluing.pairing:
@@ -248,22 +241,10 @@ class Diagram:
     n_vertices: int
     edges: tuple                 # (kind, u, v, weight)
     face_boundaries: tuple       # per face: edge ids in traversal order
-    marks: tuple                 # per face: vertex id, or -1 for a trivial face
-    trivial_faces: tuple
+    marks: tuple                 # per face: vertex id of the marked corner
     beta: int
 
-    def degrees(self):
-        deg = [0] * self.n_vertices
-        for _, u, v, _w in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
     def is_connected(self):
-        if self.trivial_faces and self.n_vertices:
-            return False
-        if self.n_vertices <= 1:
-            return True
         uf = _UF(self.n_vertices)
         for _, u, v, _w in self.edges:
             uf.union(u, v)
@@ -279,72 +260,33 @@ class Diagram:
             return order[v]
         fb = tuple(tuple(f) for f in self.face_boundaries)
         ed = tuple((k, lab(u), lab(v), w) for k, u, v, w in self.edges)
-        mk = tuple(lab(m) if m >= 0 else -1 for m in self.marks)
+        mk = tuple(lab(m) for m in self.marks)
         return (ed, fb, mk, self.beta)
 
 
-@dataclasses.dataclass
-class ContractionInfo:
-    had_tree: bool
-    weight_check: bool           # per-face sum w_e + 2 * tree steps == perimeter
-
-
 def okounkov_contract(gc):
-    """Reduce a glued complex to a diagram, recording edge weights.
+    """Reduce a tree-free glued complex to a diagram, recording edge weights;
+    None when the complex has a vertex of degree one (a Catalan tree).
 
-    Collapses pendant edges (moving marks to the attachment root), then cuts
-    each face walk at its kept corners (degree >= 3, or marked).  A run of
-    steps between two kept corners traverses one chain of same-kind edges
-    through unmarked divalent vertices: the run's edge set is the chain, its
-    length the weight, its first and last corners the tail and head (an open
-    chain is traversed once, so it is oriented along its face).
-    Returns (Diagram, ContractionInfo).
+    Each face walk is cut at its kept corners (degree >= 3, or marked).  A
+    run of steps between two kept corners traverses one chain of same-kind
+    edges through unmarked divalent vertices: the run's edge set is the
+    chain, its length the weight, its first and last corners the tail and
+    head (an open chain is traversed once, so it is oriented along its face).
+    Every walk keeps its marked corner, and every kept vertex starts a run.
     """
-    kind = [e[0] for e in gc.edges]
-    ends = [(e[1], e[2]) for e in gc.edges]
     deg = gc.degrees()
-    alive = [True] * gc.n_edges
-    marks = list(gc.marks)
+    if min(deg) < 2:
+        return None
+    kind = [e[0] for e in gc.edges]
     edge_of_step, corner = gc.edge_of_step, gc.vertex_of_corner
-
-    # face lookup for a glued pair (pendants always live in a single face)
-    faces_of_edge = [[] for _ in range(gc.n_edges)]
-    for j, steps in enumerate(gc.face_steps):
-        for s in steps:
-            faces_of_edge[edge_of_step[s]].append(j)
-
-    had_tree = False
-    tree_steps = [0] * gc.n_faces
-    changed = True
-    while changed:
-        changed = False
-        for ei, (u, v) in enumerate(ends):
-            if not alive[ei] or u == v or 1 not in (deg[u], deg[v]):
-                continue
-            leaf, root = (u, v) if deg[u] == 1 else (v, u)
-            if kind[ei] != "p":
-                raise GluingError("open pendant edge cannot occur")
-            fs = faces_of_edge[ei]
-            if len(set(fs)) != 1:
-                raise GluingError("pendant edge shared by two faces")
-            tree_steps[fs[0]] += 2
-            alive[ei] = False
-            deg[u] -= 1
-            deg[v] -= 1
-            had_tree = changed = True
-            marks = [root if m == leaf else m for m in marks]
-
-    walks = [[s for s in steps if alive[edge_of_step[s]]] for steps in gc.face_steps]
-    keep = {corner[s] for walk in walks for s in walk
-            if deg[corner[s]] >= 3 or corner[s] in marks}
+    keep = {v for v, d in enumerate(deg) if d >= 3} | set(gc.marks)
     vmap = {v: i for i, v in enumerate(sorted(keep))}
 
     chain_of = {}                # edge set of a chain -> its index
     edges, face_boundaries = [], []
-    for walk in walks:
+    for walk in gc.face_steps:
         cuts = [i for i, s in enumerate(walk) if corner[s] in keep]
-        if walk and not cuts:
-            raise GluingError("face walk with no kept corner")
         boundary = []
         for a, b in zip(cuts, cuts[1:] + cuts[:1]):
             run = [edge_of_step[s] for s in (walk[a:b] if a < b else walk[a:] + walk[:b])]
@@ -359,16 +301,13 @@ def okounkov_contract(gc):
                               len(run)))
             boundary.append(chain_of[chain])
         face_boundaries.append(tuple(boundary))
-
-    diagram = Diagram(n_vertices=len(keep), edges=tuple(edges),
-                      face_boundaries=tuple(face_boundaries),
-                      marks=tuple(vmap.get(m, -1) for m in marks),
-                      trivial_faces=tuple(j for j, m in enumerate(marks) if m not in keep),
-                      beta=gc.gluing.beta)
-    # per-face conservation: sum of traversed weights + 2 * (tree steps) = perimeter
-    ok = all(sum(diagram.edges[c][3] for c in diagram.face_boundaries[j]) + tree_steps[j] == m
-             for j, m in enumerate(gc.gluing.perimeters))
-    return diagram, ContractionInfo(had_tree=had_tree, weight_check=ok)
+    # per face: the weights of its boundary chains add up to its perimeter
+    if any(sum(edges[c][3] for c in fb) != m
+           for fb, m in zip(face_boundaries, gc.gluing.perimeters)):
+        raise GluingError("weight conservation failed")
+    return Diagram(n_vertices=len(keep), edges=tuple(edges),
+                   face_boundaries=tuple(face_boundaries),
+                   marks=tuple(vmap[m] for m in gc.marks), beta=gc.gluing.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -409,30 +348,21 @@ class PowerCache:
 
 
 def diagram_value(diagram, powers, weights=None):
-    """Sum over vertex labelings of the edge-factor product (single weight set)."""
-    if diagram.n_vertices == 0:
-        return 1.0
+    """Sum over vertex labelings of the edge-factor product (single weight set);
+    every vertex ends an edge, so the einsum runs over all of them."""
     subs, mats = [], []
     for idx, (kind, u, v, w) in enumerate(diagram.edges):
         if weights is not None:
             w = weights[idx]
         subs.append(_LETTERS[u] + _LETTERS[v])
         mats.append(powers.p(w) if kind == "p" else powers.a(w))
-    if not mats:
-        return float(powers.N ** diagram.n_vertices)
-    used = {c for s in subs for c in s}
-    free = (powers.N) ** (diagram.n_vertices - len(used))
-    val = np.einsum(",".join(subs) + "->", *mats)
-    return float(np.real(val)) * free
+    return float(np.real(np.einsum(",".join(subs) + "->", *mats)))
 
 
 def frak_F(diagram, l_list, powers):
     """Exact diagram function at fixed boundary sums l_j: sum over integer
     weights w_e >= 1 with sum_{e in dD_j} w_e = l_j (multiplicity counted)."""
     l_list = list(l_list)
-    if any(l and (j in diagram.trivial_faces or not diagram.face_boundaries[j])
-           for j, l in enumerate(l_list)):
-        return 0.0
     nE = len(diagram.edges)
     mult = np.zeros((len(l_list), nE), dtype=int)
     for j, fb in enumerate(diagram.face_boundaries):
@@ -460,7 +390,7 @@ def frak_F(diagram, l_list, powers):
             weights.pop()
             w += 1
     rec(0, l_arr, [])
-    return total * powers.N ** len(diagram.trivial_faces)
+    return total
 
 
 def F_direct(diagram, n_list, powers):
@@ -469,9 +399,6 @@ def F_direct(diagram, n_list, powers):
     2 t_j + sum_{e in dD_j} w_e = n_j (so the per-face weight total is at
     most n_j and matches its parity)."""
     n_list = list(n_list)
-    for j in diagram.trivial_faces:
-        if n_list[j] % 2:
-            return 0.0
     nE = len(diagram.edges)
     mult = np.zeros((len(n_list), nE), dtype=int)
     for j, fb in enumerate(diagram.face_boundaries):
@@ -503,7 +430,7 @@ def F_direct(diagram, n_list, powers):
             weights.pop()
             w += 1
     rec(0, np.zeros(len(n_list), dtype=int), [])
-    return total * powers.N ** len(diagram.trivial_faces)
+    return total
 
 
 def F_parity_sum(diagram, n_list, powers):
@@ -519,8 +446,6 @@ def diagram_envelope(diagram, n_total, gamma, t_N, N):
     """Upper envelope for |F| of a connected diagram without open edges."""
     V = diagram.n_vertices
     E = len(diagram.edges)
-    if V < 1:
-        return float(N)
     return (n_total ** (V - 1) / math.factorial(V - 1)) * \
         ((max(gamma * t_N, n_total) / N) ** (E - V + 1)) * N
 
@@ -715,12 +640,9 @@ def _topology(perimeters, beta, allow_open):
     in the process: none of it depends on the profile or the deformation."""
     diagrams, index, slot, shared = [], array("i"), {}, {}
     for gl in enumerate_gluings(perimeters, beta, allow_open=allow_open):
-        gc = glue(gl)
-        if min(gc.degrees()) < 2:
+        diagram = okounkov_contract(glue(gl))
+        if diagram is None:
             continue  # tree-containing gluing: counted at lower perimeter
-        diagram, info = okounkov_contract(gc)
-        if not info.weight_check:
-            raise GluingError("weight conservation failed")
         key = diagram.structure_key()
         if key not in slot:
             slot[key] = len(diagrams)

@@ -12,8 +12,7 @@ rank-one coordinate spike) or a uniform Wishart in its own normalization
 is sampled from its tridiagonal model, whose top k eigenvalues come from
 Sturm multisection, so each replica costs O(N) memory, not a dense N x N
 draw and eigensolve: the GOE/GUE and Wishart baselines and the
-block-diagonal control.  Dense draws are solved per connected block of
-their support.
+block-diagonal control.  Any other draw is dense and solved whole.
 
 Limitation: the same-size baseline removes GOE's own finite-size
 corrections, not those of the test profile.  With real entries a square
@@ -48,20 +47,13 @@ def top_eigenvalues(spec, k, replicas):
 
     A spec with a tridiagonal model (ensembles.has_tridiagonal_model) draws
     it and finds the top k by Sturm multisection.  Any other spec draws
-    dense matrices and solves each connected block of their support on its
-    own.
+    dense matrices and solves each with one eigvalsh.
     """
     if ensembles.has_tridiagonal_model(spec):
         return tridiagonal_top(*ensembles.sample_tridiagonal(spec, replicas), k)
-    blocks = ensembles.support_blocks(spec)
     out = np.empty((replicas, k))
     for r in range(replicas):
-        X = ensembles.sample(spec, replica=r)
-        if len(blocks) == 1:
-            lam = np.linalg.eigvalsh(X)
-        else:
-            lam = np.sort(np.concatenate([np.linalg.eigvalsh(X[np.ix_(c, c)]) for c in blocks]))
-        out[r] = lam[::-1][:k]
+        out[r] = np.linalg.eigvalsh(ensembles.sample(spec, replica=r))[::-1][:k]
     return out
 
 

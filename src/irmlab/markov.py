@@ -251,19 +251,24 @@ def _mixing_scan(avg, powers, side, gamma, delta, lazy=False):
                 delta_observed=worst_b2[3] * float(side[worst_b2[2]]))
 
 
-def _lambda_star(ev, drop=1):
-    """Largest modulus among the eigenvalues ev after the `drop` largest."""
+def _lambda_star(ev):
+    """Largest modulus among the eigenvalues (or singular values) ev after
+    the largest."""
     ev = np.sort(np.abs(np.ravel(ev)))
-    return float(ev[-1 - drop]) if ev.size > drop else 0.0
+    return float(ev[-2]) if ev.size > 1 else 0.0
 
 
 def _certify(profile, t_N, gamma, delta, horizon):
     """The mixing report of a square or bipartite profile's chain.
 
     The period-2 bipartite chain holds the lazy sums p_n + p_{n+1} to its
-    long-time bound.  lambda_* is read from D P D^{-1}, D = diag(side)^{-1/2},
-    past the unit-modulus eigenvalues (1, and -1 when bipartite), or from the
-    Fourier symbol of a circulant profile.  With pi = 1/(2 side) and
+    long-time bound.  lambda_* is the second largest modulus among the
+    eigenvalues of a square profile's P, or of the Fourier symbol of a
+    circulant one.  The
+    bipartite chain is symmetrized by D P D^{-1}, D = diag(side)^{-1/2}, into
+    [[0, B], [B^T, 0]] with B = sqrt(N/M) sigma^2, whose eigenvalues are
+    +-(the singular values of B) and zeros: lambda_* is the second singular
+    value of B, past the pair +-1.  With pi = 1/(2 side) and
     c = 1 + lambda_* for lazy sums (1 for p_n),
     |p(x,y) - 1/side_y| <= c lambda_*^n sqrt(pi_y/pi_x (1-2pi_x)(1-2pi_y)),
     so the tail closes once c (1 - 1/s) lambda_*^(horizon+1) <= delta/s for
@@ -275,7 +280,7 @@ def _certify(profile, t_N, gamma, delta, horizon):
         M, N = profile.n_rows, profile.n_cols
         P, side = profile.bipartite_transition(), np.repeat([float(M), float(N)], [M, N])
         chain = _bipartite_chain(P, M, t_N, horizon + 1)
-        lam = _lambda_star(np.linalg.eigvalsh(P * np.sqrt(side / side[:, None])), drop=2)
+        lam = _lambda_star(np.linalg.svd(np.sqrt(N / M) * profile.variances, compute_uv=False))
     elif profile.circulant_row is not None:
         symbol, shape = _circulant_symbol(profile)
         side = np.full(profile.n_rows, float(profile.n_rows))

@@ -34,6 +34,13 @@ class NbBudgetError(RuntimeError):
     pass
 
 
+# Largest pair-state count N^3 a transfer may hold (N is the hat size M + N
+# for Wishart).  A complex frontier of 2e6 states is 32 MB and a step holds
+# about three, so N <= 125 passes: ten times the largest caller, hat size 12
+# in acceptance criterion 4.
+MAX_PAIR_STATES = 2_000_000
+
+
 # ---------------------------------------------------------------------------
 # pair-state transfer
 # ---------------------------------------------------------------------------
@@ -42,6 +49,9 @@ def _seeded_frontier(seed, H, n_steps):
     """Frontier tensors F_t[x, a, b] = sum over constrained chains of t steps
     from x with last two vertices (a, b); first step uses `seed`, later H."""
     N = H.shape[0]
+    if N ** 3 > MAX_PAIR_STATES:
+        raise NbBudgetError(f"pair-state transfer at N = {N} needs N^3 = {N ** 3} "
+                            f"states, over the budget of {MAX_PAIR_STATES}")
     F = np.zeros((N, N, N), dtype=complex)
     for x in range(N):
         F[x, x, :] = seed[x, :]

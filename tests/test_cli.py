@@ -558,6 +558,8 @@ MALFORMED = {
         {"scenario": "nbpath-exact", "params": {"wishart_n": -1}}), EXIT_USAGE),
     "config nbpath wishart_M zero": (_run_config(
         {"scenario": "nbpath-exact", "params": {"wishart_M": 0}}), EXIT_USAGE),
+    "config nbpath over pair-state budget": (_run_config(
+        {"scenario": "nbpath-exact", "params": {"N": 126, "n": 3, "seeds": 1}}), EXIT_USAGE),
     "config lift2 trials zero": (_run_config({"scenario": "lift2", "params": {"trials": 0}}),
                                  EXIT_USAGE),
     "config C past float": (_run_config({"scenario": "gw", "params": {"C": 10 ** 400}}),
@@ -654,7 +656,8 @@ def _input_files(tmp_path):
 
 
 # command lines argparse refuses, counts that would make a verdict vacuous,
-# diagram input over the enumeration budget, negative seeds (numpy's
+# diagram input over the enumeration budget, path input just over the
+# pair-state budget (N^3 states, hat size 62 + 64 for Wishart), negative seeds (numpy's
 # generators take none) and input files that are not UTF-8 or do not parse:
 # exit 64, never 2 (a failed check) or a traceback
 USAGE_ERRORS = [
@@ -672,6 +675,8 @@ USAGE_ERRORS = [
     ["diagrams", "verify", "--s", "0"],
     ["nbpath", "verify", "--n", "0"],
     ["nbpath", "verify", "--n", "-1"],
+    ["nbpath", "verify", "--N", "126", "--n", "3", "--seeds", "1"],
+    ["nbpath", "verify", "--model", "wishart", "--N", "64", "--n", "2", "--seeds", "1"],
     ["diagrams", "verify", "--spike", "nan"],
     ["diagrams", "verify", "--spike", "inf"],
     ["run", "--config", "TMP/cfg.json", "--seed", "-1", "--out", "TMP/out"],

@@ -45,14 +45,14 @@ def spike(N, val=1.3, seed=None):
 
 
 def euler_characteristic(gc):
-    return gc.n_vertices - gc.n_edges + gc.n_faces
+    return gc.n_vertices - len(gc.edges) + len(gc.face_steps)
 
 
 class TestGlue:
     def test_two_gon_opposite_is_sphere(self):
         g = RibbonGluing((2,), frozenset(), ((0, 1),), ("opp",), 2)
         gc = glue(g)
-        assert gc.n_vertices == 2 and gc.n_edges == 1
+        assert gc.n_vertices == 2 and len(gc.edges) == 1
         assert euler_characteristic(gc) == 2  # V - E + F = 2 - 1 + 1
 
     def test_four_gon_noncrossing_planar(self):
@@ -78,18 +78,15 @@ class TestGlue:
 
 class TestContract:
     def test_catalan_gluing_is_trivial(self):
-        # fully non-crossing opposite gluing of the 6-gon collapses entirely
+        # the fully non-crossing opposite gluing of the 6-gon is a tree: the
+        # sum level counts it at lower perimeter, so it has no diagram
         g = RibbonGluing((6,), frozenset(), ((0, 1), (2, 3), (4, 5)),
                          ("opp",) * 3, 2)
-        diagram, info = okounkov_contract(glue(g))
-        assert info.had_tree
-        assert diagram.trivial_faces == (0,)
-        assert diagram.n_vertices == 0
+        assert okounkov_contract(glue(g)) is None
 
     def test_crossing_four_gon_two_loops(self):
         g = RibbonGluing((4,), frozenset(), ((0, 2), (1, 3)), ("opp", "opp"), 2)
-        diagram, info = okounkov_contract(glue(g))
-        assert not info.had_tree
+        diagram = okounkov_contract(glue(g))
         assert diagram.n_vertices == 1
         assert len(diagram.edges) == 2
         assert all(e[1] == e[2] for e in diagram.edges)  # both loops
@@ -97,15 +94,16 @@ class TestContract:
 
     def test_weight_conservation_everywhere(self):
         for gl in enumerate_gluings((6,), 1):
-            diagram, info = okounkov_contract(glue(gl))
-            assert info.weight_check
+            diagram = okounkov_contract(glue(gl))
+            if diagram is not None:
+                assert sum(diagram.edges[c][3] for c in diagram.face_boundaries[0]) == 6
 
     def test_euler_characteristic_preserved(self):
-        # V - E is invariant under both collapse steps
+        # V - E is invariant under merging the edges of a chain
         for gl in enumerate_gluings((6,), 2):
             gc = glue(gl)
-            diagram, info = okounkov_contract(gc)
-            if info.had_tree:
+            diagram = okounkov_contract(gc)
+            if diagram is None:
                 continue
             chi_before = euler_characteristic(gc)
             chi_after = diagram.n_vertices - len(diagram.edges) + len(diagram.face_boundaries)
@@ -113,27 +111,48 @@ class TestContract:
 
     def test_degree_constraints_on_skeletons(self):
         for gl in enumerate_gluings((6,), 1):
-            diagram, info = okounkov_contract(glue(gl))
-            if info.had_tree:
+            diagram = okounkov_contract(glue(gl))
+            if diagram is None:
                 continue
-            deg = diagram.degrees()
-            marked = set(m for m in diagram.marks if m >= 0)
+            deg = [0] * diagram.n_vertices
+            for _, u, v, _w in diagram.edges:
+                deg[u] += 1
+                deg[v] += 1
+            marked = set(diagram.marks)
             for v in range(diagram.n_vertices):
                 assert deg[v] >= (2 if v in marked else 3)
 
     @staticmethod
     def _reduced(perimeters=((4,), (6,), (2, 2), (2, 4), (3, 3), (1, 3), (2, 2, 2))):
-        """Every reduced diagram of the perimeters, open edges allowed, beta 1 and 2,
-        skipping the gluings that collapse completely."""
+        """Every reduced diagram of the perimeters, open edges allowed, beta 1 and 2:
+        one per tree-free gluing."""
         for per in perimeters:
             for beta in (1, 2):
                 for gl in enumerate_gluings(per, beta, allow_open=True):
-                    diagram, _ = okounkov_contract(glue(gl))
-                    if diagram.n_vertices:
+                    diagram = okounkov_contract(glue(gl))
+                    if diagram is not None:
                         yield diagram
 
     def test_reduced_diagram_count(self):
-        assert sum(1 for _ in self._reduced()) == 1711
+        # tree-free gluings only: a gluing with a tree has no diagram, even
+        # where collapsing its tree would leave edges behind
+        assert sum(1 for _ in self._reduced()) == 1119
+
+    def test_tree_rule_reads_the_pairing(self):
+        # a gluing contains a tree exactly when it glues two cyclically
+        # consecutive steps of a face in opposite orientation: degrees unused
+        trees = total = 0
+        for per in ((1,), (2,), (3,), (4,), (5,), (6,), (2, 2), (1, 3), (2, 4),
+                    (3, 3), (1, 1, 2), (2, 2, 2)):
+            _, gamma, _ = dg._faces_and_gamma(per)
+            for beta in (1, 2):
+                for gl in enumerate_gluings(per, beta, allow_open=True):
+                    tree = any(o == "opp" and (t == gamma[s] or s == gamma[t])
+                               for (s, t), o in zip(gl.pairing, gl.orientations))
+                    assert (okounkov_contract(glue(gl)) is None) == tree
+                    trees += tree
+                    total += 1
+        assert (total, trees) == (1893, 672)
 
     def test_chains_traversed_twice_or_once(self):
         # an interior chain borders two face sides, an open chain one
@@ -160,8 +179,6 @@ class TestContract:
 
         for diagram in self._reduced():
             for fb in diagram.face_boundaries:
-                if not fb:
-                    continue
                 kind, u, v, _ = diagram.edges[fb[0]]
                 starts = (u,) if kind == "a" else (u, v)
                 assert any(walk_end(diagram, fb, s) == s for s in starts)
@@ -186,17 +203,10 @@ class TestEnumeration:
 
 
 class TestDiagramFunctions:
-    def test_trivial_face_delta(self):
-        g = RibbonGluing((4,), frozenset(), ((0, 1), (2, 3)), ("opp", "opp"), 2)
-        diagram, _ = okounkov_contract(glue(g))
-        powers = PowerCache(uniform_profile(3))
-        assert frak_F(diagram, [0], powers) == 3.0
-        assert frak_F(diagram, [2], powers) == 0.0
-
     def test_single_loop_closed_form(self):
         # crosscap at weight sum 2: sum_x p_1(x, x) = Tr P
         g = RibbonGluing((2,), frozenset(), ((0, 1),), ("same",), 1)
-        diagram, _ = okounkov_contract(glue(g))
+        diagram = okounkov_contract(glue(g))
         prof = nonuniform_profile(4)
         powers = PowerCache(prof)
         val = frak_F(diagram, [2], powers)
@@ -207,7 +217,7 @@ class TestDiagramFunctions:
 
     def test_F_zero_when_face_budget_zero(self):
         g = RibbonGluing((2,), frozenset(), ((0, 1),), ("same",), 1)
-        diagram, _ = okounkov_contract(glue(g))
+        diagram = okounkov_contract(glue(g))
         powers = PowerCache(uniform_profile(3))
         assert F_direct(diagram, [0], powers) == 0.0
 
@@ -219,10 +229,9 @@ class TestDiagramFunctions:
         count = 0
         pool = []
         for gl in enumerate_gluings((4,), 1, allow_open=True):
-            diagram, info = okounkov_contract(glue(gl))
-            if info.had_tree or diagram.trivial_faces:
-                continue
-            pool.append(diagram)
+            diagram = okounkov_contract(glue(gl))
+            if diagram is not None:
+                pool.append(diagram)
         for diagram in pool:
             for n in (4, 6, 7, 8):
                 a = F_direct(diagram, [n], powers)
@@ -235,7 +244,7 @@ class TestDiagramFunctions:
         # with sigma^2 = 1/N every interior factor is 1/N: F equals the
         # mean-field reference computed directly from the weight counts
         g = RibbonGluing((4,), frozenset(), ((0, 2), (1, 3)), ("opp", "opp"), 2)
-        diagram, _ = okounkov_contract(glue(g))
+        diagram = okounkov_contract(glue(g))
         N = 5
         powers = PowerCache(uniform_profile(N))
         val = frak_F(diagram, [4], powers)
@@ -533,8 +542,8 @@ class TestEnvelope:
         prof = uniform_profile(4)
         powers = PowerCache(prof)
         for gl in enumerate_gluings((6,), 1):
-            diagram, info = okounkov_contract(glue(gl))
-            if info.had_tree or not diagram.is_connected():
+            diagram = okounkov_contract(glue(gl))
+            if diagram is None or not diagram.is_connected():
                 continue
             n = 6
             val = abs(F_direct(diagram, [n], powers))

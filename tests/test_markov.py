@@ -285,6 +285,20 @@ class TestSharpTailBound:
             floor = defect + n * np.finfo(float).eps
             assert dev <= (1 + lam) * (1 - 1.0 / s) * lam ** n * s * (1 + 1e-9) + floor, n
 
+    @pytest.mark.parametrize("M, N, builder", [
+        (3, 6, "uniform"), (4, 8, "banded"), (5, 5, "banded"), (3, 9, "banded"), (2, 4, "banded"),
+        (4, 4, "uniform"), (32, 64, "banded"), (50, 100, "banded"), (100, 150, "banded"),
+        (150, 400, "banded"), (200, 300, "banded")])
+    def test_bipartite_lambda_star_from_singular_values(self, M, N, builder):
+        # the certificate reads lambda_* off the singular values of sqrt(N/M) sigma^2,
+        # which are the +- pairs of the eigenvalues of the symmetrized (M+N)^2 kernel
+        p = wishart_profile(M, N, builder=builder)
+        side = np.repeat([float(M), float(N)], [M, N])
+        sym = p.bipartite_transition() * np.sqrt(side / side[:, None])
+        dense = float(np.sort(np.abs(np.linalg.eigvalsh(sym)))[-3])
+        lam = markov._lambda_star(np.linalg.svd(np.sqrt(N / M) * p.variances, compute_uv=False))
+        assert abs(lam - dense) <= 1e-14
+
     @pytest.mark.parametrize("d, L, W", [(1, 64, 8), (1, 512, 64), (2, 12, 3), (2, 16, 2)])
     def test_fourier_lambda_star_matches_eigvalsh(self, d, L, W):
         p = band_profile(d, L, W, "gaussian")

@@ -61,6 +61,14 @@ class TestPowers:
         with pytest.raises(NbBudgetError):
             nb_powers(np.zeros((8, 8)), 10, method="bruteforce")
 
+    def test_pair_state_budget(self):
+        # N = 125 is the largest transfer within the budget; one index more is refused
+        # before a frontier is allocated
+        assert 125 ** 3 <= nb.MAX_PAIR_STATES < 126 ** 3
+        assert len(nb_powers(np.zeros((125, 125)), 2)) == 3
+        with pytest.raises(NbBudgetError):
+            nb_powers(np.zeros((126, 126)), 2)
+
 
 class TestPhiOps:
     def test_phi2_zero_for_matching_variances(self):
