@@ -285,3 +285,31 @@ def q_vs_chebyshev_grid(n, alpha):
                             + math.sqrt(a) * np.array([cheb_eval("U", n - 1, zz) for zz in z]))
     den = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
     return float(np.max(np.abs(lhs - rhs) / den))
+
+
+# ---------------------------------------------------------------------------
+# verification suites: `irmlab cheb verify` and acceptance criterion 5
+# ---------------------------------------------------------------------------
+
+def verify_suite(suite, n_max, seed):
+    """Report dict of one exact suite.  "orthogonality" runs
+    orthogonality_check to degree n_max; "product" checks 200 lists of one
+    to four degrees in 1..15 drawn at seed (n_max unused) and keeps the
+    first failing list; "wishart-poly" checks Q_n against Chebyshev on the
+    bulk grid for n <= n_max and U_n <-> P_n exactly for n <= min(n_max, 12),
+    at alpha 0.25, 0.5 and 1."""
+    if suite == "orthogonality":
+        return orthogonality_check(n_max)
+    if suite == "product":
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            ms = rng.integers(1, 16, size=int(rng.integers(1, 5))).tolist()
+            good, lhs, rhs = product_coeff_identity(ms)
+            if not good:
+                return {"passed": False, "worst": {"m_list": ms, "lhs": lhs, "rhs": rhs}}
+        return {"passed": True, "worst": None}
+    alphas = (0.25, 0.5, 1.0)
+    worst = max(q_vs_chebyshev_grid(n, a) for a in alphas for n in range(1, n_max + 1))
+    exact = all(un_pn_identity_exact(n, a) for a in alphas for n in range(1, min(n_max, 12) + 1))
+    return {"passed": bool(worst <= 1e-10 and exact), "worst_rel_error": worst,
+            "exact_un_pn": exact}

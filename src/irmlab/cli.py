@@ -150,6 +150,11 @@ def _range_check(scenario, p):
         if type(preset[key]) is float:
             # an integer past the float range is not finite either
             need(abs(val) <= sys.float_info.max, f"{key} must be finite, not {val!r}")
+    if scenario == "nbpath-exact":  # refused before the first realization is drawn
+        for what, size in (("N", p["N"]), ("hat size", p["wishart_M"] + p["wishart_N"])):
+            need(size ** 3 <= nonbacktracking.MAX_PAIR_STATES,
+                 f"{what} = {size} needs {size ** 3} pair states, over the budget of "
+                 f"{nonbacktracking.MAX_PAIR_STATES}")
     if "max_m" in p:
         # the largest perimeters set the cost: refuse them before the smaller checks run
         top = p["max_m"]
@@ -163,7 +168,9 @@ def _range_check(scenario, p):
 # scenario runners: each takes (params, seed) and returns (exit code, payload)
 # ---------------------------------------------------------------------------
 
-def _edge_scenario(test_spec, baseline_spec, p, seed, expect_rejection=False):
+def edge_verdict(test_spec, baseline_spec, p, seed, expect_rejection=False):
+    """universality_test at p's k, replicas and level, and exit code 0 when it
+    rejects exactly when expect_rejection says so: every edge verdict."""
     rep = edgestats.universality_test(
         test_spec, baseline_spec, k=p["k"], replicas=p["replicas"], seed=seed, level=p["level"])
     observed = rep.rejected
@@ -185,13 +192,13 @@ def _against_goe(build):
     """Edge runner comparing the spec build(p, seed) with same-size GOE."""
     def runner(p, seed):
         test = build(p, seed)
-        return _edge_scenario(test, ensembles.goe_reference_spec(test.N), p, seed)
+        return edge_verdict(test, ensembles.goe_reference_spec(test.N), p, seed)
     return runner
 
 
 def _run_goe_baseline(p, seed):
     base = ensembles.goe_reference_spec(p["N"], beta=p["beta"])
-    return _edge_scenario(base, base, p, seed)
+    return edge_verdict(base, base, p, seed)
 
 
 def _run_wishart(p, seed):
@@ -200,7 +207,7 @@ def _run_wishart(p, seed):
         profile=profiles.wishart_profile(p["M"], p["N"], builder=p["builder"]))
     base = ensembles.EnsembleSpec(
         model="wishart", profile=profiles.wishart_profile(p["M"], p["N"], builder="uniform"))
-    return _edge_scenario(test, base, p, seed)
+    return edge_verdict(test, base, p, seed)
 
 
 def _run_blockdiag(p, seed):
@@ -208,7 +215,7 @@ def _run_blockdiag(p, seed):
     if N % 2:
         raise ConfigError("blockdiag control needs even N")
     test = ensembles.EnsembleSpec(profile=profiles.block_wegner_profile(2, N // 2, 0.0))
-    code, payload = _edge_scenario(
+    code, payload = edge_verdict(
         test, ensembles.goe_reference_spec(N), p, seed, expect_rejection=True)
     payload["criteria"]["p_threshold"] = p["level"]
     if code == EXIT_PASS and payload["edge_report"]["p_values"][0] >= p["level"]:
@@ -518,26 +525,7 @@ def _cmd_mixing(args):
 
 
 def _cmd_cheb(args):
-    if args.suite == "orthogonality":
-        rep = chebyshev.orthogonality_check(args.max)
-    elif args.suite == "product":
-        rng = np.random.default_rng(args.seed)
-        worst = None
-        for _ in range(200):
-            ms = rng.integers(1, 16, size=int(rng.integers(1, 5)))
-            good, lhs, rhs = chebyshev.product_coeff_identity(list(ms))
-            if not good:
-                worst = {"m_list": ms.tolist(), "lhs": lhs, "rhs": rhs}
-                break
-        rep = {"passed": worst is None, "worst": worst}
-    else:
-        worst = 0.0
-        for alpha in (0.25, 0.5, 1.0):
-            for n in range(1, args.max + 1):
-                worst = max(worst, chebyshev.q_vs_chebyshev_grid(n, alpha))
-        exact = all(chebyshev.un_pn_identity_exact(n, 0.5) for n in range(1, min(args.max, 12) + 1))
-        rep = {"passed": bool(worst <= 1e-10 and exact), "worst_rel_error": worst,
-               "exact_un_pn": exact}
+    rep = chebyshev.verify_suite(args.suite, args.max, args.seed)
     print(json.dumps(rep, sort_keys=True))
     return EXIT_PASS if rep["passed"] else EXIT_FAIL
 
@@ -563,7 +551,7 @@ def _cmd_edge(args):
     specs = [ensembles.EnsembleSpec.from_json(read_document(path))
              for path in (args.test, args.baseline)]
     p = {"k": args.k, "replicas": args.replicas, "level": 0.01}
-    code, payload = _edge_scenario(*specs, p, args.seed)
+    code, payload = edge_verdict(*specs, p, args.seed)
     with open(args.out, "w") as fh:
         json.dump(payload["edge_report"], fh, sort_keys=True)
     samples = payload["_samples"]

@@ -201,23 +201,12 @@ def test_criterion_4_path_expansions():
 
 
 def test_criterion_5_exact_polynomial_identities():
-    orth = ch.orthogonality_check(40)["passed"]
-    rng = np.random.default_rng(SUITE_SEED)
-    prod_ok = True
-    for _ in range(200):
-        ms = rng.integers(1, 16, size=int(rng.integers(1, 5))).tolist()
-        good, _, _ = ch.product_coeff_identity(ms)
-        prod_ok = prod_ok and good
-    worst_q = 0.0
-    for alpha in (0.25, 0.5, 1.0):
-        for n in range(1, 21):
-            worst_q = max(worst_q, ch.q_vs_chebyshev_grid(n, alpha))
-    unpn = all(ch.un_pn_identity_exact(n, alpha)
-               for alpha in (0.25, 0.5, 1.0) for n in range(1, 13))
-    ok = orth and prod_ok and worst_q <= 1e-10 and unpn
-    _line(5, ok, f"orthogonality n<=40 exact={orth}; product identity 200 "
-                 f"lists={prod_ok}; Qn<->Un worst rel {worst_q:.2e}; "
-                 f"Un<->Pn exact n<=12={unpn}")
+    orth, prod, poly = (ch.verify_suite(suite, n_max, SUITE_SEED) for suite, n_max in
+                        (("orthogonality", 40), ("product", 0), ("wishart-poly", 20)))
+    ok = orth["passed"] and prod["passed"] and poly["passed"]
+    _line(5, ok, f"orthogonality n<=40 exact={orth['passed']}; product identity 200 "
+                 f"lists={prod['passed']}; Qn<->Un worst rel {poly['worst_rel_error']:.2e}; "
+                 f"Un<->Pn exact n<=12={poly['exact_un_pn']}")
 
 
 def test_criterion_6_gaussian_moments():
@@ -268,36 +257,32 @@ def test_criterion_7_mixing_machinery():
                  f"{slope:.3f} ({elapsed:.0f}s)")
 
 
-def _edge_case(test_spec, baseline_spec, seed, k=2):
-    return edgestats.universality_test(test_spec, baseline_spec, k=k,
-                                       replicas=1000, seed=seed, level=0.01)
-
-
 # per-case suite seeds, fixed at calibration time
 SEED_8A_BAND = SUITE_SEED
 SEED_8B_SPARSE = 17
 SEED_8C_BLOCK = SUITE_SEED + 2
 SEED_8D_BBP = SUITE_SEED + 3
+SEED_9_BLOCKDIAG = SUITE_SEED + 4
+
+
+def _preset_verdict(name, seed):
+    """The scenario `name` at the criteria's N = 300 and 1000 replicas."""
+    return cli.run_scenario(name, dict(cli.SCENARIOS[name], N=300, replicas=1000), seed)
 
 
 def test_criterion_8abd_positive_universality():
     t0 = time.time()
     N = 300
-    goe = ensembles.goe_reference_spec(N)
-
+    verdicts = {name: _preset_verdict(name, seed)
+                for name, seed in (("band", SEED_8A_BAND), ("sparse", SEED_8B_SPARSE))}
     prof_band = profiles.band_profile(1, N, int(math.ceil(N ** 0.8)), "gaussian")
-    rep_a = _edge_case(ensembles.EnsembleSpec(profile=prof_band), goe, SEED_8A_BAND)
-
-    sparse = ensembles.EnsembleSpec(entry_law="theta_rademacher", theta=4.0,
-                                    profile=profiles.uniform_profile(N))
-    rep_b = _edge_case(sparse, goe, SEED_8B_SPARSE)
-
     rep_d = edgestats.bbp_test(prof_band, [0.0], replicas=1000, seed=SEED_8D_BBP)
-
     elapsed = time.time() - t0
-    results = {"band": rep_a, "sparse": rep_b, "bbp": rep_d}
-    ok = all(not r.rejected for r in results.values()) and elapsed <= 3 * 1800
-    detail = ", ".join(f"{k} p_min={min(r.p_values):.3f}" for k, r in results.items())
+    ok = (all(code == cli.EXIT_PASS for code, _ in verdicts.values()) and not rep_d.rejected
+          and elapsed <= 3 * 1800)
+    detail = ", ".join([f"{name} p_values={payload['edge_report']['p_values']!r}"
+                        for name, (_, payload) in verdicts.items()]
+                       + [f"bbp p_values={rep_d.p_values!r}"])
     _line("8(a,b,d)", ok, f"no rejection at level 0.01 (Bonferroni k=2): {detail} ({elapsed:.0f}s)")
 
 
@@ -326,20 +311,21 @@ def test_criterion_8c_block_wegner():
     """
     t0 = time.time()
     N = 300
-    reports, lam2, delta_err = {}, {}, 0.0
+    verdicts, lam2, delta_err = {}, {}, 0.0
     for lam in (0.5, 0.2):
         block = profiles.block_wegner_profile(4, 75, lam)
         lam2[lam] = float(np.linalg.eigvalsh(block.variances)[-2])
         delta = extra_returns(block)
         baseline = mean_field_profile(N, delta)
         delta_err = max(delta_err, abs(extra_returns(baseline) - delta))
-        reports[lam] = _edge_case(ensembles.EnsembleSpec(profile=block),
-                                  ensembles.EnsembleSpec(profile=baseline), SEED_8C_BLOCK)
+        verdicts[lam] = cli.edge_verdict(
+            ensembles.EnsembleSpec(profile=block), ensembles.EnsembleSpec(profile=baseline),
+            {"k": 2, "replicas": 1000, "level": 0.01}, SEED_8C_BLOCK, expect_rejection=lam == 0.2)
     elapsed = time.time() - t0
-    ok = (not reports[0.5].rejected and reports[0.2].rejected
+    ok = (all(code == cli.EXIT_PASS for code, _ in verdicts.values())
           and delta_err <= 1e-9 and all(v < 1.0 for v in lam2.values()))
-    detail = ", ".join(f"lambda={lam} p_values={[f'{p:.2e}' for p in r.p_values]}"
-                       for lam, r in reports.items())
+    detail = ", ".join(f"lambda={lam} p_values={payload['edge_report']['p_values']!r}"
+                       for lam, (_, payload) in verdicts.items())
     _line("8(c)", ok, f"block Wegner D=4 M=75 vs Delta-matched mean field: "
                       f"{detail}; |dDelta|={delta_err:.1e}, "
                       f"lambda_2={lam2[0.5]:.3f} ({elapsed:.0f}s)")
@@ -347,21 +333,16 @@ def test_criterion_8c_block_wegner():
 
 def test_criterion_9_negative_control():
     t0 = time.time()
-    N = 300
-    goe = ensembles.goe_reference_spec(N)
-    blockdiag = ensembles.EnsembleSpec(profile=profiles.block_wegner_profile(2, 150, 0.0))
-    rep = edgestats.universality_test(blockdiag, goe, k=1, replicas=1000,
-                                      seed=SUITE_SEED + 4, level=1e-3)
-    reject_ok = rep.rejected and rep.p_values[0] < 1e-3
+    code, payload = _preset_verdict("counterexample-blockdiag", SEED_9_BLOCKDIAG)
+    p_reject = payload["edge_report"]["p_values"][0]
 
-    passes = 0
-    for i in range(20):
-        r = edgestats.universality_test(blockdiag, blockdiag, k=1, replicas=1000,
-                                        seed=SUITE_SEED + 100 + i)
-        passes += (not r.rejected)
+    blockdiag = ensembles.EnsembleSpec(profile=profiles.block_wegner_profile(2, 150, 0.0))
+    self_test = {"k": 1, "replicas": 1000, "level": 0.01}
+    passes = sum(cli.edge_verdict(blockdiag, blockdiag, self_test, SUITE_SEED + 100 + i)[0]
+                 == cli.EXIT_PASS for i in range(20))
     elapsed = time.time() - t0
-    ok = reject_ok and passes >= 19
-    _line(9, ok, f"block-diagonal rejected (p={rep.p_values[0]:.2e} < 1e-3); "
+    ok = code == cli.EXIT_PASS and passes >= 19
+    _line(9, ok, f"block-diagonal rejected (p={p_reject!r} < 1e-3); "
                  f"self-test passes {passes}/20 seeds ({elapsed:.0f}s)")
 
 

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from irmlab import cli, diagrams, edgestats, ensembles
+from irmlab import cli, diagrams, edgestats, ensembles, profiles
 from irmlab.cli import (
     ConfigError,
     EXIT_FAIL,
@@ -57,6 +57,15 @@ class TestConfig:
             parse_config({"scenario": "mixing-audit", "params": {"delta": 0.5}})
         with pytest.raises(ConfigError):
             parse_config({"scenario": "lift2", "params": {"d": 3}})
+
+    @pytest.mark.parametrize("params", [{"N": 126}, {"wishart_M": 3, "wishart_N": 123}])
+    def test_nbpath_pair_state_budget_at_parse_time(self, params):
+        """N^3 or the Wishart hat size (M + N)^3 past MAX_PAIR_STATES is refused
+        before a realization is drawn; one less fits."""
+        with pytest.raises(ConfigError, match="pair states"):
+            parse_config({"scenario": "nbpath-exact", "params": params})
+        fits = {key: val - 1 if key != "wishart_M" else val for key, val in params.items()}
+        parse_config({"scenario": "nbpath-exact", "params": fits})
 
     def test_toml_or_json(self, tmp_path):
         p = tmp_path / "c.json"
@@ -207,6 +216,32 @@ def test_edge_report_carries_digests_not_specs(scenario, tmp_path):
     report = json.loads(raw)["payload"]["edge_report"]
     for key in ("test_digest", "baseline_digest"):
         assert len(report[key]) == 64 and int(report[key], 16) >= 0
+
+
+# specs built by hand the way the acceptance criteria built them before they
+# ran the presets (8(a), 8(b), 9's rejection arm; 8(c)'s block spec), at N = 48
+CRITERION_SPECS = {
+    "band": ({"N": 48}, lambda: ensembles.EnsembleSpec(
+        profile=profiles.band_profile(1, 48, int(math.ceil(48 ** 0.8)), "gaussian"))),
+    "sparse": ({"N": 48}, lambda: ensembles.EnsembleSpec(
+        entry_law="theta_rademacher", theta=4.0, profile=profiles.uniform_profile(48))),
+    "block": ({"D": 4, "M": 12}, lambda: ensembles.EnsembleSpec(
+        profile=profiles.block_wegner_profile(4, 12, 0.5))),
+    "counterexample-blockdiag": ({"N": 48}, lambda: ensembles.EnsembleSpec(
+        profile=profiles.block_wegner_profile(2, 24, 0.0))),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(CRITERION_SPECS))
+def test_preset_runner_matches_direct_universality_test(scenario):
+    """A preset's edge_report is, digests and p-values bit for bit, the
+    universality_test of its hand-built spec against same-size GOE."""
+    overrides, build = CRITERION_SPECS[scenario]
+    p = dict(cli.SCENARIOS[scenario], **overrides, replicas=100)
+    _, payload = cli.run_scenario(scenario, p, 3)
+    direct = edgestats.universality_test(build(), ensembles.goe_reference_spec(48), k=p["k"],
+                                         replicas=100, seed=3, level=p["level"])
+    assert payload["edge_report"] == direct.to_json()
 
 
 class TestSvg:
@@ -379,8 +414,8 @@ class TestCliEntry:
         assert code == EXIT_PASS
         assert out.exists() and (tmp_path / "h.svg").exists()
         spec_obj = ensembles.EnsembleSpec.from_json(spec)
-        _, payload = cli._edge_scenario(spec_obj, spec_obj,
-                                        {"k": 1, "replicas": 100, "level": 0.01}, 2)
+        _, payload = cli.edge_verdict(spec_obj, spec_obj,
+                                      {"k": 1, "replicas": 100, "level": 0.01}, 2)
         assert out.read_text() == json.dumps(payload["edge_report"], sort_keys=True)
 
 
