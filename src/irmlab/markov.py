@@ -301,7 +301,7 @@ def _certify(profile, t_N, gamma, delta, horizon):
         t_N=t_N, gamma=gamma, delta=delta, horizon=horizon,
         b2_pass=scan["b2_examined"] and not horizon_limited,
         certificate="spectral-gap", horizon_limited=horizon_limited, bipartite=bipartite,
-        thouless_flag=None if bipartite else bool(t_N <= max(1, int(len(side) ** (1.0 / 3.0)))),
+        thouless_flag=None if bipartite else t_N ** 3 <= len(side),
         **scan,
     )
 

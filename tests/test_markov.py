@@ -106,8 +106,11 @@ class TestCheckMixing:
         assert not rep.horizon_limited
 
     def test_thouless_diagnostic_present(self):
-        rep = check_mixing(uniform_profile(27), 1, 1.0, 0.05, 8)
-        assert rep.thouless_flag is True
+        # t_N <= N^(1/3) exactly, also at perfect cubes, where the float cube
+        # root falls short (64 ** (1/3) = 3.9999999999999996)
+        for N, t_N, flag in [(27, 1, True), (64, 4, True), (64, 5, False), (512, 8, True)]:
+            rep = check_mixing(uniform_profile(N), t_N, 1.0, 0.05, 8)
+            assert rep.thouless_flag is flag, (N, t_N)
 
 
 T_VALUES = [1, 2, 3, 5, 8, 13]
