@@ -294,8 +294,8 @@ def q_vs_chebyshev_grid(n, alpha):
 def verify_suite(suite, n_max, seed):
     """Report dict of one exact suite.  "orthogonality" runs
     orthogonality_check to degree n_max; "product" checks 200 lists of one
-    to four degrees in 1..15 drawn at seed (n_max unused) and keeps the
-    first failing list; "wishart-poly" checks Q_n against Chebyshev on the
+    to four degrees in 1..n_max drawn at seed and keeps the first failing
+    list; "wishart-poly" checks Q_n against Chebyshev on the
     bulk grid for n <= n_max and U_n <-> P_n exactly for n <= min(n_max, 12),
     at alpha 0.25, 0.5 and 1."""
     if suite == "orthogonality":
@@ -303,7 +303,7 @@ def verify_suite(suite, n_max, seed):
     if suite == "product":
         rng = np.random.default_rng(seed)
         for _ in range(200):
-            ms = rng.integers(1, 16, size=int(rng.integers(1, 5))).tolist()
+            ms = rng.integers(1, n_max + 1, size=int(rng.integers(1, 5))).tolist()
             good, lhs, rhs = product_coeff_identity(ms)
             if not good:
                 return {"passed": False, "worst": {"m_list": ms, "lhs": lhs, "rhs": rhs}}

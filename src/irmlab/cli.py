@@ -61,6 +61,27 @@ SCENARIOS = {
 }
 
 
+def _regular_preset(N, seed):
+    d = 4 if N > 4 else 2
+    return profiles.regular_graph_profile(profiles.random_regular_adjacency(N, d, seed=seed), d)
+
+
+# mixing-audit profile presets: name -> profile(N, seed); the two-block
+# presets need an even N, which _range_check refuses otherwise
+MIXING_PRESETS = {
+    "uniform": lambda N, seed: profiles.uniform_profile(N),
+    "band": lambda N, seed: profiles.band_profile(1, N, max(2, N // 8), "gaussian"),
+    "gw": lambda N, seed: profiles.generalized_wigner_profile(N, 0.5, 2.0, seed=seed),
+    # theta = 4: each entry kept with probability 1/4, weight 4
+    "sparse": lambda N, seed: profiles.sparse_profile(
+        np.full((N, N), 0.25), np.full((N, N), 4.0), d=float(N)),
+    "block": lambda N, seed: profiles.block_wegner_profile(2, N // 2, 0.5),
+    "blockdiag": lambda N, seed: profiles.block_wegner_profile(2, N // 2, 0.0),
+    "regular": _regular_preset,
+    "wishart": lambda N, seed: profiles.wishart_profile(max(2, N // 2), N, builder="banded"),
+}
+
+
 def list_presets():
     """Scenario names with their default parameters."""
     return {name: dict(params) for name, params in SCENARIOS.items()}
@@ -142,6 +163,9 @@ def _range_check(scenario, p):
             markov.check_domain(p["t"], p["gamma"], p["delta"], p["horizon"])
         except markov.MixingDomainError as exc:
             raise ConfigError(f"{scenario}: {exc}") from exc
+        if "preset" in p:  # mixing check with --profile reads no preset
+            need(p["preset"] in MIXING_PRESETS, f"unknown profile preset {p['preset']!r}; "
+                 f"choose from {sorted(MIXING_PRESETS)}")
     if "betas" in p:
         need(all(b in (1, 2) and type(b) is int for b in p["betas"]), "betas must be 1 or 2")
     for key, val in p.items():
@@ -150,6 +174,10 @@ def _range_check(scenario, p):
         if type(preset[key]) is float:
             # an integer past the float range is not finite either
             need(abs(val) <= sys.float_info.max, f"{key} must be finite, not {val!r}")
+    if p.get("preset") in ("block", "blockdiag"):
+        need(p["N"] % 2 == 0, f"{p['preset']} preset needs even N")
+    if scenario == "counterexample-blockdiag":
+        need(p["N"] % 2 == 0, "blockdiag control needs even N")
     if scenario == "nbpath-exact":  # refused before the first realization is drawn
         for what, size in (("N", p["N"]), ("hat size", p["wishart_M"] + p["wishart_N"])):
             need(size ** 3 <= nonbacktracking.MAX_PAIR_STATES,
@@ -212,8 +240,6 @@ def _run_wishart(p, seed):
 
 def _run_blockdiag(p, seed):
     N = p["N"]
-    if N % 2:
-        raise ConfigError("blockdiag control needs even N")
     test = ensembles.EnsembleSpec(profile=profiles.block_wegner_profile(2, N // 2, 0.0))
     code, payload = edge_verdict(
         test, ensembles.goe_reference_spec(N), p, seed, expect_rejection=True)
@@ -317,7 +343,7 @@ def _mixing(prof, p):
 
 
 def _run_mixing_audit(p, seed):
-    code, report = _mixing(_profile_preset(p["preset"], p["N"], seed), p)
+    code, report = _mixing(MIXING_PRESETS[p["preset"]](p["N"], seed), p)
     return code, {"mixing_report": report.to_json(),
                   "criteria": {"gamma": p["gamma"], "delta": p["delta"]}}
 
@@ -350,28 +376,6 @@ def run_scenario(scenario, params, seed):
     if scenario not in RUNNERS:
         raise ConfigError(f"unhandled scenario {scenario}")
     return RUNNERS[scenario](params, seed)
-
-
-def _profile_preset(name, N, seed):
-    if name == "uniform":
-        return profiles.uniform_profile(N)
-    if name == "band":
-        return profiles.band_profile(1, N, max(2, N // 8), "gaussian")
-    if name == "gw":
-        return profiles.generalized_wigner_profile(N, 0.5, 2.0, seed=seed)
-    if name == "sparse":  # theta = 4: each entry kept with probability 1/4, weight 4
-        return profiles.sparse_profile(np.full((N, N), 0.25), np.full((N, N), 4.0), d=float(N))
-    if name in ("block", "blockdiag"):
-        if N % 2:
-            raise ConfigError(f"{name} preset needs even N")
-        return profiles.block_wegner_profile(2, N // 2, 0.5 if name == "block" else 0.0)
-    if name == "regular":
-        d = 4 if N > 4 else 2
-        return profiles.regular_graph_profile(
-            profiles.random_regular_adjacency(N, d, seed=seed), d)
-    if name == "wishart":
-        return profiles.wishart_profile(max(2, N // 2), N, builder="banded")
-    raise ConfigError(f"unknown profile preset {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +516,13 @@ def _cmd_sample(args):
 def _cmd_mixing(args):
     p = {"N": args.N, "t": args.t, "gamma": args.gamma, "delta": args.delta,
          "horizon": args.horizon}
+    if args.preset and not args.profile:
+        p["preset"] = args.preset
     _range_check("mixing-audit", p)
     if args.profile:
         prof = profiles.VarianceProfile.from_json(read_document(args.profile))
     elif args.preset:
-        prof = _profile_preset(args.preset, args.N, args.seed)
+        prof = MIXING_PRESETS[args.preset](args.N, args.seed)
     else:
         raise ConfigError("need --profile or --profile-preset")
     code, report = _mixing(prof, p)
@@ -611,7 +617,8 @@ def main(argv=None):
     p_mix.set_defaults(func=_cmd_mixing)
     p_mix.add_argument("action", choices=["check"])
     p_mix.add_argument("--profile", help="profile JSON file")
-    p_mix.add_argument("--profile-preset", dest="preset")
+    p_mix.add_argument("--profile-preset", dest="preset",
+                       help=f"one of {', '.join(MIXING_PRESETS)}")
     p_mix.add_argument("--N", type=int, default=64)
     p_mix.add_argument("--t", type=int, required=True)
     p_mix.add_argument("--gamma", type=float, required=True)

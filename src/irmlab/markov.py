@@ -8,11 +8,11 @@ serves the chain on [N] of a square profile and the two-sided chain on
 the target's side.  One scan reads every chain, and each chain steps its
 powers across the window [t, horizon] in the form its profile has:
 
-- dense square: P^t and the short-time sum by binary doubling in O(log t)
-  float64 products, then one product per step;
-- bipartite: the same doubling, then P^n held as its two nonzero blocks
-  (M x M and N x N at even n, M x N and N x M at odd n) and stepped by block
-  products;
+- dense (square or bipartite): one matrix engine on the kernel's row blocks,
+  [V] on [N] or [V, V^T/alpha] on [M] | [N], block i of P^n mapping side i to
+  side (i + n) % r: P^t and the short-time sum by binary doubling in
+  O(log t) float64 products, then one product per step, so a bipartite power
+  is never formed at (M+N)^2;
 - circulant (band): row 0 of P^n and of the short-time sum from the Fourier
   symbol in O(N log N), so the dense matrix is never built.
 
@@ -92,75 +92,65 @@ def _check_drift(Pn, n):
         raise NumericalDegradationError(f"row-sum drift {drift:.3e} at power {n}")
 
 
-def _doubled(P, t_N):
-    """(S, P^t_N) for a row-stochastic P: S = sum_{n<=t_N} P^n by binary
-    doubling (S_2k = S_k + P^k S_k, P^2k = P^k P^k, one step per set bit of
-    t_N).  Powers are products, not Q Lambda^n Q^T, so a uniform kernel of
-    size 2^k stays exact."""
-    _check_drift(P, 1)
-    S = Pk = P
-    k = 1
-    for bit in bin(t_N)[3:]:
-        S = S + Pk @ S
-        Pk = Pk @ Pk
-        k *= 2
-        _check_drift(Pk, k)
-        if bit == "1":
-            Pk = Pk @ P
-            k += 1
-            _check_drift(Pk, k)
-            S = S + Pk
-    return S, Pk
-
-
-def _stepped(P, Pn, t_N, stop):
-    """Yield (n, P^n) for t_N <= n <= stop, from Pn = P^t_N."""
-    for n in range(t_N, stop + 1):
-        if n > t_N:
-            Pn = Pn @ P
-            _check_drift(Pn, n)
-        yield n, Pn
-
-
 def transition_powers(profile, n_max):
     """Yield (n, P^n) for n = 1..n_max in float64 with row-sum drift monitoring."""
     P = profile.variances if isinstance(profile, VarianceProfile) else np.asarray(profile, float)
-    _check_drift(P, 1)
-    yield from _stepped(P, P, 1, n_max)
+    for n, [(Pn, _, _)] in _matrix_chain([P], 1, n_max)[1]:
+        yield n, Pn
 
 
 # ---------------------------------------------------------------------------
 # the chain in its own form
 # ---------------------------------------------------------------------------
 # Each form returns (avg, powers).  avg is the short-time average
-# (1/t) sum_{n<=t} p_n: the whole matrix, or row 0 of a circulant.  powers
-# yields (n, blocks) for t <= n <= stop; a block (B, x0, y0) holds the
-# entries of P^n at rows x0.. and columns y0.., all of its columns on one
-# side.  Entries outside the blocks are structural zeros, or (circulant)
-# translates of row 0.
+# (1/t) sum_{n<=t} p_n and powers yields (n, blocks) for t <= n <= stop, both
+# as blocks (B, x0, y0) that hold the entries at rows x0.. and columns y0..
+# Entries outside the blocks are structural zeros, or (circulant) translates
+# of row 0.
 
-def _dense_chain(P, t_N, stop):
-    S, Pt = _doubled(P, t_N)
-    return S / t_N, ((n, [(Pn, 0, 0)]) for n, Pn in _stepped(P, Pt, t_N, stop))
+def _matrix_chain(P, t_N, stop):
+    """The chain of a kernel given as its row blocks, one per side of the
+    state space: [V] on [N] for a square profile, [V, V^T/alpha] on [M] | [N]
+    for a bipartite one.  Block i of P^k maps side i to side (i + k) % r, so
+    every product is (P^a)_i (P^b)_((i+a) % r), and one code path doubles,
+    drift-checks and steps both chains.  P^t and S = sum_{n<=t} P^n come from
+    binary doubling (S_2k = S_k + P^k S_k, P^2k = P^k P^k, one step per set
+    bit of t), then one product per step.  All blocks of S can be nonzero, so
+    it is held as full-width rows per side and P^k is added into its column
+    slice.  Powers are products, not Q Lambda^n Q^T, so a uniform kernel of
+    size 2^k stays exact."""
+    r = len(P)
+    edges = [0, *itertools.accumulate(len(B) for B in P)]
+    cols = [slice(edges[j], edges[j + 1]) for j in range(r)]
 
+    def times(A, a, B):
+        return [A[i] @ B[(i + a) % r] for i in range(r)]
 
-def _bipartite_chain(P, M, t_N, stop):
-    """The two-sided chain on [M] | [N]: P^n is (X, Y), its rows of [M] and of
-    [N], with columns on the other side at odd n and on the same side at even
-    n.  With V the M x N block of P, a step to odd n multiplies X by V and Y
-    by V^T/alpha, a step to even n X by V^T/alpha and Y by V."""
-    S, Pt = _doubled(P, t_N)
-    right = np.ascontiguousarray(P[:M, M:]), np.ascontiguousarray(P[M:, :M])
+    def checked(Pk, k):
+        for B in Pk:
+            _check_drift(B, k)
+        return Pk, k
 
-    def powers():
-        X, Y = (Pt[:M, M:], Pt[M:, :M]) if t_N % 2 else (Pt[:M, :M], Pt[M:, M:])
+    def add(S, Pk, k):
+        for i in range(r):
+            S[i][:, cols[(i + k) % r]] += Pk[i]
+
+    Pk, k = checked(P, 1)
+    S = [np.zeros((len(B), edges[-1])) for B in P]
+    add(S, P, 1)
+    for bit in bin(t_N)[3:]:
+        S = [Si + Ti for Si, Ti in zip(S, times(Pk, k, S))]
+        Pk, k = checked(times(Pk, k, Pk), 2 * k)
+        if bit == "1":
+            Pk, k = checked(times(Pk, k, P), k + 1)
+            add(S, Pk, k)
+
+    def powers(Pn):
         for n in range(t_N, stop + 1):
             if n > t_N:
-                X, Y = X @ right[1 - n % 2], Y @ right[n % 2]
-                _check_drift(X, n)
-                _check_drift(Y, n)
-            yield n, [(X, 0, M * (n % 2)), (Y, M, M * (1 - n % 2))]
-    return S / t_N, powers()
+                Pn, _ = checked(times(Pn, n - 1, P), n)
+            yield n, [(B, edges[i], edges[(i + n) % r]) for i, B in enumerate(Pn)]
+    return [(Si / t_N, edges[i], 0) for i, Si in enumerate(S)], powers(Pk)
 
 
 def _fourier_row(coefficients, shape):
@@ -186,7 +176,7 @@ def _circulant_chain(symbol, shape, t_N, stop):
             row = _fourier_row(symbol ** n, shape)[None, :]
             _check_drift(row, n)
             yield n, [(row, 0, 0)]
-    return avg, powers()
+    return [(avg, 0, 0)], powers()
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +226,7 @@ def _mixing_scan(avg, powers, side, gamma, delta, lazy=False):
     (lazy: p_n + p_{n+1}, read block by block) against 1/side +- delta/side.
     Returns the MixingReport fields these determine.
     """
-    b1_ratio, *worst_b1 = _worst([(avg, 0, 0)], side, lambda B, s: B / (gamma / s))
+    b1_ratio, *worst_b1 = _worst(avg, side, lambda B, s: B / (gamma / s))
     if lazy:
         powers = ((n, Bn + Bm) for (n, Bn), (_, Bm) in itertools.pairwise(powers))
     b2_ratio = -1.0  # below every ratio, so the first n always sets worst_b2
@@ -276,21 +266,24 @@ def _certify(profile, t_N, gamma, delta, horizon):
     """
     check_domain(t_N, gamma, delta, horizon)
     bipartite = profile.kind == "bipartite"
-    if bipartite:
-        M, N = profile.n_rows, profile.n_cols
-        P, side = profile.bipartite_transition(), np.repeat([float(M), float(N)], [M, N])
-        chain = _bipartite_chain(P, M, t_N, horizon + 1)
-        lam = _lambda_star(np.linalg.svd(np.sqrt(N / M) * profile.variances, compute_uv=False))
-    elif profile.circulant_row is not None:
+    if profile.circulant_row is not None:
         symbol, shape = _circulant_symbol(profile)
-        side = np.full(profile.n_rows, float(profile.n_rows))
+        sizes = [profile.n_rows]
         chain = _circulant_chain(symbol, shape, t_N, horizon)
         lam = _lambda_star(symbol)
     else:
-        P = profile.variances
-        side = np.full(len(P), float(len(P)))
-        chain = _dense_chain(P, t_N, horizon)
-        lam = _lambda_star(np.linalg.eigvalsh(P))
+        V = profile.variances
+        if bipartite:
+            M, N = V.shape
+            P = [V, np.ascontiguousarray(V.T) / profile.alpha]
+            lam = _lambda_star(np.linalg.svd(np.sqrt(N / M) * V, compute_uv=False))
+        else:
+            P = [V]
+            lam = _lambda_star(np.linalg.eigvalsh(V))
+        sizes = [len(B) for B in P]
+        # the lazy sums p_n + p_{n+1} read one power past the horizon
+        chain = _matrix_chain(P, t_N, horizon + 1 if bipartite else horizon)
+    side = np.repeat(np.asarray(sizes, float), sizes)
     scan = _mixing_scan(*chain, side, gamma, delta, lazy=bipartite)
 
     s = float(side.max())

@@ -298,20 +298,6 @@ class VarianceProfile:
         S.setflags(write=False)
         return S
 
-    # -- chain ------------------------------------------------------------
-    def bipartite_transition(self):
-        """Block kernel on [M] | [N]: rows [M] jump by sigma^2, rows [N] by its
-        alpha^{-1}-scaled transpose."""
-        if self.kind != "bipartite":
-            raise ProfileError("bipartite transition needs a bipartite profile")
-        S = self.variances
-        M, N = S.shape
-        P = np.zeros((M + N, M + N))
-        P[:M, M:] = S
-        P[M:, :M] = S.T / self.alpha
-        P.setflags(write=False)
-        return P
-
     def validate(self):
         """The profile itself: it was checked when it was built."""
         return self

@@ -202,7 +202,7 @@ def test_criterion_4_path_expansions():
 
 def test_criterion_5_exact_polynomial_identities():
     orth, prod, poly = (ch.verify_suite(suite, n_max, SUITE_SEED) for suite, n_max in
-                        (("orthogonality", 40), ("product", 0), ("wishart-poly", 20)))
+                        (("orthogonality", 40), ("product", 15), ("wishart-poly", 20)))
     ok = orth["passed"] and prod["passed"] and poly["passed"]
     _line(5, ok, f"orthogonality n<=40 exact={orth['passed']}; product identity 200 "
                  f"lists={prod['passed']}; Qn<->Un worst rel {poly['worst_rel_error']:.2e}; "
@@ -232,6 +232,17 @@ def test_criterion_7_mixing_machinery():
         rep = markov.check_mixing(bd, t, 2.0, 0.099, 64)
         block_ok = block_ok and (not rep.b2_examined)
 
+    # the two-sided chain of the paper's first example: a banded Wishart profile
+    # certifies, a two-block one (a reducible chain on [8] | [16]) is refuted
+    rep_w = markov.check_mixing(profiles.wishart_profile(128, 256, "banded"), 8, 2.0, 0.05, 64)
+    wishart_ok = rep_w.bipartite and rep_w.passed
+    V = np.zeros((8, 16))
+    V[:4, :8] = V[4:, 8:] = 2.0 / 16
+    two_block = profiles.VarianceProfile(V, kind="bipartite")
+    for t in (1, 4, 16):
+        rep = markov.check_mixing(two_block, t, 2.0, 0.099, 64)
+        wishart_ok = wishart_ok and rep.bipartite and rep.refuted
+
     N, c, C = 256, 0.5, 2.0
     gw = profiles.generalized_wigner_profile(N, c, C, seed=SUITE_SEED)
     t_N = int(math.ceil(100 * (C / c) * math.log(N)))
@@ -250,9 +261,11 @@ def test_criterion_7_mixing_machinery():
     slope_ok = -0.65 <= slope <= -0.35
 
     elapsed = time.time() - t0
-    ok = uniform_ok and block_ok and gw_ok and fourier_ok and slope_ok and elapsed <= 300
+    ok = (uniform_ok and block_ok and wishart_ok and gw_ok and fourier_ok and slope_ok
+          and elapsed <= 300)
     _line(7, ok, f"uniform certifies (1,1,0)={uniform_ok}; block-diagonal "
-                 f"refuted at all t={block_ok}; GW passes B1 gamma<=3 at "
+                 f"refuted at all t={block_ok}; banded Wishart certifies and "
+                 f"two-block Wishart refuted at all t={wishart_ok}; GW passes B1 gamma<=3 at "
                  f"t={t_N}={gw_ok}; fourier-dense {worst_f:.1e}; slope "
                  f"{slope:.3f} ({elapsed:.0f}s)")
 

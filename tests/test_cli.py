@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from irmlab import cli, diagrams, edgestats, ensembles, profiles
+from irmlab import chebyshev, cli, diagrams, edgestats, ensembles, profiles
 from irmlab.cli import (
     ConfigError,
     EXIT_FAIL,
@@ -57,6 +57,16 @@ class TestConfig:
             parse_config({"scenario": "mixing-audit", "params": {"delta": 0.5}})
         with pytest.raises(ConfigError):
             parse_config({"scenario": "lift2", "params": {"d": 3}})
+        # preset names and two-block parity are refused before run() makes `out`
+        for doc, message in [
+                ({"scenario": "counterexample-blockdiag", "params": {"N": 151}}, "even N"),
+                ({"scenario": "mixing-audit", "params": {"preset": "block", "N": 63}}, "even N"),
+                ({"scenario": "mixing-audit", "params": {"preset": "blockdiag", "N": 63}},
+                 "even N"),
+                ({"scenario": "mixing-audit", "params": {"preset": "nope"}},
+                 "unknown profile preset 'nope'")]:
+            with pytest.raises(ConfigError, match=message):
+                parse_config(doc)
 
     @pytest.mark.parametrize("params", [{"N": 126}, {"wishart_M": 3, "wishart_N": 123}])
     def test_nbpath_pair_state_budget_at_parse_time(self, params):
@@ -288,6 +298,17 @@ class TestCliEntry:
 
     def test_cheb_product(self):
         assert cli.main(["cheb", "verify", "--suite", "product"]) == EXIT_PASS
+
+    def test_cheb_product_degrees_up_to_max(self, monkeypatch):
+        drawn, identity = [], chebyshev.product_coeff_identity
+
+        def recorded(ms):
+            drawn.append(ms)
+            return identity(ms)
+        monkeypatch.setattr(chebyshev, "product_coeff_identity", recorded)
+        assert cli.main(["cheb", "verify", "--suite", "product", "--max", "3"]) == EXIT_PASS
+        assert len(drawn) == 200
+        assert {m for ms in drawn for m in ms} == {1, 2, 3}
 
     def test_cheb_wishart_poly(self):
         assert cli.main(["cheb", "verify", "--suite", "wishart-poly",

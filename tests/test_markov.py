@@ -116,6 +116,16 @@ class TestCheckMixing:
 T_VALUES = [1, 2, 3, 5, 8, 13]
 
 
+def bipartite_kernel(p):
+    """The dense two-sided kernel [[0, V], [V^T/alpha, 0]] on [M] | [N]."""
+    V = p.variances
+    M, N = V.shape
+    P = np.zeros((M + N, M + N))
+    P[:M, M:] = V
+    P[M:, :M] = V.T / p.alpha
+    return P
+
+
 def sequential_powers(P, n_max):
     """[P, P^2, ..., P^n_max] by plain step-by-step products."""
     out = [P]
@@ -161,7 +171,7 @@ class TestEngineOracle:
         p = wishart_profile(M, N, builder=builder)
         gamma, delta, horizon = 1.5, 0.05, t_N + 12
         rep = bipartite_check_mixing(p, t_N, gamma, delta, horizon)
-        Pn = sequential_powers(p.bipartite_transition(), horizon + 1)
+        Pn = sequential_powers(bipartite_kernel(p), horizon + 1)
         side = np.concatenate([np.full(M, M), np.full(N, N)])
         gamma_obs = (sum(Pn[:t_N]) / t_N * side).max()
         delta_obs = max((np.abs(Pn[n - 1] + Pn[n] - 1.0 / side) * side).max()
@@ -275,7 +285,7 @@ class TestSharpTailBound:
         (3, 6, "uniform"), (4, 8, "banded"), (3, 9, "banded"), (2, 4, "banded"),
         (32, 64, "banded")])
     def test_bipartite_bound_dominates_dense_powers(self, M, N, builder):
-        P = wishart_profile(M, N, builder=builder).bipartite_transition()
+        P = bipartite_kernel(wishart_profile(M, N, builder=builder))
         side = np.concatenate([np.full(M, M), np.full(N, N)])
         s = max(M, N)
         # lambda_* from the kernel itself: the largest |eigenvalue| past the +-1 pair
@@ -297,7 +307,7 @@ class TestSharpTailBound:
         # which are the +- pairs of the eigenvalues of the symmetrized (M+N)^2 kernel
         p = wishart_profile(M, N, builder=builder)
         side = np.repeat([float(M), float(N)], [M, N])
-        sym = p.bipartite_transition() * np.sqrt(side / side[:, None])
+        sym = bipartite_kernel(p) * np.sqrt(side / side[:, None])
         dense = float(np.sort(np.abs(np.linalg.eigvalsh(sym)))[-3])
         lam = markov._lambda_star(np.linalg.svd(np.sqrt(N / M) * p.variances, compute_uv=False))
         assert abs(lam - dense) <= 1e-14

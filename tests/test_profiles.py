@@ -203,23 +203,6 @@ class TestWishart:
         assert np.allclose(V.sum(axis=1), 1.0)
         assert np.allclose(V.sum(axis=0), 0.5)
 
-    def test_square_doubly_stochastic(self):
-        p = wishart_profile(4, 4)
-        PS = p.bipartite_transition()
-        assert np.allclose(PS.sum(axis=1), 1.0)
-        assert np.allclose(PS.sum(axis=0), 1.0)
-
-    def test_banded_transition_rows(self):
-        p = wishart_profile(2, 4, builder="banded")
-        PS = p.bipartite_transition()
-        assert np.max(np.abs(PS.sum(axis=1) - 1.0)) < 1e-12
-
-    def test_two_step_return_row_sums(self):
-        p = wishart_profile(3, 5, builder="banded")
-        PS = p.bipartite_transition()
-        P2 = PS @ PS
-        assert np.max(np.abs(P2[3:, 3:].sum(axis=1) - 1.0)) < 1e-12
-
     def test_m_greater_n_rejected(self):
         with pytest.raises(ProfileError):
             wishart_profile(5, 3)
