@@ -210,36 +210,31 @@ def _cmp_row(m, alpha):
     return tuple(out)
 
 
-def p_poly(n, alpha):
-    """Monic P_n from triangular inversion of x^m = sum_n C_MP(m,n) P_n(x)."""
-    alpha = Fraction(alpha)
+def _p_family(n, alpha):
+    """Monic P_0 ... P_n, P_k as its k + 1 coefficients, from one triangular
+    inversion of x^m = sum_k C_MP(m, k) P_k(x)."""
     polys = []
     for m in range(n + 1):
-        coeffs = [Fraction(0)] * (n + 1)
-        coeffs[m] = Fraction(1)
-        row = _cmp_row(m, alpha)
-        for k in range(m):
-            c = row[k]
-            for i in range(n + 1):
-                coeffs[i] -= c * polys[k].coefficients[i]
-        polys.append(PolySeries("P_family", tuple(coeffs)))
-    return polys[n]
+        coeffs = [Fraction(0)] * m + [Fraction(1)]
+        for c, pk in zip(_cmp_row(m, alpha), polys):  # C_MP(m, k) P_k for k < m
+            for i, pc in enumerate(pk):
+                coeffs[i] -= c * pc
+        polys.append(tuple(coeffs))
+    return polys
 
 
 def q_poly(n, alpha):
     """Q_0 = 1, Q_1 = x - 1, Q_n = (x - 1 - alpha) Q_{n-1} - alpha Q_{n-2}."""
     alpha = Fraction(alpha)
-    width = n + 1
-    prev = [Fraction(1)] + [Fraction(0)] * (width - 1)
+    prev, cur = [Fraction(1)], [Fraction(-1), Fraction(1)]
     if n == 0:
         return PolySeries("Q_family", tuple(prev))
-    cur = [Fraction(-1), Fraction(1)] + [Fraction(0)] * (width - 2)
     for _ in range(2, n + 1):
-        nxt = [Fraction(0)] * width
-        for i in range(width - 1):
-            nxt[i + 1] += cur[i]
-        for i in range(width):
-            nxt[i] += -(1 + alpha) * cur[i] - alpha * prev[i]
+        nxt = [Fraction(0)] + cur
+        for i, c in enumerate(cur):
+            nxt[i] -= (1 + alpha) * c
+        for i, c in enumerate(prev):
+            nxt[i] -= alpha * c
         prev, cur = cur, nxt
     return PolySeries("Q_family", tuple(cur))
 
@@ -248,15 +243,13 @@ def un_pn_identity_exact(n, alpha):
     """Exact form of the U <-> P relation, with sqrt(alpha) cleared:
     Q_n(x) = sum_{i=0}^{n-1} alpha^(ceil(i/2)) P_{n-i}(x).  Returns bool."""
     alpha = Fraction(alpha)
-    q = q_poly(n, alpha)
-    width = len(q.coefficients)
-    rhs = [Fraction(0)] * width
+    p = _p_family(n, alpha)
+    rhs = [Fraction(0)] * (n + 1)
     for i in range(n):
         c = alpha ** ((i + 1) // 2)
-        p = p_poly(n - i, alpha)
-        for j, co in enumerate(p.coefficients):
+        for j, co in enumerate(p[n - i]):
             rhs[j] += c * co
-    return list(q.coefficients) == rhs
+    return list(q_poly(n, alpha).coefficients) == rhs
 
 
 def q_eval(n, alpha, x):

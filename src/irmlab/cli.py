@@ -514,17 +514,16 @@ def _cmd_sample(args):
 
 
 def _cmd_mixing(args):
-    p = {"N": args.N, "t": args.t, "gamma": args.gamma, "delta": args.delta,
-         "horizon": args.horizon}
-    if args.preset and not args.profile:
-        p["preset"] = args.preset
+    p = {"t": args.t, "gamma": args.gamma, "delta": args.delta, "horizon": args.horizon}
+    if args.profile is None:
+        p.update(preset=args.preset, N=64 if args.N is None else args.N)
+    elif args.N is not None:
+        raise ConfigError("mixing check: --N goes with --profile-preset, not --profile")
     _range_check("mixing-audit", p)
-    if args.profile:
-        prof = profiles.VarianceProfile.from_json(read_document(args.profile))
-    elif args.preset:
-        prof = MIXING_PRESETS[args.preset](args.N, args.seed)
+    if args.profile is None:
+        prof = MIXING_PRESETS[args.preset](p["N"], args.seed)
     else:
-        raise ConfigError("need --profile or --profile-preset")
+        prof = profiles.VarianceProfile.from_json(read_document(args.profile))
     code, report = _mixing(prof, p)
     print(report.dumps())
     return code
@@ -616,10 +615,11 @@ def main(argv=None):
     p_mix = sub.add_parser("mixing", help="mixing certificates")
     p_mix.set_defaults(func=_cmd_mixing)
     p_mix.add_argument("action", choices=["check"])
-    p_mix.add_argument("--profile", help="profile JSON file")
-    p_mix.add_argument("--profile-preset", dest="preset",
-                       help=f"one of {', '.join(MIXING_PRESETS)}")
-    p_mix.add_argument("--N", type=int, default=64)
+    source = p_mix.add_mutually_exclusive_group(required=True)
+    source.add_argument("--profile", help="profile JSON file")
+    source.add_argument("--profile-preset", dest="preset",
+                        help=f"one of {', '.join(MIXING_PRESETS)}")
+    p_mix.add_argument("--N", type=int, help="size of the --profile-preset profile (default 64)")
     p_mix.add_argument("--t", type=int, required=True)
     p_mix.add_argument("--gamma", type=float, required=True)
     p_mix.add_argument("--delta", type=float, required=True)

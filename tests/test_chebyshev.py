@@ -103,6 +103,43 @@ class TestProductCoeffs:
             assert ok
 
 
+def p_poly_reference(n, alpha):
+    """Monic P_n as the per-degree construction built it: P_0 ... P_n
+    inverted again from x^m = sum_k C_MP(m, k) P_k(x), each at width n + 1."""
+    alpha = Fraction(alpha)
+    polys = []
+    for m in range(n + 1):
+        coeffs = [Fraction(0)] * (n + 1)
+        coeffs[m] = Fraction(1)
+        row = ch._cmp_row(m, alpha)
+        for k in range(m):
+            for i in range(n + 1):
+                coeffs[i] -= row[k] * polys[k][i]
+        polys.append(coeffs)
+    return tuple(polys[n])
+
+
+def q_poly_reference(n, alpha):
+    """Q_n from the three-term recurrence run at full width n + 1."""
+    alpha = Fraction(alpha)
+    width = n + 1
+    prev = [Fraction(1)] + [Fraction(0)] * (width - 1)
+    if n == 0:
+        return tuple(prev)
+    cur = [Fraction(-1), Fraction(1)] + [Fraction(0)] * (width - 2)
+    for _ in range(2, n + 1):
+        nxt = [Fraction(0)] * width
+        for i in range(width - 1):
+            nxt[i + 1] += cur[i]
+        for i in range(width):
+            nxt[i] += -(1 + alpha) * cur[i] - alpha * prev[i]
+        prev, cur = cur, nxt
+    return tuple(cur)
+
+
+ALPHAS = [Fraction(1, 4), Fraction(1, 2), Fraction(1)]
+
+
 class TestMPFamily:
     def test_mu1_is_one(self):
         for a in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
@@ -131,7 +168,32 @@ class TestMPFamily:
         q = q_poly(2, Fraction(1, 4))
         assert q(Fraction(1)) == Fraction(-1, 4)
 
-    @pytest.mark.parametrize("alpha", [Fraction(1, 4), Fraction(1, 2), Fraction(1)])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_p_family_matches_per_degree_construction(self, alpha):
+        reference = [p_poly_reference(m, alpha) for m in range(13)]
+        for n in range(13):
+            family = ch._p_family(n, alpha)
+            assert len(family) == n + 1
+            for m in range(n + 1):
+                assert family[m] == reference[m]
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_p_family_inverts_cmp(self, alpha):
+        # x^m = sum_k C_MP(m, k) P_k(x), coefficient by coefficient
+        family = ch._p_family(12, alpha)
+        for m in range(13):
+            acc = [Fraction(0)] * (m + 1)
+            for k, c in enumerate(ch._cmp_row(m, alpha)):
+                for i, pc in enumerate(family[k]):
+                    acc[i] += c * pc
+            assert acc == [Fraction(0)] * m + [Fraction(1)]
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_q_poly_matches_full_width_recurrence(self, alpha):
+        for n in range(17):
+            assert q_poly(n, alpha).coefficients == q_poly_reference(n, alpha)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
     def test_un_pn_exact(self, alpha):
         for n in range(1, 13):
             assert un_pn_identity_exact(n, alpha)

@@ -328,6 +328,17 @@ class TestCliEntry:
                          "--delta", "0.05", "--horizon", "32"])
         assert code == EXIT_PASS
 
+    def test_mixing_command_profile_file(self, tmp_path, capsys):
+        # a profile file and the preset it copies give the same report
+        path = tmp_path / "u8.json"
+        path.write_text(json.dumps({"kind": "square", "data": UNIFORM8.tolist()}))
+        args = ["--t", "1", "--gamma", "1.0", "--delta", "0.05", "--horizon", "10"]
+        assert cli.main(["mixing", "check", "--profile", str(path), *args]) == EXIT_PASS
+        from_file = capsys.readouterr().out
+        assert cli.main(["mixing", "check", "--profile-preset", "uniform", "--N", "8",
+                         *args]) == EXIT_PASS
+        assert capsys.readouterr().out == from_file
+
     def test_mixing_command_band_past_dense_budget(self, capsys):
         # N = 8192 has no dense matrix: the scan runs on the Fourier row
         code = cli.main(["mixing", "check", "--profile-preset", "band", "--N", "8192",
@@ -699,10 +710,12 @@ NOT_UTF8 = b'{"scenario": "\xff\xfe"}'
 
 
 def _input_files(tmp_path):
-    """A good spec, a good diagrams config, one with a negative seed,
-    documents that are not UTF-8 or do not parse, and an output directory."""
+    """A good spec, a good profile, a good diagrams config, one with a
+    negative seed, documents that are not UTF-8 or do not parse, and an
+    output directory."""
     (tmp_path / "out").mkdir()
     (tmp_path / "spec.json").write_text(json.dumps(GOOD))
+    (tmp_path / "u8.json").write_text(json.dumps({"kind": "square", "data": UNIFORM8.tolist()}))
     cfg = {"scenario": "diagrams-exact", "params": {"N": 2, "max_m": 2}}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     (tmp_path / "negative.json").write_text(json.dumps(dict(cfg, seed=-1)))
@@ -714,10 +727,17 @@ def _input_files(tmp_path):
 # command lines argparse refuses, counts that would make a verdict vacuous,
 # diagram input over the enumeration budget, path input just over the
 # pair-state budget (N^3 states, hat size 62 + 64 for Wishart), negative seeds (numpy's
-# generators take none) and input files that are not UTF-8 or do not parse:
-# exit 64, never 2 (a failed check) or a traceback
+# generators take none), input files that are not UTF-8 or do not parse, and
+# mixing check with no profile source, both sources, or --N with a profile
+# file: exit 64, never 2 (a failed check) or a traceback
+MIXING_CHECK = ["--t", "1", "--gamma", "1.0", "--delta", "0.05", "--horizon", "10"]
 USAGE_ERRORS = [
     ["mixing", "check", "--profile-preset", "uniform"],
+    ["mixing", "check", *MIXING_CHECK],
+    ["mixing", "check", "--profile", "TMP/u8.json", "--profile-preset", "uniform", *MIXING_CHECK],
+    ["mixing", "check", "--profile", "TMP/u8.json", "--profile-preset", "nope", "--N", "1000000",
+     *MIXING_CHECK],
+    ["mixing", "check", "--profile", "TMP/u8.json", "--N", "8", *MIXING_CHECK],
     ["--threads", "abc", "presets"],
     ["nosuch"],
     ["--threads", "-3", "presets"],

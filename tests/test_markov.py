@@ -188,31 +188,54 @@ def fourier_band(d, L):
     return band_profile(d, L, max(1, L // 8), "gaussian")
 
 
+def character_sums(row, d, L):
+    """Eigenvalues of the circulant kernel on (Z/LZ)^d with the even row 0
+    `row`: sum_v row(v) cos(2 pi k.v / L) for each k, summed directly in
+    blocks of 256 characters (no FFT)."""
+    v = np.indices((L,) * d).reshape(d, -1)
+    cos = np.cos(2 * np.pi * np.arange(L) / L)
+    return np.concatenate([cos[(k @ v) % L] @ row
+                           for k in np.array_split(v.T, max(1, v.shape[1] // 256))])
+
+
 @functools.lru_cache(maxsize=None)
 def dense_band_oracle(d, L):
     """(gamma_at, delta_at, lam) of fourier_band(d, L): the short-time
     N max (1/t) sum_{n<=t} P^n for each t and the long-time N max |P^n - 1/N|
-    for each n, up to the largest horizon, from sequential products of the
-    dense P, and lambda_* from eigvalsh.  The powers are streamed, not kept,
-    so N = 4096 holds four dense matrices at most."""
+    for each n, up to the largest horizon, and lambda_* from the character
+    sums.  The dense P is first checked to be exactly translation invariant,
+    P[x, y] = P[0, y - x], so each power and each partial sum is too and row 0
+    carries every maximum and minimum; row 0 is then stepped by sequential
+    vector-matrix products with the dense P."""
     P = fourier_band(d, L).variances
     N = len(P)
+    shape = (L,) * d
+    for x in range(N):
+        shifted = np.roll(P[0].reshape(shape), np.unravel_index(x, shape), tuple(range(d)))
+        assert np.array_equal(P[x], shifted.ravel())
     gamma_at, delta_at = {}, {}
-    Pn, S = P, P.copy()
+    row, S = P[0], P[0].copy()
     for n in range(1, max(c[3] for c in FOURIER_CASES) + 1):
         if n > 1:
-            Pn = Pn @ P
-            S += Pn
+            row = row @ P
+            S += row
         gamma_at[n] = float(S.max()) / n * N
         # max |p - 1/N| is reached at the largest or the smallest entry
-        delta_at[n] = max(float(Pn.max()) - 1.0 / N, 1.0 / N - float(Pn.min())) * N
-    lam = float(np.sort(np.abs(np.linalg.eigvalsh(P)))[-2])
+        delta_at[n] = max(float(row.max()) - 1.0 / N, 1.0 / N - float(row.min())) * N
+    lam = float(np.sort(np.abs(character_sums(P[0], d, L)))[-2])
     return gamma_at, delta_at, lam
 
 
+@pytest.mark.parametrize("d, L", [(d, L) for d, L in FOURIER_GRIDS if L ** d <= 512])
+def test_character_sums_are_the_spectrum(d, L):
+    P = fourier_band(d, L).variances
+    assert np.allclose(np.sort(character_sums(P[0], d, L)), np.linalg.eigvalsh(P),
+                       rtol=0, atol=1e-14)
+
+
 class TestFourierScan:
-    """The Fourier scan of a circulant profile against the dense engine's
-    verdicts on sequential dense powers of the same profile."""
+    """The Fourier scan of a circulant profile against verdicts read from row 0
+    of sequential powers of the same profile's dense matrix."""
 
     @pytest.mark.parametrize("case", FOURIER_CASES)
     @pytest.mark.parametrize("d, L", FOURIER_GRIDS)
