@@ -517,11 +517,14 @@ def _cmd_mixing(args):
     p = {"t": args.t, "gamma": args.gamma, "delta": args.delta, "horizon": args.horizon}
     if args.profile is None:
         p.update(preset=args.preset, N=64 if args.N is None else args.N)
-    elif args.N is not None:
-        raise ConfigError("mixing check: --N goes with --profile-preset, not --profile")
+    else:
+        for flag, value in (("--N", args.N), ("--seed", args.seed)):
+            if value is not None:
+                raise ConfigError(f"mixing check: {flag} goes with --profile-preset, "
+                                  f"not --profile")
     _range_check("mixing-audit", p)
     if args.profile is None:
-        prof = MIXING_PRESETS[args.preset](p["N"], args.seed)
+        prof = MIXING_PRESETS[args.preset](p["N"], 0 if args.seed is None else args.seed)
     else:
         prof = profiles.VarianceProfile.from_json(read_document(args.profile))
     code, report = _mixing(prof, p)
@@ -624,7 +627,8 @@ def main(argv=None):
     p_mix.add_argument("--gamma", type=float, required=True)
     p_mix.add_argument("--delta", type=float, required=True)
     p_mix.add_argument("--horizon", type=int, required=True)
-    p_mix.add_argument("--seed", type=seed, default=0)
+    p_mix.add_argument("--seed", type=seed,
+                       help="seed of the --profile-preset profile (default 0)")
 
     p_cheb = sub.add_parser("cheb", help="exact polynomial verification suites")
     p_cheb.set_defaults(func=_cmd_cheb)

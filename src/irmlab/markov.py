@@ -18,12 +18,21 @@ powers across the window [t, horizon] in the form its profile has:
 
 A spectral certificate closes the tail beyond the horizon (Cauchy-Schwarz on
 the eigenvector expansion of the reversible chain), with lambda_* read off
-the Fourier symbol for circulant profiles.
+the Fourier symbol for circulant profiles.  The same bound ends the scan
+early: it stops at the first n whose tail bound at n + 1 is below the
+running worst long-time ratio, so later powers, which could not move the
+worst, are never formed.  For the stop, _tail_bound adds a slack that makes
+the bound hold for the kernel as stored and its float64 powers.  It covers
+the kernel's row-sum defect and asymmetry eta (about 1e-13 on Sinkhorn
+profiles), the rounding of the doubling and stepping products
+(2 (K + 2) eps per product, K the number of states) and the error of
+lambda_* (K eps + eta).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -43,6 +52,7 @@ class NumericalDegradationError(RuntimeError):
 
 
 ROW_DRIFT_TOL = 1e-6
+EPS = float(np.finfo(float).eps)
 
 
 @dataclasses.dataclass
@@ -219,11 +229,14 @@ def _peak(B, s, delta):
     return max(abs(float(B.max()) - 1.0 / s), abs(float(B.min()) - 1.0 / s)) / (delta / s)
 
 
-def _mixing_scan(avg, powers, side, gamma, delta, lazy=False):
+def _mixing_scan(avg, powers, side, gamma, delta, tail, lazy=False):
     """Short- and long-time bounds of a chain with target 1/side[y] at y.
 
     The short-time average is held against gamma/side, the long-time p_n
     (lazy: p_n + p_{n+1}, read block by block) against 1/side +- delta/side.
+    tail(n) bounds the long-time ratio |p - 1/side| / (delta/side) of every
+    power from n on, so the scan stops pulling powers once tail(n + 1) is
+    below the running worst: no later power could move it.
     Returns the MixingReport fields these determine.
     """
     b1_ratio, *worst_b1 = _worst(avg, side, lambda B, s: B / (gamma / s))
@@ -235,6 +248,8 @@ def _mixing_scan(avg, powers, side, gamma, delta, lazy=False):
             b2_ratio, x, y, p = _worst(blocks, side,
                                        lambda B, s: np.abs(B - 1.0 / s) / (delta / s))
             worst_b2 = (n, x, y, abs(p - 1.0 / float(side[y])))
+        if tail(n + 1) < b2_ratio:
+            break
     return dict(worst_b1=tuple(worst_b1), worst_b2=worst_b2,
                 b1_pass=b1_ratio <= 1 + 1e-12, b2_examined=b2_ratio <= 1 + 1e-12,
                 gamma_observed=worst_b1[2] * float(side[worst_b1[1]]),
@@ -246,6 +261,67 @@ def _lambda_star(ev):
     the largest."""
     ev = np.sort(np.abs(np.ravel(ev)))
     return float(ev[-2]) if ev.size > 1 else 0.0
+
+
+def _kernel_defect(P, sizes):
+    """eta of _tail_bound for a kernel given as its row blocks: the largest
+    row-sum defect, plus 2K times the largest asymmetry of D P D^{-1}, whose
+    blocks are sqrt(s_(i+1) / s_i) P_i (0 for every builder's kernel)."""
+    r = len(P)
+    S = [math.sqrt(sizes[(i + 1) % r] / sizes[i]) * B for i, B in enumerate(P)]
+    rows = max(float(np.max(np.abs(B.sum(axis=1) - 1.0))) for B in P)
+    return rows + 2 * sum(sizes) * float(np.max(np.abs(S[0] - S[-1].T)))
+
+
+def _spectral_term(lam, c, s, n):
+    """c (1 - 1/s) lambda_*^n, the spectral bound on |p_n - 1/s_y| of an
+    exactly stochastic kernel (see _certify)."""
+    return c * (1.0 - 1.0 / s) * lam ** n
+
+
+def _tail_bound(n, lam, eta, K, s, delta, last, lazy):
+    """A bound, non-increasing in n, on the long-time ratio
+    |p - 1/s_y| / (delta/s_y) of every power (lazy: lazy sum) the scan forms
+    from n to `last`, valid for the kernel as stored and its float64 powers:
+
+        (s/delta) [c (1 - 1/s) L^n + w (((1 + g)(1 + 2 eta))^m - 1 + 2 eta/(1 - L))]
+
+    with K states, s the largest side, L = lambda_* + K eps + eta,
+    g = 2 (K + 2) eps, and (c, w, m) = (1, 1, last) for p_n, (1 + L, 3, last + 1)
+    for lazy sums.  eta is the kernel's defect (_kernel_defect).  Square chain,
+    A = P, u = 1/sqrt(K):
+    - A_s = (A + A^T)/2 has row sums within eta of 1, so norm <= 1 + eta, a
+      Perron root mu within eta of 1 and |A_s u - u| <= eta; its other
+      eigenvalues are at most L in modulus, since eigvalsh is backward stable
+      (K eps) on a triangle of A, within eta of A_s.
+    - Davis-Kahan puts the Perron vector v within sin(theta) <= eta/(1 - L)
+      of u, and so each entry of v v^T - u u^T.  (Once eta/(1 - L) >= 1/2,
+      the slack alone exceeds every computed |p - 1/s_y|.)
+    - A_s^n = mu^n v v^T + sum_k mu_k^n v_k v_k^T: the first term is within
+      (1 + eta)^n - 1 + sin(theta) of 1/K, the sum (Cauchy-Schwarz) within
+      L^n (1 - 1/K + sin(theta)).
+    - |A - A_s| <= eta, so |A^n - A_s^n| <= (1 + 2 eta)^n - (1 + eta)^n.
+    - A float64 product of nonnegative matrices rounds each entry by a
+      relative g at most, and every product tree for P^n (doubling, then
+      steps) stacks n - 1 of them, so the computed power is within
+      ((1 + g)^n - 1)(1 + eta)^n of P^n.  g also covers the O(log K) ulps of
+      a Fourier row and the ratio's own rounding.
+    The terms sum to the bound at m = n; m = last makes it non-increasing.
+    The bipartite chain is read through D P D^{-1} (see _certify), with the
+    Perron pair u = sqrt(pi), u * (+1 on [M], -1 on [N]) for mu near +-1 and
+    ratios scaled by sqrt(s_x s_y) <= s; each slack term then enters a lazy
+    sum at most three times at power n + 1.  A circulant chain is the kernel
+    of the computed symbol: exactly symmetric, Perron vector u and
+    lambda_* exact, with eta = |symbol_0 - 1|.  When L >= 1 the bound is
+    inf, and nothing stops the scan.
+    """
+    lam = lam + K * EPS + eta
+    if not lam < 1.0:
+        return math.inf
+    c, w, m = (1.0 + lam, 3, last + 1) if lazy else (1.0, 1, last)
+    g = 2 * (K + 2) * EPS
+    slack = w * (math.expm1(m * (math.log1p(g) + math.log1p(2 * eta))) + 2 * eta / (1.0 - lam))
+    return (_spectral_term(lam, c, s, n) + slack) / (delta / s)
 
 
 def _certify(profile, t_N, gamma, delta, horizon):
@@ -262,7 +338,8 @@ def _certify(profile, t_N, gamma, delta, horizon):
     c = 1 + lambda_* for lazy sums (1 for p_n),
     |p(x,y) - 1/side_y| <= c lambda_*^n sqrt(pi_y/pi_x (1-2pi_x)(1-2pi_y)),
     so the tail closes once c (1 - 1/s) lambda_*^(horizon+1) <= delta/s for
-    the largest side s.
+    the largest side s.  The scan stops early on _tail_bound, the same bound
+    with a slack for the kernel as stored and its float64 powers.
     """
     check_domain(t_N, gamma, delta, horizon)
     bipartite = profile.kind == "bipartite"
@@ -271,6 +348,7 @@ def _certify(profile, t_N, gamma, delta, horizon):
         sizes = [profile.n_rows]
         chain = _circulant_chain(symbol, shape, t_N, horizon)
         lam = _lambda_star(symbol)
+        eta = abs(float(symbol.flat[0]) - 1.0)
     else:
         V = profile.variances
         if bipartite:
@@ -281,14 +359,17 @@ def _certify(profile, t_N, gamma, delta, horizon):
             P = [V]
             lam = _lambda_star(np.linalg.eigvalsh(V))
         sizes = [len(B) for B in P]
+        eta = _kernel_defect(P, sizes)
         # the lazy sums p_n + p_{n+1} read one power past the horizon
         chain = _matrix_chain(P, t_N, horizon + 1 if bipartite else horizon)
     side = np.repeat(np.asarray(sizes, float), sizes)
-    scan = _mixing_scan(*chain, side, gamma, delta, lazy=bipartite)
-
     s = float(side.max())
+    tail = functools.partial(_tail_bound, lam=lam, eta=eta, K=len(side), s=s, delta=delta,
+                             last=horizon, lazy=bipartite)
+    scan = _mixing_scan(*chain, side, gamma, delta, tail, lazy=bipartite)
+
     c = 1.0 + lam if bipartite else 1.0
-    horizon_limited = not (lam < 1.0 and c * (1.0 - 1.0 / s) * lam ** (horizon + 1) <= delta / s)
+    horizon_limited = not (lam < 1.0 and _spectral_term(lam, c, s, horizon + 1) <= delta / s)
 
     return MixingReport(
         t_N=t_N, gamma=gamma, delta=delta, horizon=horizon,

@@ -728,8 +728,8 @@ def _input_files(tmp_path):
 # diagram input over the enumeration budget, path input just over the
 # pair-state budget (N^3 states, hat size 62 + 64 for Wishart), negative seeds (numpy's
 # generators take none), input files that are not UTF-8 or do not parse, and
-# mixing check with no profile source, both sources, or --N with a profile
-# file: exit 64, never 2 (a failed check) or a traceback
+# mixing check with no profile source, both sources, or --N or --seed with a
+# profile file: exit 64, never 2 (a failed check) or a traceback
 MIXING_CHECK = ["--t", "1", "--gamma", "1.0", "--delta", "0.05", "--horizon", "10"]
 USAGE_ERRORS = [
     ["mixing", "check", "--profile-preset", "uniform"],
@@ -738,6 +738,7 @@ USAGE_ERRORS = [
     ["mixing", "check", "--profile", "TMP/u8.json", "--profile-preset", "nope", "--N", "1000000",
      *MIXING_CHECK],
     ["mixing", "check", "--profile", "TMP/u8.json", "--N", "8", *MIXING_CHECK],
+    ["mixing", "check", "--profile", "TMP/u8.json", "--seed", "5", *MIXING_CHECK],
     ["--threads", "abc", "presets"],
     ["nosuch"],
     ["--threads", "-3", "presets"],

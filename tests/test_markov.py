@@ -1,4 +1,6 @@
 import functools
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -342,6 +344,92 @@ class TestSharpTailBound:
         ev = np.sort(np.abs(np.linalg.eigvalsh(P)))
         lam = markov._lambda_star(markov._circulant_symbol(p)[0])
         assert abs(lam - ev[-2]) <= 1e-12
+
+
+    @pytest.mark.parametrize("name", [
+        "gw", "band", "block", "regular", "gw-n256",
+        "wishart 3x6 uniform", "wishart 4x8 banded", "wishart 3x9 banded",
+        "wishart 2x4 banded", "wishart 32x64 banded"])
+    def test_stop_bound_dominates_scanned_powers(self, name, monkeypatch):
+        # every p_n (lazy pair) the scan is handed, in the chain's own form
+        # (dense, Fourier row, bipartite blocks), against _tail_bound at n as
+        # _certify sets it up: the spectral term with its slack
+        if name.startswith("wishart"):
+            _, shape, builder = name.split()
+            M, N = map(int, shape.split("x"))
+            p = wishart_profile(M, N, builder=builder)
+        else:
+            N = 256 if name == "gw-n256" else 64
+            p = {"gw": lambda: generalized_wigner_profile(N, 0.5, 2.0, seed=1),
+                 "band": lambda: band_profile(1, N, 8, "gaussian"),
+                 "block": lambda: block_wegner_profile(4, 16, 0.2),
+                 "regular": lambda: regular_graph_profile(
+                     random_regular_adjacency(N, 4, seed=1), 4),
+                 }[name.removesuffix("-n256")]()
+        seen = []
+        scan = markov._mixing_scan
+
+        def recording(avg, powers, side, gamma, delta, tail, lazy=False):
+            powers = list(powers)
+            read = ([(n, Bn + Bm) for (n, Bn), (_, Bm) in itertools.pairwise(powers)]
+                    if lazy else powers)
+            for n, blocks in read:
+                ratio = max(float(np.max(np.abs(B - 1.0 / side[y0]) / (delta / side[y0])))
+                            for B, _, y0 in blocks)
+                seen.append((n, ratio, tail(n)))
+            return scan(avg, iter(powers), side, gamma, delta, tail, lazy)
+
+        monkeypatch.setattr(markov, "_mixing_scan", recording)
+        check_mixing(p, 1, 2.0, 0.05, 100)
+        assert [n for n, _, _ in seen] == list(range(1, 101))
+        for n, ratio, bound in seen:
+            assert ratio <= bound < math.inf, n
+
+
+# the early-stop panel: a large gap, a sparse kernel, a Sinkhorn kernel with
+# its row-sum defect, a reducible one (lambda_* = 1, the scan never stops), a
+# circulant band, and banded and uniform Wishart chains
+STOP_PANEL = {
+    "block": lambda: block_wegner_profile(4, 16, 0.5),
+    "regular": lambda: regular_graph_profile(random_regular_adjacency(64, 4, seed=1), 4),
+    "gw-sinkhorn": lambda: generalized_wigner_profile(64, 0.5, 2.0, seed=1),
+    "blockdiag": lambda: block_wegner_profile(2, 32, 0.0),
+    "band-circulant": lambda: band_profile(1, 64, 8, "gaussian"),
+    "wishart-banded": lambda: wishart_profile(32, 64, builder="banded"),
+    "wishart-uniform": lambda: wishart_profile(16, 32, builder="uniform"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def stop_panel_profile(name):
+    return STOP_PANEL[name]()
+
+
+class TestEarlyStop:
+    """The scan stops once the tail bound is below the running worst; the
+    reports are the ones a scan to the horizon gives, which is the same scan
+    with _tail_bound patched to inf."""
+
+    @pytest.mark.parametrize("t_N", range(1, 17))
+    @pytest.mark.parametrize("name", sorted(STOP_PANEL))
+    def test_same_report_as_full_scan(self, name, t_N, monkeypatch):
+        p = stop_panel_profile(name)
+        for horizon in (t_N, 4 * t_N, 64):
+            early = check_mixing(p, t_N, 2.0, 0.05, horizon).dumps()
+            with monkeypatch.context() as m:
+                m.setattr(markov, "_tail_bound", lambda *args, **kwargs: math.inf)
+                full = check_mixing(p, t_N, 2.0, 0.05, horizon).dumps()
+            assert early == full, horizon
+
+    def test_stop_skips_powers(self, monkeypatch):
+        # the full scan drift-checks 63 powers: 1, 2 and 4 while doubling to
+        # t = 4, then 5 .. 64; the tail bound stops it after power 8
+        checked = []
+        drift = markov._check_drift
+        monkeypatch.setattr(markov, "_check_drift",
+                            lambda Pn, n: checked.append(n) or drift(Pn, n))
+        check_mixing(block_wegner_profile(4, 16, 0.5), 4, 2.0, 0.05, 64)
+        assert checked == [1, 2, 4, 5, 6, 7, 8]
 
 
 class TestBipartite:
