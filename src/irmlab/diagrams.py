@@ -27,10 +27,12 @@ Conventions that the exact tests pin down:
 
 The Wick oracle computes the same mixed trace moments directly from scalar
 Gaussian entry moments over all index tuples and never touches the gluing
-machinery, so the two sides of each verified identity are independent.  It
-sums the tuples in numpy blocks of rows, one row per tuple index, filling the
-entry factors they use as it goes, in the scalar walk's order of operations, so
-it gives that walk's floats bit for bit (see `wick_moment`).
+machinery, so the two sides of each verified identity are independent.  Which
+entry factor each step of each tuple takes depends on the perimeters, N and
+beta only: that plan is built once per process (`_wick_plan`), and a call
+fills the distinct factors it lists and sums the tuples in numpy blocks of
+rows, one row per step, in the scalar walk's order of operations, so it gives
+that walk's floats bit for bit (see `wick_moment`).
 """
 
 from __future__ import annotations
@@ -58,6 +60,14 @@ class GluingError(ValueError):
 
 MAX_GLUINGS = 5_000_000
 MAX_WICK_TUPLES = 5_000_000
+SKELETON_CACHE_SIZE = 256        # topologies kept per process (an exact-identities pass uses 56)
+# Wick slot plans kept per process, and the largest kept: k N^k indices, sized
+# at the slot dtype (a plan's own dtype is never wider).  An exact-identities
+# pass uses 53 plans, 1.6 MB in all; its largest, (8,) at N = 4, sizes at 1 MiB
+# at beta 2 and holds 512 KiB of uint8.  So plans hold at most 64 MiB; a larger
+# table streams its blocks and keeps none of them.
+WICK_PLAN_CACHE_SIZE = 64
+WICK_PLAN_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +479,17 @@ def catalan_corrections(m):
 WICK_BLOCK = 1024               # most index tuples per numpy block: bounds the oracle's memory
 
 
+def _perimeters(m_list):
+    """The perimeters as a tuple of ints; GluingError unless each one is a
+    non-negative integer (a Python or numpy integer, never a bool)."""
+    out = []
+    for m in m_list:
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
+            raise GluingError(f"perimeters must be non-negative integers, not {m!r}")
+        out.append(int(m))
+    return tuple(out)
+
+
 def _entry_factor(P, A, beta, x, y, c):
     """E of the factors (H + A) on entry (x, y), x <= y: c is the count of
     steps on a real or diagonal entry, and the pair (u, v) of steps x -> y
@@ -521,60 +542,25 @@ def _low_digits(N, k):
     return L
 
 
-def wick_moment(m_list, profile, A=None, beta=1):
-    """Exact E[prod_j Tr X^{m_j}] for Gaussian entries, X = Sigma o W + A.
+def _slot_count(k, N, beta):
+    """Number of factor slots code * N^2 + key: a code is at most k for a real
+    or diagonal entry, u (k + 1) + v for an off-diagonal one at beta 2."""
+    return ((k + 1) ** 2 if beta == 2 else k + 1) * N * N
 
-    Direct sum over all index tuples; the Gaussian expectation of each tuple
-    factorizes over distinct entries into scalar moments ((t-1)!! real
-    pairs, t! circular complex pairs).  Independent of the gluing pipeline.
 
-    The k = sum m_j indices of a tuple are its digits in base N, in
-    lexicographic order of (face 0's indices, face 1's indices, ...).  The
-    tuples are summed in blocks: a block fixes the k - L high digits and
-    runs through all N^L values of the low L (`_low_digits`).  It is held as
-    k rows of N^L entries, one row per tuple index, in the smallest unsigned
-    dtype that holds a factor slot: the low rows are a digit table built
-    once per call, the high rows constants of the block.
-
-    Step s of the face walks runs from index s to index nxt[s] and lies on
-    the entry key[s] = min * N + max.  One pass over the steps compares row
-    key[s] with the later rows: it adds the count codes of the later steps
-    on the same entry to the slot of step s and clears their first-occurrence
-    flags.  A first occurrence then holds the slot code * N^2 + key of its
-    entry's factor, every other step slot 0, which holds 1.0.  Each tuple
-    multiplies its gathered factors in step order (a factor 1.0 is exact),
-    so it takes the entry factors in the order the entries first occur along
-    the face walks, and the tuple values are added one after another: the
-    float is the same, bit for bit, as that of the scalar walk over the
-    tuples with a dict of entry counts (kept as the reference in the tests).
-    """
-    P, Amat = _checked_inputs(profile, A, beta)
-    N = P.shape[0]
-    orig = [int(m) for m in m_list]
-    zeros = sum(1 for m in orig if m == 0)
-    m_list = [m for m in orig if m > 0]
-    k = sum(m_list)
-    if N ** k > MAX_WICK_TUPLES:
-        raise BudgetError(f"wick oracle needs N^{k} = {N ** k} tuples; over budget")
-    if not m_list:
-        return float(N ** zeros)
-    # entry factors by slot code N^2 + x N + y for the entry x <= y (a code is at
-    # most k for a real or diagonal entry, u (k+1) + v otherwise), each filled the
-    # first time a block uses it: the pages of a code no tuple reaches stay untouched
-    ncodes = (k + 1) ** 2 if beta == 2 else k + 1
-    factors = np.zeros(ncodes * N * N)
-    filled = np.zeros(ncodes * N * N, dtype=bool)
-    factors[0], filled[0] = 1.0, True        # code 0: no step is on the entry
-    dt = np.min_scalar_type(ncodes * N * N)
+def _slot_blocks(ms, N, beta):
+    """The factor slot of every step of every tuple, one k x N^L block at a
+    time (see `wick_moment`)."""
+    k = sum(ms)
+    dt = np.min_scalar_type(_slot_count(k, N, beta))
     # step s of the face walks goes from index s to index nxt[s] of the tuple
     nxt, start = [], 0
-    for m in m_list:
+    for m in ms:
         nxt += list(range(start + 1, start + m)) + [start]
         start += m
     L = _low_digits(N, k)
     xs = np.empty((k, N ** L), dtype=dt)
     xs[k - L:] = np.arange(N ** L) // N ** np.arange(L - 1, -1, -1)[:, None] % N
-    total = np.zeros(1)
     for high in itertools.product(range(N), repeat=k - L):
         xs[:k - L] = np.array(high, dtype=dt)[:, None]
         ys = xs[nxt]
@@ -590,36 +576,131 @@ def wick_moment(m_list, profile, A=None, beta=1):
             slot[s] += (eq * inc[s + 1:]).sum(axis=0, dtype=dt)
             first[s + 1:] &= ~eq
         slot *= first
-        hit = filled[slot]
-        if not hit.all():
-            missing = slot[~hit]
-            for sl in set(missing.tolist()):
-                c, row = divmod(sl, N * N)
-                x, y = divmod(row, N)
-                factors[sl] = _entry_factor(P, Amat, beta, x, y,
-                                            divmod(c, k + 1) if beta == 2 and x != y else c)
-            filled[missing] = True
+        yield slot
+
+
+@dataclasses.dataclass(frozen=True)
+class _WickPlan:
+    """The distinct factor slots of one (perimeters, N, beta) table, and each
+    step's position in that list: one k x N^L array per block, in the
+    smallest unsigned dtype that holds the positions."""
+    slots: np.ndarray
+    index: tuple
+
+
+@functools.lru_cache(maxsize=WICK_PLAN_CACHE_SIZE)
+def _wick_plan(ms, N, beta):
+    """Build the slot table of the positive perimeters ms once per process:
+    it depends on neither the profile nor the deformation."""
+    position = np.full(_slot_count(sum(ms), N, beta), -1)
+    slots, index = [], []
+    for slot in _slot_blocks(ms, N, beta):
+        used = np.zeros(len(position), dtype=bool)
+        used[slot] = True
+        new = np.flatnonzero(used & (position < 0))
+        position[new] = np.arange(len(slots), len(slots) + len(new))
+        slots.extend(new.tolist())
+        dt = np.min_scalar_type(len(slots) - 1)
+        if index and index[0].dtype != dt:   # the list outgrew the blocks' dtype
+            index = [block.astype(dt) for block in index]
+        index.append(position[slot].astype(dt))
+    plan = _WickPlan(np.array(slots), tuple(index))
+    for a in (plan.slots, *plan.index):
+        a.flags.writeable = False        # every later call shares these arrays
+    return plan
+
+
+def wick_moment(m_list, profile, A=None, beta=1):
+    """Exact E[prod_j Tr X^{m_j}] for Gaussian entries, X = Sigma o W + A.
+
+    Direct sum over all index tuples; the Gaussian expectation of each tuple
+    factorizes over distinct entries into scalar moments ((t-1)!! real
+    pairs, t! circular complex pairs).  Independent of the gluing pipeline.
+
+    The k = sum m_j indices of a tuple are its digits in base N, in
+    lexicographic order of (face 0's indices, face 1's indices, ...).  The
+    tuples are summed in blocks: a block fixes the k - L high digits and
+    runs through all N^L values of the low L (`_low_digits`).  It is held as
+    k rows of N^L entries, one row per tuple index, in the smallest unsigned
+    dtype that holds a factor slot (`_slot_blocks`).
+
+    Step s of the face walks runs from index s to index nxt[s] and lies on
+    the entry key[s] = min * N + max.  One pass over the steps compares row
+    key[s] with the later rows: it adds the count codes of the later steps
+    on the same entry to the slot of step s and clears their first-occurrence
+    flags.  A first occurrence then holds the slot code * N^2 + key of its
+    entry's factor, every other step slot 0, which holds 1.0.
+
+    None of that depends on the profile or the deformation, so the plan is
+    built once per process for each (perimeters, N, beta) (`_wick_plan`): it
+    lists the distinct slots and, for every step of every block, its position
+    in that list.  A call fills the factors of the listed slots only, then
+    gathers them block by block.  A table over `WICK_PLAN_BYTES` streams its
+    slot blocks instead, filling each factor the first time a block uses it,
+    and keeps none of them.
+
+    Each tuple multiplies its gathered factors in step order (a factor 1.0
+    is exact), so it takes the entry factors in the order the entries first
+    occur along the face walks, and the tuple values are added one after
+    another: the float is the same, bit for bit, as that of the scalar walk
+    over the tuples with a dict of entry counts (kept as the reference in
+    the tests).
+    """
+    P, Amat = _checked_inputs(profile, A, beta)
+    orig = _perimeters(m_list)
+    N = P.shape[0]
+    ms = tuple(m for m in orig if m > 0)
+    k = sum(ms)
+    if N ** k > MAX_WICK_TUPLES:
+        raise BudgetError(f"wick oracle needs N^{k} = {N ** k} tuples; over budget")
+    zeros = N ** (len(orig) - len(ms))
+    if not ms:
+        return float(zeros)
+    # entry factors by slot code N^2 + x N + y for the entry x <= y, each filled the
+    # first time it is asked for; code 0, no step on the entry, holds 1.0
+    factors = np.ones(_slot_count(k, N, beta))
+    filled = np.zeros(len(factors), dtype=bool)
+    filled[0] = True
+
+    def fill(slots):
+        missing = slots[~filled[slots]]
+        for sl in set(missing.tolist()):
+            c, row = divmod(sl, N * N)
+            x, y = divmod(row, N)
+            factors[sl] = _entry_factor(P, Amat, beta, x, y,
+                                        divmod(c, k + 1) if beta == 2 and x != y else c)
+        filled[missing] = True
+        return factors
+
+    if k * N ** k * np.min_scalar_type(len(factors)).itemsize <= WICK_PLAN_BYTES:
+        plan = _wick_plan(ms, N, beta)
+        values = fill(plan.slots)[plan.slots]
+        blocks = ((values, index) for index in plan.index)
+    else:
+        blocks = ((fill(slot), slot) for slot in _slot_blocks(ms, N, beta))
+    total = np.zeros(1)
+    for values, index in blocks:
         # multiply.reduce over axis 0 multiplies the rows one after another, in step order
-        leaf = np.multiply.reduce(factors[slot], axis=0)
+        leaf = np.multiply.reduce(values[index], axis=0)
         # a sequential running sum, as the scalar walk adds: np.sum would pair terms
         total = np.add.accumulate(np.concatenate((total[-1:], leaf)))
-    return float(total[-1]) * (N ** zeros)
+    return float(total[-1]) * zeros
 
 
 # ---------------------------------------------------------------------------
 # the three verified identities
 # ---------------------------------------------------------------------------
 
-SKELETON_CACHE_SIZE = 256        # topologies kept per process (an exact-identities pass uses 56)
-
-
 @dataclasses.dataclass(frozen=True)
 class _Topology:
     """The tree-free gluings of one perimeter tuple, reduced: the distinct
     diagrams in first-occurrence order, the diagram index of each kept
-    gluing in gluing order, and one connected flag per diagram."""
+    gluing in gluing order, and per diagram the index of the first diagram
+    with the same edge list (all that `diagram_value` reads) and a connected
+    flag."""
     diagrams: tuple
     index: array
+    same_edges: tuple
     connected: tuple
 
 
@@ -648,7 +729,10 @@ def _topology(perimeters, beta, allow_open):
             slot[key] = len(diagrams)
             diagrams.append(_shared(diagram, shared))
         index.append(slot[key])
-    return _Topology(tuple(diagrams), index, tuple(d.is_connected() for d in diagrams))
+    first = {}
+    return _Topology(tuple(diagrams), index,
+                     tuple(first.setdefault(d.edges, i) for i, d in enumerate(diagrams)),
+                     tuple(d.is_connected() for d in diagrams))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -678,10 +762,12 @@ class MomentTable:
     A left side expands each trace factor in powers of X and reads the mixed
     moments from the Wick oracle; a right side expands each face in reduced
     perimeters and reads skeleton sums.  Both are one basis sum.  Each mixed
-    moment is one oracle call per table.  Each perimeter tuple is one gluing
-    enumeration per process (`_topology`, shared by every table of the same
-    beta and open-ness); a table evaluates each of its distinct diagrams once.
-    A malformed profile or deformation raises GluingError here.
+    moment is one oracle call per table, on a slot plan built once per
+    process (`_wick_plan`).  Each perimeter tuple is one gluing enumeration
+    per process (`_topology`, shared by every table of the same beta and
+    open-ness); a table evaluates each distinct edge list of its diagrams
+    once.  A malformed profile or deformation raises GluingError here, and
+    a perimeter that is not a non-negative integer in each public method.
     """
 
     def __init__(self, profile, A=None, beta=1):
@@ -715,7 +801,10 @@ class MomentTable:
     def _skeleton(self, perimeters):
         if perimeters not in self._skeletons:
             topo = _topology(perimeters, self.beta, self.A is not None)
-            values = [diagram_value(d, self.powers) for d in topo.diagrams]
+            # equal edge lists make the same einsum call on the same powers: one float
+            values = []
+            for i, (d, j) in enumerate(zip(topo.diagrams, topo.same_edges)):
+                values.append(diagram_value(d, self.powers) if j == i else values[j])
             total = connected = 0.0
             for i in topo.index:
                 total += values[i]
@@ -731,6 +820,7 @@ class MomentTable:
     def ribbon(self, m_list):
         """E prod_j (Tr X^{m_j} + b_{m_j} N), and the binomial-weighted
         skeleton sums over reduced perimeters."""
+        m_list = _perimeters(m_list)
         lhs = self._basis_sum([[(m, 1.0), (0, float(catalan_corrections(m)))] for m in m_list],
                               self._moment)
         rhs = self._basis_sum([_ribbon_face(m) for m in m_list],
@@ -740,11 +830,13 @@ class MomentTable:
     def chebyshev(self, n_list):
         """E prod_j Tr U_{n_j}(X/2), and sum_Gamma F_Gamma({n_j}) as skeleton
         sums over the parity ranges (a face with n_j = 0 is a factor N)."""
+        n_list = _perimeters(n_list)
         return self._chebyshev_lhs(n_list), self._basis_sum(
             [_chebyshev_face(n) for n in n_list], lambda ls: self._skeleton(ls).total)
 
     def chebyshev_diagrams(self, n_list):
         """Per-diagram terms of the Chebyshev right side, keyed by structure."""
+        n_list = _perimeters(n_list)
         out = {}
         for terms in itertools.product(*[_chebyshev_face(n) for n in n_list if n]):
             if terms:
@@ -760,6 +852,7 @@ class MomentTable:
     def cumulant(self, n_list):
         """kappa_X(n_1..n_s) from the moment recursion over partitions, and
         the connected part of the Chebyshev right side."""
+        n_list = _perimeters(n_list)
         kappas = {}
 
         def kappa(sub):
@@ -790,6 +883,7 @@ class MomentTable:
         Returns a report dict with per-identity values and worst deviation.
         Checks on one table share its mixed moments and diagram values.
         """
+        m_list = _perimeters(m_list)
         report = {"perimeters": list(m_list), "beta": self.beta,
                   "deformed": self.A is not None, "checks": {}}
         sides = {"ribbon": self.ribbon, "chebyshev": self.chebyshev}

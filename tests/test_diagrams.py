@@ -406,6 +406,46 @@ class TestWickOracle:
         prof = uniform_profile(N) if name == "uniform" else nonuniform_profile(N, seed=N)
         assert wick_moment(list(ms), prof, spike(N, a) if a else None, beta).hex() == want
 
+    @staticmethod
+    def cold_warm_streamed(monkeypatch, ms, prof, A, beta):
+        """The value from a new plan, from the cached plan, and streamed past
+        the plan cache (which that call must leave as it was)."""
+        dg._wick_plan.cache_clear()
+        cold = wick_moment(list(ms), prof, A, beta)
+        warm = wick_moment(list(ms), prof, A, beta)
+        cache = dg._wick_plan.cache_info()
+        assert cache.hits == cache.misses == (1 if any(ms) else 0)
+        with monkeypatch.context() as m:
+            m.setattr(dg, "WICK_PLAN_BYTES", 0)
+            streamed = wick_moment(list(ms), prof, A, beta)
+        assert dg._wick_plan.cache_info() == cache
+        return cold, warm, streamed
+
+    @pytest.mark.parametrize("N, name, a, beta, ms, want", PINNED)
+    def test_pinned_bits_cold_warm_streamed(self, monkeypatch, N, name, a, beta, ms, want):
+        prof = uniform_profile(N) if name == "uniform" else nonuniform_profile(N, seed=N)
+        got = self.cold_warm_streamed(monkeypatch, ms, prof, spike(N, a) if a else None, beta)
+        assert [v.hex() for v in got] == [want] * 3
+
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_reference_bits_cold_warm_streamed(self, monkeypatch, beta):
+        prof = nonuniform_profile(3, seed=3)
+        for A in self.deformations(3, beta):
+            for ms in ([3], [6], [2, 2], [0, 3], [1, 2, 2]):
+                want = self.reference(ms, prof, A, beta)
+                assert self.cold_warm_streamed(monkeypatch, ms, prof, A, beta) == (want,) * 3
+
+    def test_plan_indices_are_compact(self):
+        # (8,) at N = 4, the largest table of an exact-identities pass, is kept:
+        # its 65,536 tuples x 8 steps take one byte each at beta 1 and 2
+        for beta in (1, 2):
+            assert 8 * 4 ** 8 * np.min_scalar_type(dg._slot_count(8, 4, beta)).itemsize \
+                <= dg.WICK_PLAN_BYTES
+            plan = dg._wick_plan((8,), 4, beta)
+            assert {block.dtype for block in plan.index} == {np.dtype(np.uint8)}
+            assert sum(block.nbytes for block in plan.index) == 8 * 4 ** 8
+            assert len(plan.slots) == len(set(plan.slots.tolist())) <= 256
+
 
 class TestMalformedInputs:
     """The identities refuse what would give a false verdict, NaN on both
@@ -447,6 +487,32 @@ class TestMalformedInputs:
         # the same matrix at beta 2, and a complex dtype with real entries at beta 1, pass
         assert verify_expansions([2, 2], uniform_profile(3), C, 2)["pass"]
         assert verify_expansions([3], uniform_profile(3), spike(3).astype(complex), 1)["pass"]
+
+    # a perimeter that is not a non-negative integer is refused: never cut to an
+    # integer (2.5 to 2, True to 1), read as a zero face (-2), or left to raise a
+    # bare ZeroDivisionError or TypeError deep in a table
+    BAD_PERIMETERS = {"fraction": [2.5], "negative": [-2], "bool": [True, 2]}
+    ENTRIES = {
+        "wick_moment": lambda ms: wick_moment(ms, uniform_profile(3)),
+        "verify_expansions": lambda ms: verify_expansions(ms, uniform_profile(3)),
+        "ribbon": lambda ms: MomentTable(uniform_profile(3)).ribbon(ms),
+        "chebyshev": lambda ms: MomentTable(uniform_profile(3)).chebyshev(ms),
+        "chebyshev_diagrams": lambda ms: MomentTable(uniform_profile(3)).chebyshev_diagrams(ms),
+        "cumulant": lambda ms: MomentTable(uniform_profile(3)).cumulant(ms),
+        "verify": lambda ms: MomentTable(uniform_profile(3)).verify(ms),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_PERIMETERS))
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_malformed_perimeters(self, entry, case):
+        with pytest.raises(GluingError, match="non-negative integers"):
+            self.ENTRIES[entry](self.BAD_PERIMETERS[case])
+
+    def test_numpy_integer_perimeters(self):
+        ms = np.array([2, 2], dtype=np.int16)
+        assert wick_moment(ms, uniform_profile(3)) == wick_moment([2, 2], uniform_profile(3))
+        rep = verify_expansions(ms, uniform_profile(3))
+        assert rep["pass"] and [type(m) for m in rep["perimeters"]] == [int, int]
 
 
 class TestRibbonExpansion:
@@ -613,6 +679,55 @@ class TestVerifyReport:
         for ribbon, chebyshev, cumulant in sides:
             for lhs, rhs in (ribbon, chebyshev, cumulant):
                 assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+
+    def test_tables_share_one_wick_plan_per_key(self, monkeypatch):
+        # the slot plan of a moment depends on (perimeters, N, beta) only
+        dg._wick_plan.cache_clear()
+        builds = []
+
+        def counting(ms, N, beta):
+            builds.append((ms, N, beta))
+            return slot_blocks(ms, N, beta)
+
+        slot_blocks = dg._slot_blocks
+        monkeypatch.setattr(dg, "_slot_blocks", counting)
+        keys = set()
+        for N in (3, 4):
+            for beta in (1, 2):
+                for prof, A in ((uniform_profile(N), None),
+                                (nonuniform_profile(N, seed=N), spike(N, 0.9, seed=N))):
+                    table = MomentTable(prof, A, beta)
+                    assert table.verify([2, 3])["pass"]
+                    keys |= {(ms, N, beta) for ms in table._wick}
+        assert len(builds) == len(set(builds)) == len(keys) > 8
+        assert set(builds) == keys
+
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_one_value_per_distinct_edge_list(self, monkeypatch, beta):
+        # diagram_value reads the edge list only: diagrams of one topology that
+        # share it are evaluated once, and the per-diagram terms do not move
+        prof, A = nonuniform_profile(3, seed=4), spike(3, 0.8, seed=5)
+        calls = []
+
+        def counting(diagram, powers, weights=None):
+            calls.append(diagram.edges)
+            return diagram_value(diagram, powers, weights)
+
+        diagram_value = dg.diagram_value
+        monkeypatch.setattr(dg, "diagram_value", counting)
+        got = MomentTable(prof, A, beta).chebyshev_diagrams([5])
+        want, distinct, total = {}, 0, 0
+        for ls in ((1,), (3,), (5,)):
+            topo = dg._topology(ls, beta, True)
+            values = [diagram_value(d, PowerCache(prof, A)) for d in topo.diagrams]
+            sums = [0.0] * len(values)
+            for i in topo.index:
+                sums[i] += values[i]
+            want.update((d.structure_key(), v) for d, v in zip(topo.diagrams, sums))
+            distinct += len({d.edges for d in topo.diagrams})
+            total += len(topo.diagrams)
+        assert len(calls) == len(set(calls)) == distinct < total
+        assert list(got.items()) == list(want.items())
 
     @pytest.mark.parametrize("tol", [1e-9, -1.0])
     def test_cold_and_warm_cache_agree(self, tol):
