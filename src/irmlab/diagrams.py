@@ -125,7 +125,7 @@ def _matchings(items):
 
 def gluing_count(perimeters, beta, allow_open):
     """Exact number of gluings the enumerator will produce."""
-    k = sum(perimeters)
+    k = sum(_perimeters(perimeters))
     total = 0
     opens = range(0, k + 1) if allow_open else (0,)
     for o in opens:
@@ -140,7 +140,7 @@ def gluing_count(perimeters, beta, allow_open):
 
 def enumerate_gluings(perimeters, beta, allow_open=False):
     """Stream every admissible gluing exactly once (budget-guarded)."""
-    perimeters = tuple(int(m) for m in perimeters)
+    perimeters = _perimeters(perimeters)
     if beta not in (1, 2):
         raise GluingError("beta must be 1 or 2")
     count = gluing_count(perimeters, beta, allow_open)

@@ -500,6 +500,9 @@ class TestMalformedInputs:
         "chebyshev_diagrams": lambda ms: MomentTable(uniform_profile(3)).chebyshev_diagrams(ms),
         "cumulant": lambda ms: MomentTable(uniform_profile(3)).cumulant(ms),
         "verify": lambda ms: MomentTable(uniform_profile(3)).verify(ms),
+        # the budget guard counts the same tuple the enumerator walks
+        "gluing_count": lambda ms: gluing_count(ms, 1, False),
+        "enumerate_gluings": lambda ms: list(enumerate_gluings(ms, 1)),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_PERIMETERS))
