@@ -4,8 +4,8 @@ Second-moment normalization for the Wigner entries:
   real case     E W_ii^2 = 2,  E W_ij^2 = 1
   complex case  E W_ii^2 = 1 (real diagonal),  E |W_ij|^2 = 1,  E W_ij^2 = 0.
 The assembled matrix is X = Sigma o W + A (Hadamard product with the square
-root of the variance profile, plus a finite-rank deformation), or for the
-Wishart model X = (H + A)(H + A)^* from an M x N bipartite profile.
+root of the variance profile, plus a diagonal finite-rank deformation), or for
+the Wishart model X = H H^* from an M x N bipartite profile.
 
 Every sampler is a pure function of (spec, seed, replica): streams derive
 from numpy SeedSequence(entropy=seed, spawn_key=(replica, block)), so replica
@@ -60,83 +60,41 @@ def _closed(doc, keys, what):
 
 @dataclasses.dataclass(frozen=True)
 class Deformation:
-    """Finite-rank perturbation with spike eigenvalues a_j = edge + tau_j N^(-1/3).
-
-    taus hold the spike parameters (critical eigenvalues), bulk holds fixed
-    sub-critical eigenvalues.  basis 'coordinate' puts the eigenvectors on
-    the first coordinates; 'random' draws a Haar orthogonal/unitary frame.
-    """
+    """Finite-rank coordinate perturbation with spike eigenvalues
+    a_j = 1 + tau_j N^(-1/3) on the first coordinates."""
     taus: tuple = ()
-    bulk: tuple = ()
-    basis: str = "coordinate"
 
     def __post_init__(self):
-        _require(self.basis in ("coordinate", "random"),
-                 f"deformation basis must be 'coordinate' or 'random', not {self.basis!r}")
-        for name, vals in (("taus", self.taus), ("bulk", self.bulk)):
-            # finite as a float: the bound refuses NaN, infinities and integers like 10**400
-            _require(isinstance(vals, (list, tuple)) and all(
-                isinstance(v, numbers.Real) and not isinstance(v, bool)
-                and abs(v) <= sys.float_info.max for v in vals),
-                f"deformation {name} must be finite real numbers, not {vals!r}")
-            object.__setattr__(self, name, tuple(vals))
+        # finite as a float: the bound refuses NaN, infinities and integers like 10**400
+        _require(isinstance(self.taus, (list, tuple)) and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max for v in self.taus),
+            f"deformation taus must be finite real numbers, not {self.taus!r}")
+        object.__setattr__(self, "taus", tuple(self.taus))
 
     @property
     def rank(self):
-        return len(self.taus) + len(self.bulk)
+        return len(self.taus)
 
-    def eigenvalues(self, N, edge=1.0):
-        crit = [edge + t * N ** (-1.0 / 3.0) for t in self.taus]
-        return np.array(list(crit) + list(self.bulk), dtype=float)
+    def eigenvalues(self, N):
+        return np.array([1.0 + t * N ** (-1.0 / 3.0) for t in self.taus], dtype=float)
 
     def to_json(self):
-        return {"taus": list(self.taus), "bulk": list(self.bulk), "basis": self.basis}
+        return {"taus": list(self.taus)}
 
     @classmethod
     def from_json(cls, d):
         if d is None:
             return None
-        _closed(d, ("taus", "bulk", "basis"), "deformation")
+        _closed(d, ("taus",), "deformation")
         return cls(**d)
 
 
-def _frame(basis, n, r, beta, seed, block):
-    """n x r orthonormal frame: the first r coordinates, or a Haar frame
-    (orthogonal for beta 1, unitary for beta 2) from stream (seed, 0, block)."""
-    if basis == "coordinate":
-        return np.eye(n, dtype=complex if beta == 2 else float)[:, :r]
-    rng = rng_for(seed, 0, block)
-    G = rng.standard_normal((n, r))
-    if beta == 2:
-        G = G + 1j * rng.standard_normal((n, r))
-    Q, R = np.linalg.qr(G)
-    ph = np.diagonal(R) / np.abs(np.diagonal(R))
-    return Q * ph.conj()
-
-
-def deformation_matrix(deformation, N, beta=1, seed=0):
-    """Hermitian N x N matrix A = Q Lambda Q^* realizing the deformation."""
-    vals = deformation.eigenvalues(N)
-    Q = _frame(deformation.basis, N, len(vals), beta, seed, 911)
-    A = (Q * vals) @ Q.conj().T
-    return 0.5 * (A + A.conj().T)
-
-
-def wishart_deformation_matrix(deformation, M, N, beta=1, seed=0):
-    """M x N deformation A = Q1 Lambda Q2^* with spikes at sqrt(alpha) + tau N^(-1/3)."""
-    vals = deformation.eigenvalues(N, edge=math.sqrt(M / N))
-    Q1 = _frame(deformation.basis, M, len(vals), beta, seed, 913)
-    Q2 = _frame(deformation.basis, N, len(vals), beta, seed, 917)
-    return (Q1 * vals) @ Q2.conj().T
-
-
-def _check_wishart_deformation(deformation, M, N):
-    """Rank at most min(M, N) and ||A|| <= sqrt(alpha) + max(tau, 0) N^(-1/3):
-    Q1 and Q2 are orthonormal frames, so ||Q1 Lambda Q2^*|| = max |lambda|."""
-    _require(deformation.rank <= min(M, N), "deformation rank exceeds min(M, N)")
-    norm = float(np.max(np.abs(deformation.eigenvalues(N, edge=math.sqrt(M / N))), initial=0.0))
-    cap = math.sqrt(M / N) + max((*deformation.taus, 0.0)) * N ** (-1.0 / 3.0) + 1e-9
-    _require(norm <= cap, f"deformation norm {norm:.6g} exceeds sqrt(alpha)+tau N^(-1/3)")
+def deformation_matrix(deformation, N):
+    """N x N matrix A = diag(a_1, ..., a_r, 0, ..., 0) realizing the deformation."""
+    A = np.zeros((N, N))
+    A[np.diag_indices(deformation.rank)] = deformation.eigenvalues(N)
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -201,22 +159,6 @@ def sample_theta_rademacher(N, theta, seed=0, replica=0):
     return _sparsify(sample_rademacher(N, seed, replica), theta, seed, replica, mirror=True)
 
 
-def sample_interpolating(N, alpha_mix, seed=0, replica=0):
-    """Gaussian ensemble interpolating GOE (alpha=0) to GUE (alpha=1) and on
-    to the antisymmetric-imaginary ensemble (alpha=inf); real at alpha=0 only."""
-    rng = rng_for(seed, replica, 0)
-    try:
-        a2 = float(alpha_mix) ** 2  # a float, so a huge integer overflows here, not in 1/den
-    except OverflowError:  # finite alpha_mix past about 1.3e154 splits as alpha = inf
-        a2 = math.inf
-    den = 1.0 + a2
-    vr, vi, vd = 1.0 / den, (a2 / den if den < math.inf else 1.0), 2.0 / den
-    R = rng.standard_normal((N, N)) * math.sqrt(vr)
-    I = rng.standard_normal((N, N)) * math.sqrt(vi)
-    d = rng.standard_normal(N) * math.sqrt(vd) + 0.0  # alpha=inf: -0.0 diagonal to 0.0
-    return _hermitian(R if alpha_mix == 0 else R + 1j * I, d)
-
-
 def sample_heavy(N, df, seed=0, replica=0):
     """Symmetric Student-t entries scaled to the Wigner second moments."""
     _require(df > 2, "need df > 2 for finite variance")
@@ -265,10 +207,6 @@ LAWS = {
     ("wigner", "theta_rademacher"): (
         (1,), lambda s, r: sample_theta_rademacher(s.N, s.theta, s.seed, r),
         lambda s: _check_theta(s.theta)),
-    ("wigner", "interpolating"): (
-        (1, 2), lambda s, r: sample_interpolating(s.N, s.alpha_mix, s.seed, r),
-        lambda s: _require(s.alpha_mix >= 0 and s.beta == (2 if s.alpha_mix > 0 else 1),
-                           "interpolating needs alpha_mix >= 0, and beta 2 exactly when > 0")),
     ("wigner", "heavy_tailed"): (
         (1,), lambda s, r: truncate_heavy(sample_heavy(s.N, s.tail_df, s.seed, r), s.N, s.zeta)[0],
         lambda s: _require(s.tail_df > 2 and 0 < s.zeta < 1 / 3,
@@ -285,7 +223,6 @@ class EnsembleSpec:
     beta: int = 1
     entry_law: str = "gaussian"
     theta: float = 1.0
-    alpha_mix: float = 0.0
     tail_df: float = 9.0
     zeta: float = 0.25
     profile: VarianceProfile | None = None
@@ -295,8 +232,8 @@ class EnsembleSpec:
 
     def __post_init__(self):
         """Accept only numbers of the declared int/float field types, a row of
-        LAWS, in-domain parameters, a profile of the model's kind and, for
-        Wishart, a deformation within rank and norm bounds."""
+        LAWS, in-domain parameters, a profile of the model's kind and a
+        deformation of rank at most N on a Wigner spec only."""
         for f in dataclasses.fields(self):
             kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
             value = getattr(self, f.name)
@@ -316,8 +253,9 @@ class EnsembleSpec:
         kind = "square" if self.model == "wigner" else "bipartite"
         _require(isinstance(self.profile, VarianceProfile) and self.profile.kind == kind,
                  f"a {self.model} spec needs a {kind} profile")
-        if self.model == "wishart" and self.deformation is not None:
-            _check_wishart_deformation(self.deformation, self.profile.n_rows, self.N)
+        if self.deformation is not None:
+            _require(self.model == "wigner", "a wishart spec takes no deformation")
+            _require(self.deformation.rank <= self.N, "deformation rank exceeds N")
 
     @property
     def N(self):
@@ -325,15 +263,12 @@ class EnsembleSpec:
 
     @cached_property
     def deformation_matrix(self):
-        """The spec's deformation A, read-only and built on first use: N x N
-        for Wigner, M x N for Wishart, None without one."""
+        """The spec's N x N deformation A, read-only and built on first use,
+        None without one."""
         d = self.deformation
         if d is None or d.rank == 0:
             return None
-        if self.model == "wigner":
-            A = deformation_matrix(d, self.N, self.beta, self.seed)
-        else:
-            A = wishart_deformation_matrix(d, self.profile.n_rows, self.N, self.beta, self.seed)
+        A = deformation_matrix(d, self.N)
         A.setflags(write=False)
         return A
 
@@ -359,7 +294,8 @@ class EnsembleSpec:
 
 
 def sample(spec, replica=0):
-    """Draw one realization of the ensemble described by spec."""
+    """Draw one realization of the ensemble described by spec: X = Sigma o W + A
+    for Wigner, X = H H^* with H = Sigma o W for Wishart."""
     X = assemble(spec.profile, LAWS[spec.model, spec.entry_law][1](spec, replica),
                  spec.deformation_matrix)
     if spec.model == "wigner":
@@ -370,11 +306,10 @@ def sample(spec, replica=0):
 
 def support_blocks(spec):
     """Index arrays of the connected components of the graph on which a draw
-    of spec can be nonzero: the support of the profile plus the deformation,
-    and for Wishart X = (H + A)(H + A)^* rows that share a column."""
+    of spec can be nonzero: the support of the profile, and for Wishart
+    X = H H^* rows that share a column.  The deformation is diagonal, so it
+    joins no two blocks."""
     S = spec.profile.variances != 0
-    if spec.deformation_matrix is not None:
-        S |= spec.deformation_matrix != 0
     G = S if spec.model == "wigner" else S @ S.T
     blocks, seen = [], np.zeros(len(G), dtype=bool)
     for start in range(len(G)):
@@ -393,14 +328,12 @@ def support_blocks(spec):
 
 def _model_blocks(spec):
     """(rows, n) for each support block of a spec with a tridiagonal model,
-    else None.  Wigner: Gaussian entries, no deformation or a rank-one
-    coordinate one, and each block's n x n sub-profile exactly 1/n (a GOE/GUE
-    of size n).  Wishart: Gaussian entries, no deformation, and each block
-    of rows exactly 1/n on the n columns it reaches, rows <= n."""
-    d = spec.deformation
-    rank = 0 if d is None else d.rank
-    spike = spec.model == "wigner" and rank == 1 and d.basis == "coordinate"
-    if spec.entry_law != "gaussian" or (rank and not spike):
+    else None.  Wigner: Gaussian entries, a deformation of rank <= 1, and each
+    block's n x n sub-profile exactly 1/n (a GOE/GUE of size n).  Wishart:
+    Gaussian entries and each block of rows exactly 1/n on the n columns it
+    reaches, rows <= n."""
+    rank = 0 if spec.deformation is None else spec.deformation.rank
+    if spec.entry_law != "gaussian" or rank > 1:
         return None
     V = spec.profile.variances
     sizes = []

@@ -472,19 +472,26 @@ class TestSpecInputExit64:
         (dict(GOOD, model="nope"), "no ensemble"),
         (dict(GOOD, entry_law="theta_goe", beta=2), "draws beta in (1,)"),
         (dict(GOOD, entry_law="rademacher", beta=2), "draws beta in (1,)"),
-        (dict(GOOD, deformation={"taus": [0.5], "basis": "radnom"}), "deformation basis"),
+        (dict(GOOD, deformation={"taus": [0.5], "basis": "radnom"}), "unknown deformation keys"),
         (dict(GOOD, deformation={"taus": [0.5], "spikes": [1]}), "unknown deformation keys"),
         (dict(GOOD, deformation={"taus": [math.nan]}), "deformation taus"),
-        (dict(GOOD, deformation={"bulk": ["x"]}), "deformation bulk"),
-        (dict(GOOD, deformation={"taus": [0.5], "bulk": [math.inf]}), "deformation bulk"),
+        (dict(GOOD, deformation={"bulk": ["x"]}), "unknown deformation keys"),
+        (dict(GOOD, deformation={"taus": [0.5], "bulk": [math.inf]}), "unknown deformation keys"),
         (dict(GOOD, deformation={"taus": [True]}), "deformation taus"),
         (dict(GOOD, deformation={"taus": 0.5}), "deformation taus"),
         (dict(GOOD, deformation={"taus": [10 ** 400]}), "deformation taus"),
-        # a Wishart deformation past its norm or rank bound is refused with the spec
         (dict(_spec_doc(model="wishart", M=3, N=6), deformation={"bulk": [5.0]}),
-         "deformation norm 5 exceeds"),
+         "unknown deformation keys"),
         (dict(_spec_doc(model="wishart", M=2, N=6), deformation={"bulk": [0.1] * 3}),
-         "deformation rank exceeds"),
+         "unknown deformation keys"),
+        # a Wishart spec takes no deformation; the interpolating law is gone
+        (dict(_spec_doc(model="wishart", M=3, N=6), deformation={"taus": [0.5]}),
+         "a wishart spec takes no deformation"),
+        (dict(GOOD, entry_law="interpolating"), "no ensemble"),
+        (dict(GOOD, entry_law="interpolating", beta=2, alpha_mix=0.7),
+         "unknown ensemble spec keys: ['alpha_mix']"),
+        # a spike on more coordinates than the matrix has once escaped as a traceback
+        (dict(GOOD, deformation={"taus": [0.5] * 31}), "deformation rank exceeds N"),
     ])
     def test_sample_malformed_spec(self, doc, message, tmp_path, capsys):
         path = tmp_path / "spec.json"
@@ -504,6 +511,13 @@ class TestSpecInputExit64:
         (dict(GOOD, entry_lw="gaussian"), GOOD, 100, "unknown ensemble spec keys"),
         # a NaN spike once reached the tridiagonal solver, whose multisection never ended
         (dict(GOOD, deformation={"taus": [math.nan]}), GOOD, 100, "deformation taus"),
+        (dict(GOOD, alpha_mix=0.0), GOOD, 100, "unknown ensemble spec keys: ['alpha_mix']"),
+        (GOOD, dict(GOOD, entry_law="interpolating"), 100, "no ensemble"),
+        (dict(GOOD, deformation={"taus": [0.5], "basis": "random"}), GOOD, 100,
+         "unknown deformation keys: ['basis']"),
+        (dict(GOOD, deformation={"bulk": [0.5]}), GOOD, 100, "unknown deformation keys: ['bulk']"),
+        (dict(_spec_doc(model="wishart"), deformation={"taus": [0.5]}), _spec_doc(model="wishart"),
+         100, "a wishart spec takes no deformation"),
     ])
     def test_edge_compare_malformed(self, test, baseline, replicas, message, tmp_path, capsys):
         for name, doc in (("t.json", test), ("b.json", baseline)):
@@ -564,8 +578,10 @@ def _sample_spec(doc):
 
 
 def _spec(**kw):
+    # through the closed spec JSON, which also refuses a key the spec lacks
     from irmlab.profiles import uniform_profile
-    return lambda tmp_path: ensembles.EnsembleSpec(profile=uniform_profile(8), **kw)
+    doc = ensembles.EnsembleSpec(profile=uniform_profile(8)).to_json()
+    return lambda tmp_path: ensembles.EnsembleSpec.from_json(dict(doc, **kw))
 
 
 GOE8 = ensembles.goe_reference_spec(8)

@@ -151,7 +151,7 @@ class TestTridiagonalTop:
         ensembles.EnsembleSpec(profile=block_wegner_profile(2, 10, 0.4)),
         ensembles.EnsembleSpec(entry_law="theta_goe", theta=2.0, profile=uniform_profile(20)),
         ensembles.goe_reference_spec(20, deformation=ensembles.Deformation(taus=(0.5, 1.0))),
-        ensembles.goe_reference_spec(20, 2, ensembles.Deformation(taus=(0.5,), basis="random")),
+        ensembles.goe_reference_spec(20, 2, ensembles.Deformation(taus=(0.5, 1.0))),
         ensembles.EnsembleSpec(model="wishart", profile=wishart_profile(15, 20, builder="banded")),
     ])
     def test_other_specs_stay_dense(self, spec):
@@ -162,11 +162,12 @@ class TestTridiagonalTop:
         (ensembles.EnsembleSpec(entry_law="theta_goe", theta=2.0,
                                 profile=block_wegner_profile(2, 10, 0.0)), [10, 10]),
         (ensembles.EnsembleSpec(profile=block_wegner_profile(3, 4, 0.0), beta=2,
-                                deformation=ensembles.Deformation(taus=(0.5,), bulk=(0.2,))),
+                                deformation=ensembles.Deformation(taus=(0.5, 0.2))),
          [4, 4, 4]),
+        # the deformation is diagonal, so it joins no two blocks
         (ensembles.EnsembleSpec(profile=block_wegner_profile(2, 10, 0.0),
-                                deformation=ensembles.Deformation(taus=(0.5,), basis="random")),
-         [20]),
+                                deformation=ensembles.Deformation(taus=(0.5, 1.0))),
+         [10, 10]),
         (ensembles.EnsembleSpec(profile=block_wegner_profile(2, 10, 0.4)), [20]),
         (ensembles.EnsembleSpec(model="wishart", entry_law="theta_goe", theta=2.0,
                                 profile=profiles.VarianceProfile(
