@@ -1,5 +1,5 @@
 """Spectral-edge statistics: top eigenvalues across replicas, affine
-rescaling at the edge, seeded two-sample Kolmogorov-Smirnov comparisons
+rescaling at the edge, exact two-sample Kolmogorov-Smirnov comparisons
 against a same-size Gaussian baseline, tail estimation with Wilson
 intervals, and the 2-lift spectrum-split check.
 
@@ -135,51 +135,35 @@ def rescale_edge(samples, N, model="wigner", alpha=1.0):
 
 
 # ---------------------------------------------------------------------------
-# two-sample KS with the asymptotic Kolmogorov tail
+# two-sample KS with the exact equal-size tail
 # ---------------------------------------------------------------------------
 
-def ks_statistic(a, b):
+def ks_2sample(a, b):
+    """(statistic, p-value) of the two-sample KS test on two samples of one
+    size n.
+
+    The statistic is k/n, where k is the largest gap between the two
+    samples' counts at or below a pooled value; tied values count together.
+    The p-value is the exact null tail for continuous laws (Gnedenko-Korolyuk),
+    P(D >= k/n) = 2 sum_{j>=1} (-1)^(j-1) C(2n, n - jk) / C(2n, n),
+    summed in integers and divided once, so it is correctly rounded.  With
+    ties it is conservative.
+    """
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
-    grid = np.concatenate([a, b])
-    Fa = np.searchsorted(a, grid, side="right") / len(a)
-    Fb = np.searchsorted(b, grid, side="right") / len(b)
-    return float(np.max(np.abs(Fa - Fb)))
-
-
-def kolmogorov_sf(lam):
-    """Q(lambda) = 2 sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lambda^2)."""
-    if lam <= 0:
-        return 1.0
-    total = 0.0
-    for j in range(1, 101):
-        term = 2.0 * (-1.0) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam)
-        total += term
-        if abs(term) < 1e-16:
-            break
-    return min(1.0, max(0.0, total))
-
-
-def ks_2sample(a, b, jitter_seed=None):
-    """(statistic, p-value) with the asymptotic two-sample effective size.
-
-    Ties are broken by an infinitesimal seeded jitter so the statistic is
-    well defined on discrete data.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    n = len(a)
+    if n == 0 or len(b) != n:
+        raise EdgeStatError(f"KS needs two non-empty samples of one size, "
+                            f"not {len(a)} and {len(b)}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise EdgeStatError("KS samples must be finite")
-    if jitter_seed is not None:
-        scale = max(np.std(a), np.std(b), 1e-12) * 1e-10
-        rng = ensembles.rng_for(jitter_seed, 0, 515)
-        a = a + rng.standard_normal(a.shape) * scale
-        b = b + rng.standard_normal(b.shape) * scale
-    d = ks_statistic(a, b)
-    n, m = len(a), len(b)
-    ne = n * m / (n + m)
-    lam = (math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)) * d
-    return d, kolmogorov_sf(lam)
+    grid = np.concatenate([a, b])
+    gaps = np.searchsorted(a, grid, side="right") - np.searchsorted(b, grid, side="right")
+    k = int(np.max(np.abs(gaps)))
+    if k == 0:
+        return 0.0, 1.0
+    tail = sum((-1) ** (j - 1) * math.comb(2 * n, n - j * k) for j in range(1, n // k + 1))
+    return k / n, 2 * tail / math.comb(2 * n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +220,11 @@ def universality_test(test_spec, baseline_spec, k=2, replicas=1000, seed=0, leve
     rb = rescale_edge(lam_b, t_spec.N, model=t_spec.model, alpha=alpha)
     stats, pvals, rejects = [], [], []
     for i in range(k):
-        d, p = ks_2sample(rt[:, i], rb[:, i], jitter_seed=seed + i)
+        d, p = ks_2sample(rt[:, i], rb[:, i])
         stats.append(d)
         pvals.append(p)
         rejects.append(bool(p < level / k))
-    gd, gp = ks_2sample(rt[:, 0] - rt[:, 1], rb[:, 0] - rb[:, 1], jitter_seed=seed + 101)
+    _, gp = ks_2sample(rt[:, 0] - rt[:, 1], rb[:, 0] - rb[:, 1])
     return EdgeReport(
         test_digest=t_spec.digest(), baseline_digest=b_spec.digest(),
         replicas=replicas, k=k, level=level,

@@ -665,6 +665,9 @@ MALFORMED = {
                       edgestats.EdgeStatError),
     "ks inf sample": (lambda tmp_path: edgestats.ks_2sample(np.zeros(50), [math.inf] * 50),
                       edgestats.EdgeStatError),
+    "ks unequal sizes": (lambda tmp_path: edgestats.ks_2sample(np.zeros(50), np.zeros(49)),
+                         edgestats.EdgeStatError),
+    "ks empty sample": (lambda tmp_path: edgestats.ks_2sample([], []), edgestats.EdgeStatError),
     "tail zero replicas": (lambda tmp_path: edgestats.tail_estimate(GOE8, [0.5], replicas=0),
                            edgestats.EdgeStatError),
     # an edge test needs 1 <= k <= N coordinates and a level in (0, 1)

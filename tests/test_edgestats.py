@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,9 +10,7 @@ from irmlab import edgestats, ensembles, profiles
 from irmlab.edgestats import (
     EdgeStatError,
     bbp_test,
-    kolmogorov_sf,
     ks_2sample,
-    ks_statistic,
     lift_adjacency,
     lift_spectrum_check,
     random_edge_signs,
@@ -198,18 +198,69 @@ class TestRescale:
         assert rescale_edge(np.array([lamp]), 27, model="wishart", alpha=0.25)[0] == pytest.approx(0.0)
 
 
+def _gap_pair(n, k):
+    """Two samples of size n whose KS gap is k: b is a moved up by k - 1/2,
+    so the counts are (k, 0) at a's k-th value, ..., (n, n - k) at its last."""
+    a = np.arange(float(n))
+    return a, a + (k - 0.5 if k else 0.0)
+
+
 class TestKS:
     def test_statistic_identical_samples(self):
         a = np.arange(10.0)
-        assert ks_statistic(a, a) == 0.0
+        assert ks_2sample(a, a)[0] == 0.0
 
     def test_statistic_disjoint(self):
-        assert ks_statistic(np.zeros(5), np.ones(5)) == 1.0
+        assert ks_2sample(np.zeros(5), np.ones(5))[0] == 1.0
 
-    def test_kolmogorov_tail_values(self):
-        # Q(1.36) ~ 0.049: the classical 5% critical point
-        assert kolmogorov_sf(1.36) == pytest.approx(0.049, abs=0.002)
-        assert kolmogorov_sf(0.0) == 1.0
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_tail_matches_enumeration(self, n):
+        # the largest |walk| over all C(2n, n) interleavings of a's and b's
+        total = math.comb(2 * n, n)
+        hist = [0] * (n + 1)
+        for ups in itertools.combinations(range(2 * n), n):
+            up, walk, top = set(ups), 0, 0
+            for i in range(2 * n):
+                walk += 1 if i in up else -1
+                top = max(top, abs(walk))
+            hist[top] += 1
+        for k in range(n + 1):
+            d, p = ks_2sample(*_gap_pair(n, k))
+            assert d == k / n
+            assert p == float(Fraction(sum(hist[k:]), total))
+
+    @pytest.mark.parametrize("n", [50, 300])
+    def test_tail_non_increasing(self, n):
+        ps = [ks_2sample(*_gap_pair(n, k))[1] for k in range(n + 1)]
+        assert ps[0] == ps[1] == 1.0
+        assert all(p >= q for p, q in zip(ps, ps[1:]))
+
+    def test_asymptotic_tail_too_small(self):
+        # Kolmogorov's limit series at Stephens' effective size n/2, the
+        # usual asymptotic p-value, falls short of the exact tail at n = 1000
+        n, checked = 1000, 0
+        root = math.sqrt(n / 2)
+        for k in range(1, n + 1):
+            d, p = ks_2sample(*_gap_pair(n, k))
+            if p <= 1e-4:
+                break
+            if p < 0.5:
+                lam = (root + 0.12 + 0.11 / root) * d
+                q = 2 * sum((-1) ** (j - 1) * math.exp(-2 * j * j * lam * lam)
+                            for j in range(1, 101))
+                assert 1 < p / q < 1.15
+                checked += 1
+        assert checked > 20
+
+    def test_equal_gaps_give_equal_results(self):
+        # gap 22 of 300 at every value, and only at counts (22, 0); as floats
+        # 1 - 278/300 != 22/300
+        n, k = 300, 22
+        early = (np.concatenate([np.arange(-k, 0.0), np.arange(n - k) + 1.5]),
+                 np.arange(float(n)))
+        d, p = ks_2sample(*_gap_pair(n, k))
+        assert d == k / n
+        assert ks_2sample(*early) == (d, p)
 
     def test_same_law_p_value_distribution(self):
         rng = np.random.default_rng(0)
@@ -217,7 +268,7 @@ class TestKS:
         for r in range(60):
             a = rng.standard_normal(400)
             b = rng.standard_normal(400)
-            _, p = ks_2sample(a, b, jitter_seed=r)
+            _, p = ks_2sample(a, b)
             ps.append(p)
         assert np.mean(np.array(ps) < 0.01) <= 0.1
         assert np.median(ps) > 0.2
@@ -226,16 +277,13 @@ class TestKS:
         rng = np.random.default_rng(1)
         a = rng.standard_normal(800)
         b = rng.standard_normal(800) + 0.5
-        _, p = ks_2sample(a, b, jitter_seed=0)
+        _, p = ks_2sample(a, b)
         assert p < 1e-6
 
     def test_ties_handled(self):
-        # identical discrete samples: jitter randomizes the within-tie order,
-        # so the p-value is generic rather than degenerate -- no rejection
+        # identical discrete samples: tied values count together, so no gap
         a = np.repeat([0.0, 1.0], 200)
-        b = np.repeat([0.0, 1.0], 200)
-        d, p = ks_2sample(a, b, jitter_seed=3)
-        assert d < 0.2 and p > 0.01
+        assert ks_2sample(a, a.copy()) == (0.0, 1.0)
 
 
 class TestUniversality:
