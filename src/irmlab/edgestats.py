@@ -233,20 +233,6 @@ def universality_test(test_spec, baseline_spec, k=2, replicas=1000, seed=0, leve
     )
 
 
-def bbp_test(profile, tau_list, replicas=1000, seed=0):
-    """Spiked real profile ensemble against the deformed GOE baseline with the
-    same spike parameters; tests the top q+1 coordinates at level 0.01."""
-    for t in tau_list:
-        if abs(t) > 5:
-            raise EdgeStatError("spike parameters limited to |tau| <= 5 at desk scale")
-    N = profile.n_rows
-    deform = ensembles.Deformation(taus=tuple(tau_list)) if tau_list else None
-    test = ensembles.EnsembleSpec(profile=profile, deformation=deform)
-    base = ensembles.goe_reference_spec(N, deformation=deform)
-    k = len(tau_list) + 1 if tau_list else 2
-    return universality_test(test, base, k=k, replicas=replicas, seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # tails
 # ---------------------------------------------------------------------------

@@ -43,35 +43,13 @@ def _sphere_area(d):
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-class BandDensity:
-    """Radial probability density on R^d used to shape band profiles.
-
-    Built-in family: 'gaussian', 'bump' (compact support in the unit ball),
-    'power_law' (tail (1+r)^{-d-alpha}).  A density is evaluated at |x|, so
-    it is even by construction.  The attributes alpha_stable / decay_T /
-    decay_K record the small-frequency exponent and the decay exponents; a
-    band profile keeps them in its torus.
-    """
-
-    def __init__(self, name, radial, d, alpha_stable, decay_T, decay_K, params=None):
-        self.name = name
-        self._radial = radial
-        self.d = d
-        self.alpha_stable = float(alpha_stable)
-        self.decay_T = float(decay_T)
-        self.decay_K = float(decay_K)
-        self.params = dict(params or {})
-
-    # -- constructors --------------------------------------------------
-    @classmethod
-    def gaussian(cls, d=1):
-        def radial(r):
-            return np.exp(-0.5 * r * r) / (2.0 * math.pi) ** (d / 2.0)
-
-        return cls("gaussian", radial, d, alpha_stable=2.0, decay_T=50.0, decay_K=50.0)
-
-    @classmethod
-    def bump(cls, d=1):
+def _radial(name, d):
+    """The normalized radial density r -> f(r) on R^d that shapes a band
+    profile: 'gaussian', 'bump' (compact support in the unit ball) or
+    'power_law' (tail (1+r)^{-d-1})."""
+    if name == "gaussian":
+        return lambda r: np.exp(-0.5 * r * r) / (2.0 * math.pi) ** (d / 2.0)
+    if name == "bump":
         # c_d * exp(-1/(1-r^2)) on r < 1; normalization by radial quadrature
         nodes, weights = np.polynomial.legendre.leggauss(200)
         r = 0.5 * (nodes + 1.0)
@@ -81,75 +59,47 @@ class BandDensity:
         c = 1.0 / integral
 
         def radial(rr):
-            rr = np.asarray(rr, dtype=float)
             out = np.zeros_like(rr)
             inside = rr < 1.0
             out[inside] = c * np.exp(-1.0 / (1.0 - rr[inside] ** 2))
             return out
 
-        return cls("bump", radial, d, alpha_stable=2.0, decay_T=50.0, decay_K=50.0)
-
-    @classmethod
-    def power_law(cls, alpha, d=1):
-        if not 0.0 < alpha <= 2.0:
-            raise ProfileError("stable exponent must lie in (0, 2]")
-        # int r^{d-1} (1+r)^{-(d+alpha)} dr = B(d, alpha) exactly
-        beta = math.gamma(d) * math.gamma(alpha) / math.gamma(d + alpha)
+        return radial
+    if name == "power_law":
+        beta = 1.0 / d  # int r^{d-1} (1+r)^{-d-1} dr = B(d, 1) exactly
         c = 1.0 / (_sphere_area(d) * beta)
+        return lambda r: c / (1.0 + r) ** (d + 1.0)
+    raise ProfileError(f"unknown band density {name!r}")
 
-        def radial(r):
-            return c / (1.0 + np.asarray(r, dtype=float)) ** (d + alpha)
 
-        return cls("power_law", radial, d, alpha_stable=alpha,
-                   decay_T=d + alpha, decay_K=d + 1.0, params={"alpha": alpha})
+def density_mass(name, d, n_nodes=400):
+    """Quadrature of the named band density over R^d (radial Gauss-Legendre),
+    for validation.
 
-    @classmethod
-    def by_name(cls, name, d=1):
-        """The named density; 'power_law' has stable exponent 1."""
-        if name == "gaussian":
-            return cls.gaussian(d)
-        if name == "bump":
-            return cls.bump(d)
-        if name == "power_law":
-            return cls.power_law(1.0, d)
-        raise ProfileError(f"unknown band density {name!r}")
-
-    # -- evaluation ----------------------------------------------------
-    def __call__(self, x):
-        """Evaluate f at points x of shape (..., d)."""
-        x = np.asarray(x, dtype=float)
-        r = np.sqrt(np.sum(x * x, axis=-1))
-        return self._radial(r)
-
-    def mass(self, n_nodes=400):
-        """Quadrature of f over R^d (radial Gauss-Legendre), for validation.
-
-        The bump integrates over its support, the Gaussian over [0, 40];
-        the power-law uses a finite window plus a three-term asymptotic tail.
-        """
-        if self.name == "power_law":
-            # log substitution r = e^u - 1 flattens the dynamic range; the
-            # remainder past r_max comes from a three-term asymptotic series
-            d, a = self.d, self.params["alpha"]
-            r_max = 1e8 ** (1.0 / a)
-            u_max = math.log1p(r_max)
-            nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-            u = 0.5 * u_max * (nodes + 1.0)
-            w = 0.5 * u_max * weights
-            r = np.expm1(u)
-            vals = self._radial(r) * r ** (self.d - 1) * (r + 1.0)
-            s = d + a
-            c = float(self._radial(np.zeros(1))[0])  # prefactor of (1+r)^(-d-a)
-            tail = c * (r_max ** (-a) / a
-                        - s * r_max ** (-a - 1) / (a + 1)
-                        + s * (s + 1) / 2.0 * r_max ** (-a - 2) / (a + 2))
-            return _sphere_area(self.d) * (float(np.sum(w * vals)) + tail)
-        r_max = 1.0 if self.name == "bump" else 40.0
-        nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-        r = 0.5 * r_max * (nodes + 1.0)
-        w = 0.5 * r_max * weights
-        vals = self._radial(r) * r ** (self.d - 1)
-        return _sphere_area(self.d) * float(np.sum(w * vals))
+    The bump integrates over its support, the Gaussian over [0, 40]; the
+    power law uses a finite window plus a three-term asymptotic tail.
+    """
+    radial = _radial(name, d)
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    if name == "power_law":
+        # log substitution r = e^u - 1 flattens the dynamic range; the
+        # remainder of c (1+r)^{-s} past r_max comes from a three-term
+        # asymptotic series
+        r_max = 1e8
+        u_max = math.log1p(r_max)
+        u = 0.5 * u_max * (nodes + 1.0)
+        w = 0.5 * u_max * weights
+        r = np.expm1(u)
+        vals = radial(r) * r ** (d - 1) * (r + 1.0)
+        s = d + 1.0
+        c = float(radial(np.zeros(1))[0])  # f(0), the prefactor of (1+r)^{-s}
+        tail = c * (1.0 / r_max - s / (2.0 * r_max ** 2) + s * (s + 1) / (6.0 * r_max ** 3))
+        return _sphere_area(d) * (float(np.sum(w * vals)) + tail)
+    r_max = 1.0 if name == "bump" else 40.0
+    r = 0.5 * r_max * (nodes + 1.0)
+    w = 0.5 * r_max * weights
+    vals = radial(r) * r ** (d - 1)
+    return _sphere_area(d) * float(np.sum(w * vals))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +299,8 @@ def uniform_profile(N):
 
 
 def band_profile(d, L, W, density):
-    """Band profile on the torus (Z/LZ)^d with bandwidth W.
+    """Band profile on the torus (Z/LZ)^d with bandwidth W and the named
+    density f ('gaussian', 'bump' or 'power_law').
 
     sigma^2_xy = (1/M) sum_{n in Z^d} f((x - y + nL)/W), with M the total of
     all computed terms, so every row sums to 1 exactly by construction.
@@ -359,10 +310,7 @@ def band_profile(d, L, W, density):
         raise ProfileError("L must be >= 2")
     if W < 1:
         raise ProfileError("W must be >= 1")
-    if isinstance(density, str):
-        density = BandDensity.by_name(density, d=d)
-    if density.d != d:
-        raise ProfileError("density dimension does not match d")
+    radial = _radial(density, d)
     N = L ** d
     if N > 2 ** 22:
         raise ProfileError("lattice size exceeds memory budget")
@@ -378,7 +326,8 @@ def band_profile(d, L, W, density):
         shifts = [np.array(s, dtype=float) for s in _shell_points(d, shell)]
         contrib = np.zeros(N)
         for s in shifts:
-            contrib += density((coords + s * L) / W)
+            x = (coords + s * L) / W
+            contrib += radial(np.sqrt(np.sum(x * x, axis=-1)))
         row += contrib
         total = row.sum()
         if shell >= 1 and total > 0 and contrib.sum() < 1e-12 * total:
@@ -393,11 +342,9 @@ def band_profile(d, L, W, density):
     grid = row.reshape((L,) * d)
     row = (0.5 * (grid + _reflect(grid))).reshape(-1)
     row = row / row.sum()
-    torus = {"d": d, "L": L, "W": W, "density": density.name,
-             "alpha_stable": density.alpha_stable,
-             "decay_T": density.decay_T, "decay_K": density.decay_K}
     return VarianceProfile(circulant_row=row, kind="square",
-                           torus=torus, metadata={"family": "band"})
+                           torus={"d": d, "L": L, "W": W, "density": density},
+                           metadata={"family": "band"})
 
 
 def _shell_points(d, s):

@@ -29,7 +29,7 @@ def nonuniform_profile(N, seed=0):
     rng = np.random.default_rng(seed)
     M = rng.uniform(0.5, 1.5, (N, N))
     return profiles.VarianceProfile(
-        profiles.sinkhorn_symmetric(0.5 * (M + M.T)), kind="square").validate()
+        profiles.sinkhorn_symmetric(0.5 * (M + M.T)), kind="square")
 
 
 def extra_returns(profile):
@@ -49,7 +49,7 @@ def mean_field_profile(N, delta):
     s = (1.0 + (N - 1) * mu) / N
     V = np.full((N, N), (1.0 - s) / (N - 1))
     np.fill_diagonal(V, s)
-    return profiles.VarianceProfile(V, kind="square").validate()
+    return profiles.VarianceProfile(V, kind="square")
 
 
 def coordinate_spike(N, a=1.1):
@@ -288,14 +288,21 @@ def test_criterion_8abd_positive_universality():
     N = 300
     verdicts = {name: _preset_verdict(name, seed)
                 for name, seed in (("band", SEED_8A_BAND), ("sparse", SEED_8B_SPARSE))}
-    prof_band = profiles.band_profile(1, N, int(math.ceil(N ** 0.8)), "gaussian")
-    rep_d = edgestats.bbp_test(prof_band, [0.0], replicas=1000, seed=SEED_8D_BBP)
+    # 8(d): the band profile with a rank-one spike tau = 0 against the GOE
+    # baseline with the same spike, on the top q + 1 = 2 coordinates
+    spike = ensembles.Deformation(taus=(0.0,))
+    spiked = ensembles.EnsembleSpec(
+        profile=profiles.band_profile(1, N, int(math.ceil(N ** 0.8)), "gaussian"),
+        deformation=spike)
+    code_d, payload_d = cli.edge_verdict(
+        spiked, ensembles.goe_reference_spec(N, deformation=spike),
+        {"k": 2, "replicas": 1000, "level": 0.01}, SEED_8D_BBP)
     elapsed = time.time() - t0
-    ok = (all(code == cli.EXIT_PASS for code, _ in verdicts.values()) and not rep_d.rejected
+    ok = (all(code == cli.EXIT_PASS for code, _ in verdicts.values()) and code_d == cli.EXIT_PASS
           and elapsed <= 3 * 1800)
     detail = ", ".join([f"{name} p_values={payload['edge_report']['p_values']!r}"
                         for name, (_, payload) in verdicts.items()]
-                       + [f"bbp p_values={rep_d.p_values!r}"])
+                       + [f"bbp p_values={payload_d['edge_report']['p_values']!r}"])
     _line("8(a,b,d)", ok, f"no rejection at level 0.01 (Bonferroni k=2): {detail} ({elapsed:.0f}s)")
 
 

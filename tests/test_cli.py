@@ -613,6 +613,8 @@ MALFORMED = {
                            EXIT_USAGE),
     "config density number": (_run_config(
         {"scenario": "band", "params": {"N": 20, "density": 3}}), EXIT_USAGE),
+    "config band unknown density": (_run_config(
+        {"scenario": "band", "params": {"N": 20, "density": "cauchy"}}), EXIT_USAGE),
     "config betas": (_run_config(
         {"scenario": "diagrams-exact", "params": {"betas": [1, 3]}}), EXIT_USAGE),
     "config out number": (_run_config({"scenario": "mixing-audit", "out": 5}), EXIT_USAGE),

@@ -30,7 +30,7 @@ from irmlab.profiles import (sinkhorn_symmetric, uniform_profile, VarianceProfil
 def nonuniform_profile(N, seed=0):
     rng = np.random.default_rng(seed)
     M = rng.uniform(0.5, 1.5, (N, N))
-    return VarianceProfile(sinkhorn_symmetric(0.5 * (M + M.T)), kind="square").validate()
+    return VarianceProfile(sinkhorn_symmetric(0.5 * (M + M.T)), kind="square")
 
 
 def spike(N, val=1.3, seed=None):

@@ -9,7 +9,6 @@ import pytest
 from irmlab import edgestats, ensembles, profiles
 from irmlab.edgestats import (
     EdgeStatError,
-    bbp_test,
     ks_2sample,
     lift_adjacency,
     lift_spectrum_check,
@@ -43,7 +42,7 @@ def _block_profile(shapes, kind):
     for m, n in shapes:
         V[i:i + m, j:j + n] = 1.0 / n
         i, j = i + m, j + n
-    return profiles.VarianceProfile(V, kind=kind).validate()
+    return profiles.VarianceProfile(V, kind=kind)
 
 
 HERMITE_12_20 = _block_profile([(12, 12), (20, 20)], "square")
@@ -347,15 +346,6 @@ class TestUniversality:
 
 
 class TestBBP:
-    def test_rank_zero_equivalent(self):
-        prof = uniform_profile(50)
-        rep = bbp_test(prof, [], replicas=120, seed=2)
-        assert rep.k == 2
-
-    def test_tau_cap(self):
-        with pytest.raises(EdgeStatError):
-            bbp_test(uniform_profile(30), [9.0], replicas=120)
-
     def test_deep_subcritical_spike_invisible(self):
         # tau = -5: the spike eigenvalue sits in the bulk and the top edge is
         # indistinguishable from the undeformed baseline

@@ -383,7 +383,7 @@ SPIKE = Deformation(taus=(0.5,))
 # two bipartite blocks, 2 x 4 and 3 x 6, every entry 1/n on its block
 TWO_BLOCKS = VarianceProfile(np.block([[np.full((2, 4), 0.25), np.zeros((2, 6))],
                                        [np.zeros((3, 4)), np.full((3, 6), 1 / 6)]]),
-                             kind="bipartite").validate()
+                             kind="bipartite")
 
 
 class TestTridiagonalModel:

@@ -155,7 +155,7 @@ class TestEngineOracle:
         rng = np.random.default_rng(seed)
         N = 5 + 3 * seed
         A = rng.uniform(0.5, 1.5, (N, N))
-        p = profiles.VarianceProfile(sinkhorn_symmetric(A + A.T), kind="square").validate()
+        p = profiles.VarianceProfile(sinkhorn_symmetric(A + A.T), kind="square")
         gamma, delta, horizon = 1.2, 0.05, t_N + 12
         rep = check_mixing(p, t_N, gamma, delta, horizon)
         Pn = sequential_powers(p.variances, horizon)

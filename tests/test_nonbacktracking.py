@@ -149,7 +149,7 @@ class TestWignerExpansion:
         rng = np.random.default_rng(3)
         M = rng.uniform(0.5, 1.5, (5, 5))
         prof = profiles.VarianceProfile(
-            profiles.sinkhorn_symmetric(0.5 * (M + M.T)), kind="square").validate()
+            profiles.sinkhorn_symmetric(0.5 * (M + M.T)), kind="square")
         H = np.sqrt(prof.variances) * ensembles.sample_wigner(5, 1, 9)
         assert verify_wigner_path_expansion(H, prof, 7) < 1e-10
 

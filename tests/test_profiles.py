@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,11 +7,11 @@ import pytest
 from irmlab import profiles
 from irmlab.ensembles import EnsembleSpec
 from irmlab.profiles import (
-    BandDensity,
     ProfileError,
     VarianceProfile,
     band_profile,
     block_wegner_profile,
+    density_mass,
     generalized_wigner_profile,
     random_regular_adjacency,
     regular_graph_profile,
@@ -44,16 +45,24 @@ class TestBandDensity:
     @pytest.mark.parametrize("name,d", [("gaussian", 1), ("gaussian", 2),
                                         ("bump", 1), ("bump", 2)])
     def test_normalized(self, name, d):
-        f = BandDensity.by_name(name, d=d)
-        assert abs(f.mass() - 1.0) < 1e-8
+        assert abs(density_mass(name, d) - 1.0) < 1e-8
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
-    def test_power_law_normalized(self, alpha):
-        f = BandDensity.power_law(alpha, d=1)
-        assert abs(f.mass(n_nodes=200) - 1.0) < 1e-8
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_power_law_normalized(self, d):
+        assert abs(density_mass("power_law", d, n_nodes=200) - 1.0) < 1e-8
 
 
 class TestBand:
+    def test_rows_pinned(self):
+        # every density at d = 1 and 2, hashed case by case in this order
+        h = hashlib.sha256()
+        for d, L, W in [(1, 150, 56), (1, 64, 8), (1, 16, 4), (2, 6, 2), (1, 512, 64),
+                        (2, 16, 3), (1, 1024, 4)]:
+            for name in ("gaussian", "bump", "power_law"):
+                h.update(band_profile(d, L, W, name).circulant_row.tobytes())
+        assert h.hexdigest() == ("8a500e152a1100ffaa40badbaa11b982"
+                                 "6b864f8d8fe37e31620c853c9f491fd5")
+
     def test_near_uniform_when_wide(self):
         # W = L: every entry within 0.5/N of uniform
         p = band_profile(1, 8, 8, "gaussian")
@@ -226,6 +235,20 @@ class TestSerialization:
         assert q.torus["L"] == 16
         assert np.allclose(p.variances, q.variances)
 
+    def test_band_torus_records_its_inputs(self):
+        p = band_profile(2, 6, 2, "bump")
+        assert dict(p.torus) == {"d": 2, "L": 6, "W": 2, "density": "bump"}
+
+    def test_old_band_labels_still_load(self):
+        # torus keys past d and L are free metadata: older band files carry
+        # exponent labels as well
+        p = band_profile(1, 16, 4, "power_law")
+        doc = json.loads(json.dumps(p.to_json()))
+        doc["metadata"]["torus"].update(alpha_stable=1.0, decay_T=2.0, decay_K=2.0)
+        q = VarianceProfile.from_json(doc)
+        assert np.array_equal(q.circulant_row, p.circulant_row)
+        assert q.torus["decay_T"] == 2.0
+
     @pytest.mark.parametrize("torus", [
         None, {"d": 1, "L": 7}, {"d": 2, "L": 3}, {"d": 0, "L": 8}, {"d": 1, "L": 1},
         {"d": 1.0, "L": 8}, {"d": True, "L": 8},
@@ -263,20 +286,20 @@ class TestSerialization:
 class TestValidation:
     def test_renormalize_once(self):
         V = np.full((4, 4), 0.25) * (1 + 1e-8)
-        p = VarianceProfile(V, kind="square").validate()
+        p = VarianceProfile(V, kind="square")
         assert row_sum_defect(p.variances) < 1e-12
 
     def test_large_defect_rejected(self):
         V = np.full((4, 4), 0.3)
         with pytest.raises(ProfileError):
-            VarianceProfile(V, kind="square").validate()
+            VarianceProfile(V, kind="square")
 
     def test_negative_rejected(self):
         V = np.full((3, 3), 1 / 3.0)
         V[0, 1] = -0.01
         V[0, 0] += 0.01
         with pytest.raises(ProfileError):
-            VarianceProfile(V, kind="square").validate()
+            VarianceProfile(V, kind="square")
 
     @pytest.mark.parametrize("kind, shape", [("square", (3, 3)), ("bipartite", (2, 4))])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -284,7 +307,7 @@ class TestValidation:
         # every comparison with NaN is False, so the sum and sign checks alone
         # let an all-NaN profile through
         with pytest.raises(ProfileError, match="finite"):
-            VarianceProfile(np.full(shape, bad), kind=kind).validate()
+            VarianceProfile(np.full(shape, bad), kind=kind)
 
     @pytest.mark.parametrize("V, kind", [(np.full((4, 4), 0.5), "square"),
                                          (np.full((4, 4), np.nan), "square"),

@@ -18,8 +18,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 ORACLES = {
     "mp_moment_quadrature": "Gauss-Legendre quadrature of the Marchenko-Pastur "
                             "density; cross-checks chebyshev.mp_moments",
-    "BandDensity.mass": "radial quadrature of a band density; cross-checks the "
-                        "closed-form normalization constants",
+    "density_mass": "radial quadrature of a band density; cross-checks the "
+                    "closed-form normalization constants",
 }
 # overrides that the standard library calls, never by name
 CALLBACKS = {
@@ -31,7 +31,7 @@ EXEMPT = ORACLES.keys() | CALLBACKS.keys()
 ORACLE_PARAMETERS = {
     "nb_powers(method)": "selects the brute-force oracle for the pair-state transfer",
     "mp_moment_quadrature(n_nodes)": "node count of the quadrature oracle",
-    "BandDensity.mass(n_nodes)": "node count of the quadrature oracle",
+    "density_mass(n_nodes)": "node count of the quadrature oracle",
 }
 
 
