@@ -9,10 +9,11 @@ which removes finite-size-correction confounds.  Rejection level defaults
 to 0.01 with a Bonferroni split across the k tested coordinates.  A
 Gaussian spec whose every support block is a GOE/GUE (possibly with a
 rank-one coordinate spike) or a uniform Wishart in its own normalization
-is sampled from its tridiagonal model, whose top k eigenvalues come from
-Sturm multisection, so each replica costs O(N) memory, not a dense N x N
-draw and eigensolve: the GOE/GUE and Wishart baselines and the
-block-diagonal control.  Any other draw is dense and solved whole.
+is sampled from its tridiagonal model, whose top k eigenvalues (and, for a
+tail estimate, both ends) come from Sturm multisection, so each replica
+costs O(N) memory, not a dense N x N draw and eigensolve: the GOE/GUE and
+Wishart baselines and the block-diagonal control.  Any other draw is dense
+and solved whole.
 
 Limitation: the same-size baseline removes GOE's own finite-size
 corrections, not those of the test profile.  With real entries a square
@@ -251,9 +252,21 @@ def wilson_interval(successes, n):
     return (lo, hi)
 
 
+def tridiagonal_norm(a, b):
+    """Operator norm max(|lambda_max|, |lambda_min|) of each real symmetric
+    tridiagonal matrix with diagonal a[r] and off-diagonal b[r]: the top of
+    T and of -T by Sturm multisection (tridiag(-a, b) has the spectrum of -T,
+    since the sign of the off-diagonal does not change it)."""
+    top = tridiagonal_top(a, b, 1)[:, 0]
+    bottom = -tridiagonal_top(-np.asarray(a, dtype=float), b, 1)[:, 0]
+    return np.maximum(np.abs(top), np.abs(bottom))
+
+
 def tail_estimate(spec, x_grid, replicas=2000, seed=0):
     """Empirical survival of ||X/2||_op past 1 + x N^(-2/3) on the x grid.
 
+    A spec with a tridiagonal model takes ||X|| from the model's two ends
+    (tridiagonal_norm); any other spec solves each dense draw whole.
     Survival values are nested counts of the same replicas, hence exactly
     monotone in x; Wilson 95% intervals quantify MC error.
     """
@@ -264,10 +277,13 @@ def tail_estimate(spec, x_grid, replicas=2000, seed=0):
         raise EdgeStatError("tail_estimate needs replicas >= 1")
     run = dataclasses.replace(spec, seed=seed)
     N = run.profile.n_rows
-    norms = np.empty(replicas)
-    for r in range(replicas):
-        lam = np.linalg.eigvalsh(ensembles.sample(run, replica=r))
-        norms[r] = max(abs(lam[-1]), abs(lam[0])) / 2.0
+    if ensembles.has_tridiagonal_model(run):
+        norms = tridiagonal_norm(*ensembles.sample_tridiagonal(run, replicas)) / 2.0
+    else:
+        norms = np.empty(replicas)
+        for r in range(replicas):
+            lam = np.linalg.eigvalsh(ensembles.sample(run, replica=r))
+            norms[r] = max(abs(lam[-1]), abs(lam[0])) / 2.0
     rows = []
     for x in x_grid:
         thr = 1.0 + x * N ** (-2.0 / 3.0)

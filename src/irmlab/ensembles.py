@@ -9,7 +9,13 @@ the Wishart model X = H H^* from an M x N bipartite profile.
 
 Every sampler is a pure function of (spec, seed, replica): streams derive
 from numpy SeedSequence(entropy=seed, spawn_key=(replica, block)), so replica
-r is identical no matter how the replicas are scheduled.
+r is identical no matter how the replicas are scheduled.  A dense Wigner draw
+takes only the entries it keeps.  Block 0 gives the K = N(N-1)/2 strict-upper
+entries in row-major np.triu_indices(N, 1) order (at beta 2 the K real parts,
+then the K imaginary parts), then the N diagonal entries; the mask of a
+theta-sparsified Wigner draw takes block 1 in the same order.  A Wishart draw
+takes all M x N entries of H, row-major, from block 0 and its mask from
+block 1.
 
 A Gaussian spec whose every support block is a GOE/GUE or a uniform Wishart
 in its own normalization also has an O(N) tridiagonal model with the same
@@ -110,27 +116,46 @@ def _gaussian(rng, shape, beta):
     raise EnsembleError("beta must be 1 or 2")
 
 
+def _pairs(N):
+    """K = N(N-1)/2, the number of strict-upper entries of an N x N matrix."""
+    return N * (N - 1) // 2
+
+
+@lru_cache(maxsize=8)
+def _strict_upper(N):
+    """Read-only boolean mask of the strict upper triangle of N x N."""
+    upper = np.triu(np.ones((N, N), dtype=bool), 1)
+    upper.setflags(write=False)
+    return upper
+
+
 def _hermitian(off, diag):
-    """Hermitian matrix: off's strict upper triangle mirrored, diagonal diag.
-    The in-place sum reads a buffered copy of the transpose, so it keeps the
-    bits (and the +0.0 of a signed zero) of U + U^*."""
-    W = np.triu(off, 1)
-    W += W.conj().T
-    W[np.diag_indices(len(diag))] = diag
+    """Hermitian N x N matrix from the K = N(N-1)/2 strict-upper entries off,
+    in row-major np.triu_indices(N, 1) order, and the N diagonal entries
+    diag: the layout every dense Wigner stream (block 0) and every symmetric
+    sparsity mask (block 1) is drawn in.  Boolean-mask assignment fills in
+    row-major order, so W[upper] = off places off[k] at the k-th index pair
+    and W.T[upper] = conj(off) mirrors it bit for bit."""
+    N = len(diag)
+    upper = _strict_upper(N)
+    W = np.empty((N, N), dtype=np.result_type(off, diag))
+    W[upper] = off
+    W.T[upper] = off.conj()
+    np.fill_diagonal(W, diag)
     return W
 
 
 def sample_wigner(N, beta=1, seed=0, replica=0):
     """GOE (beta=1) / GUE (beta=2) matrix in the stated normalization."""
     rng = rng_for(seed, replica, 0)
-    off = _gaussian(rng, (N, N), beta)
+    off = _gaussian(rng, _pairs(N), beta)
     return _hermitian(off, rng.standard_normal(N) * math.sqrt(2.0 / beta))
 
 
 def sample_rademacher(N, seed=0, replica=0):
     """Symmetric sign matrix with the Wigner normalization (diag +-sqrt(2))."""
     rng = rng_for(seed, replica, 0)
-    S = np.where(rng.random((N, N)) < 0.5, 1.0, -1.0)
+    S = np.where(rng.random(_pairs(N)) < 0.5, 1.0, -1.0)
     return _hermitian(S, np.where(rng.random(N) < 0.5, 1.0, -1.0) * math.sqrt(2.0))
 
 
@@ -140,11 +165,15 @@ def _check_theta(theta):
 
 def _sparsify(W, theta, seed, replica, mirror):
     """sqrt(theta) Bern(1/theta) o W, the mask drawn from stream block 1;
-    mirror keeps the mask symmetric (upper triangle and diagonal mirrored)."""
+    mirror draws a symmetric mask in the layout of _hermitian (strict upper
+    triangle, then diagonal), otherwise one entry per entry of W."""
     _check_theta(theta)
-    keep = rng_for(seed, replica, 1).random(W.shape) < 1.0 / theta
+    rng, p = rng_for(seed, replica, 1), 1.0 / theta
     if mirror:
-        keep = np.triu(keep) | np.triu(keep, 1).T
+        N = len(W)
+        keep = _hermitian(rng.random(_pairs(N)) < p, rng.random(N) < p)
+    else:
+        keep = rng.random(W.shape) < p
     return math.sqrt(theta) * keep * W
 
 
@@ -164,7 +193,7 @@ def sample_heavy(N, df, seed=0, replica=0):
     _require(df > 2, "need df > 2 for finite variance")
     rng = rng_for(seed, replica, 0)
     scale = math.sqrt((df - 2.0) / df)
-    T = rng.standard_t(df, size=(N, N)) * scale
+    T = rng.standard_t(df, size=_pairs(N)) * scale
     return _hermitian(T, rng.standard_t(df, size=N) * scale * math.sqrt(2.0))
 
 

@@ -43,6 +43,17 @@ def _sphere_area(d):
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _bump_constant(d):
+    """c_d normalizing the bump c_d exp(-1/(1-r^2)) on r < 1 over R^d, by
+    200-node radial Gauss-Legendre quadrature, computed once per d."""
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    r = 0.5 * (nodes + 1.0)
+    w = 0.5 * weights
+    vals = np.exp(-1.0 / (1.0 - r * r)) * r ** (d - 1)
+    return 1.0 / (_sphere_area(d) * float(np.sum(w * vals)))
+
+
 def _radial(name, d):
     """The normalized radial density r -> f(r) on R^d that shapes a band
     profile: 'gaussian', 'bump' (compact support in the unit ball) or
@@ -50,13 +61,7 @@ def _radial(name, d):
     if name == "gaussian":
         return lambda r: np.exp(-0.5 * r * r) / (2.0 * math.pi) ** (d / 2.0)
     if name == "bump":
-        # c_d * exp(-1/(1-r^2)) on r < 1; normalization by radial quadrature
-        nodes, weights = np.polynomial.legendre.leggauss(200)
-        r = 0.5 * (nodes + 1.0)
-        w = 0.5 * weights
-        vals = np.exp(-1.0 / (1.0 - r * r)) * r ** (d - 1)
-        integral = _sphere_area(d) * float(np.sum(w * vals))
-        c = 1.0 / integral
+        c = _bump_constant(d)
 
         def radial(rr):
             out = np.zeros_like(rr)

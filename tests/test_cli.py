@@ -548,11 +548,12 @@ class TestSampleCsv:
             assert np.array_equal(np.loadtxt(path, delimiter=",", dtype=complex), X)
 
     @pytest.mark.parametrize("kw, digests", [
-        ({}, ("2cbe449becd2de9f", "01ee64339b5a03b6")),
+        ({}, ("4976ca3a981792e6", "ff7d7536d90cc445")),
         ({"model": "wishart", "M": 3, "N": 5}, ("c36324b19ceac82f", "3a81c754ee2dd103")),
     ])
     def test_real_draw_bytes(self, kw, digests, tmp_path):
-        # sha256 prefixes of the CSVs written before complex draws were kept
+        # sha256 prefixes of the real CSVs: the Wigner pair pins the
+        # triangle-only dense stream, the Wishart pair the full M x N one
         from irmlab.profiles import uniform_profile, wishart_profile
         prof = wishart_profile(kw["M"], kw["N"]) if kw else uniform_profile(6)
         doc = ensembles.EnsembleSpec(profile=prof, model=kw.get("model", "wigner")).to_json()

@@ -358,6 +358,30 @@ class TestBBP:
 
 
 class TestTails:
+    def test_tridiagonal_norm_matches_eigvalsh(self):
+        # random (a, b), centred and shifted either way so that each end wins
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 9, 40):
+            for shift in (-1.5, 0.0, 1.5):
+                a, b = rng.standard_normal((6, n)) + shift, rng.standard_normal((6, n - 1))
+                ref = [np.max(np.abs(_tridiagonal_eigs(ar, br))) for ar, br in zip(a, b)]
+                assert np.max(np.abs(edgestats.tridiagonal_norm(a, b) - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("spec", [
+        ensembles.goe_reference_spec(30),
+        ensembles.goe_reference_spec(30, beta=2, deformation=SPIKE),
+        ensembles.EnsembleSpec(model="wishart", profile=wishart_profile(15, 20)),
+    ])
+    def test_model_spec_counts_from_its_model(self, spec):
+        # the hits of a spec with a tridiagonal model are those of eigvalsh on
+        # the model's matrices at the same seed
+        x_grid, N = [0.5, 1.0, 2.0], spec.profile.n_rows
+        table = tail_estimate(spec, x_grid, replicas=40, seed=4)
+        a, b = ensembles.sample_tridiagonal(dataclasses.replace(spec, seed=4), 40)
+        norms = np.array([np.max(np.abs(_tridiagonal_eigs(ar, br))) for ar, br in zip(a, b)])
+        assert [r["hits"] for r in table["rows"]] == [
+            int(np.sum(norms / 2.0 > 1.0 + x * N ** (-2.0 / 3.0))) for x in x_grid]
+
     def test_survival_bounds_and_monotone(self):
         spec = ensembles.goe_reference_spec(40)
         table = tail_estimate(spec, [1.0, 2.0, 4.0], replicas=200, seed=1)

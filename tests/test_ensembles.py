@@ -63,6 +63,67 @@ class TestThetaGOE:
         assert abs(frac - (1 - 1 / theta)) < 0.01
 
 
+def _wigner_by_hand(spec, r):
+    """Dense Wigner draw r of spec rebuilt from its streams: block 0 gives the
+    K strict-upper entries in np.triu_indices order (at beta 2 the K real
+    parts, then the K imaginary parts), then the N diagonal entries; a
+    theta law's mask takes block 1 in the same order."""
+    N, law = spec.N, spec.entry_law
+    upper = np.triu_indices(N, 1)
+    K = len(upper[0])
+    rng = ensembles.rng_for(spec.seed, r, 0)
+    if law in ("gaussian", "theta_goe"):
+        off = rng.standard_normal(K)
+        if spec.beta == 2:
+            off = (off + 1j * rng.standard_normal(K)) / math.sqrt(2.0)
+        diag = rng.standard_normal(N) * math.sqrt(2.0 / spec.beta)
+    elif law in ("rademacher", "theta_rademacher"):
+        off = np.where(rng.random(K) < 0.5, 1.0, -1.0)
+        diag = np.where(rng.random(N) < 0.5, 1.0, -1.0) * math.sqrt(2.0)
+    else:
+        scale = math.sqrt((spec.tail_df - 2.0) / spec.tail_df)
+        off = rng.standard_t(spec.tail_df, size=K) * scale
+        diag = rng.standard_t(spec.tail_df, size=N) * scale * math.sqrt(2.0)
+
+    def symmetric(off, diag):
+        W = np.zeros((N, N), dtype=np.result_type(off, diag))
+        W[upper] = off
+        W[upper[::-1]] = off.conj()
+        W[np.diag_indices(N)] = diag
+        return W
+
+    W = symmetric(off, diag)
+    if law == "heavy_tailed":
+        W = W * (np.abs(W) < float(N) ** (spec.zeta / 2.0))
+    if law.startswith("theta_"):
+        mask = ensembles.rng_for(spec.seed, r, 1)
+        p = 1.0 / spec.theta
+        W = math.sqrt(spec.theta) * symmetric(mask.random(K) < p, mask.random(N) < p) * W
+    return spec.profile.sqrt_variances * W
+
+
+class TestDenseStreamLayout:
+    @pytest.mark.parametrize("law, beta, kw", [
+        ("gaussian", 1, {}),
+        ("gaussian", 2, {}),
+        ("rademacher", 1, {}),
+        ("heavy_tailed", 1, {"tail_df": 3.0, "zeta": 0.3}),
+        ("theta_goe", 1, {"theta": 3.0}),
+        ("theta_rademacher", 1, {"theta": 3.0}),
+    ])
+    @pytest.mark.parametrize("profile", [uniform_profile(7), block_wegner_profile(2, 3, 0.4)])
+    def test_draw_is_the_triangle_layout(self, law, beta, kw, profile):
+        spec = EnsembleSpec(entry_law=law, beta=beta, profile=profile, seed=5, **kw)
+        for r in range(3):
+            X = sample(spec, r)
+            assert X.tobytes() == _wigner_by_hand(spec, r).tobytes()
+
+    def test_heavy_draw_is_truncated(self):
+        # the heavy row above must exercise the truncation it rebuilds
+        W = sample_heavy(7, 3.0, 5, 0)
+        assert np.any(np.abs(W) >= 7 ** 0.15)
+
+
 class TestAssemble:
     def test_uniform_profile_scaling(self):
         prof = uniform_profile(4)
@@ -268,12 +329,12 @@ class TestDigest:
 # to any random stream, or to the arithmetic that assembles a draw, shows up
 # here; the Wishart rows also pass through one small BLAS product.
 ACCEPTED = [
-    ("wigner", "gaussian", 1, {}, "a30c606813c51c73"),
-    ("wigner", "gaussian", 2, {}, "8748ff8558056b6a"),
-    ("wigner", "rademacher", 1, {}, "4cf8fff5b91ba57e"),
-    ("wigner", "theta_goe", 1, {"theta": 3.0}, "2dc97a9c614d1e52"),
-    ("wigner", "theta_rademacher", 1, {"theta": 3.0}, "9b65ae6c0c86c4d8"),
-    ("wigner", "heavy_tailed", 1, {"tail_df": 9.0, "zeta": 0.25}, "da073199c3a788e0"),
+    ("wigner", "gaussian", 1, {}, "f9243b8b12f4406b"),
+    ("wigner", "gaussian", 2, {}, "820aee398a43be70"),
+    ("wigner", "rademacher", 1, {}, "6294428a0fb96738"),
+    ("wigner", "theta_goe", 1, {"theta": 3.0}, "e983a66b347a55fd"),
+    ("wigner", "theta_rademacher", 1, {"theta": 3.0}, "9ce9379f3871f23a"),
+    ("wigner", "heavy_tailed", 1, {"tail_df": 9.0, "zeta": 0.25}, "3b9a7a34edcccc4b"),
     ("wishart", "gaussian", 1, {}, "c15f9d9a869caffe"),
     ("wishart", "gaussian", 2, {}, "0a460fa2f00a7051"),
     ("wishart", "theta_goe", 1, {"theta": 3.0}, "cbea1500e3b135c6"),
@@ -287,7 +348,7 @@ DEFORMED = Deformation(taus=(-5.0,))
 PINNED_DEFORMED = [
     ("wigner", "gaussian", beta, {"profile": block_wegner_profile(2, 3, 0.0),
                                   "deformation": DEFORMED}, digest)
-    for beta, digest in ((1, "2442dbdeb94c705d"), (2, "c9256db18e64b718"))
+    for beta, digest in ((1, "bbf92d8f9cd8a249"), (2, "a927cb714975199a"))
 ]
 
 
